@@ -2,21 +2,44 @@
 
 Every operation is a pure function of its :class:`~mirrormatch.streams.StreamKey`:
 calling it twice with the same key returns identical values. The draw
-algorithms are frozen so that golden outputs stay stable:
+algorithms are frozen so that golden outputs stay stable, and none of them
+uses a numpy ``Generator`` distribution method (those algorithms are not
+stable across numpy versions); everything is an inverse CDF of the key's
+uniform stream:
 
-* standard normals: inverse normal CDF applied to the key's uniform
-  stream (zero-guarded at 2**-54);
-* unit-ball points: normal direction normalized to the sphere, radius
-  U**(1/k) -- rejection-free in any dimension;
-* batch draw order: direction block, then radii, then noise block.
+* standard normals: inverse normal CDF (zero-guarded at 2**-54);
+* chi-square with ``df`` degrees of freedom: for ``df <= 24`` the row sums
+  of one row-major ``(count, df)`` block of squared standard normals,
+  above that ``2 * gammaincinv(df / 2, U)`` with one uniform per draw;
+  ``df = 0`` is exactly zero and draws nothing;
+* ball radii: ``U**(1/k)``, one uniform per point;
+* unit-ball points: a ``(count, k)`` block of normals normalized to the
+  sphere, then the radii -- rejection-free in any dimension.
+
+Clone draws cost O(1) in k. Only the candidate's norm R and the clone
+distance S are returned, and both depend on the vectors only through
+rotation-invariant quantities. With rho the norm of the fixed subject
+noise (0 in per-interaction mode) and v the per-coordinate variance of
+the fresh noise, rotating the subject-noise axis and then the noiseless
+clone difference onto the first coordinate gives::
+
+    R     = U**(1/k)
+    Theta = g1 / sqrt(g1**2 + chi2[k-1])        cosine of x to the noise axis
+    W**2  = (R - rho)**2 + 2 R rho (1 - Theta)   = ||x - subject noise||**2
+    S**2  = (W + sqrt(v) g)**2 + v chi2[k-1]
+
+Batch draw order: the radii, then (rho > 0 only) ``g1`` and its
+chi-square, then ``g`` and its chi-square; each block holds ``count``
+draws.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import gammaincinv, ndtri
 
 from .streams import StreamKey
 
@@ -24,6 +47,10 @@ PER_INTERACTION = "per-interaction"
 FIXED_SUBJECT_CLONE = "fixed-subject-clone"
 
 _MIN_UNIFORM = 2.0**-54  # ndtri(0) is -inf; clamp the (prob 2**-53) exact zero
+# largest df drawn as a sum of squared normals; above it one gammaincinv
+# call per draw is cheaper than df inverse-CDF normals (the two meet near
+# df = 24 at 25-512 draws a call)
+_CHI2_SUM_MAX_DF = 24
 
 
 class CloneDraw(NamedTuple):
@@ -49,6 +76,19 @@ def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri(u)
 
 
+def _chi_square(rng: np.random.Generator, df: int, count: int) -> np.ndarray:
+    if df == 0:
+        return np.zeros(count)
+    if df <= _CHI2_SUM_MAX_DF:
+        normals = _standard_normals(rng, (count, df))
+        return np.einsum("ij,ij->i", normals, normals)
+    return 2.0 * gammaincinv(0.5 * df, rng.random(count))
+
+
+def _ball_radii(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
+    return rng.random(count) ** (1.0 / k)
+
+
 def _ball_points(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
     directions = _standard_normals(rng, (count, k))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
@@ -56,8 +96,31 @@ def _ball_points(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
     # would poison a whole batch with NaNs; map it to the origin instead
     np.maximum(norms, np.finfo(float).tiny, out=norms)
     directions /= norms
-    radii = rng.random((count, 1)) ** (1.0 / k)
-    return directions * radii
+    return directions * _ball_radii(rng, k, count)[:, None]
+
+
+def _clone_distances(
+    rng: np.random.Generator, k: int, radii: np.ndarray, rho: float, variance: float
+) -> np.ndarray:
+    count = radii.shape[0]
+    if rho > 0.0:
+        g1 = _standard_normals(rng, count)
+        axis_norm = np.sqrt(g1 * g1 + _chi_square(rng, k - 1, count))
+        # g1 = chi2 = 0 (probability 2**-53 at k = 1) has no direction; cosine 0
+        cosine = g1 / np.maximum(axis_norm, np.finfo(float).tiny)
+        offset2 = (radii - rho) ** 2 + 2.0 * rho * radii * (1.0 - cosine)
+        offset = np.sqrt(np.maximum(offset2, 0.0))
+    else:
+        offset = radii
+    along = offset + math.sqrt(variance) * _standard_normals(rng, count)
+    return np.sqrt(along * along + variance * _chi_square(rng, k - 1, count))
+
+
+def sample_ball_radii(k: int, count: int, stream: StreamKey) -> np.ndarray:
+    """Draw the norms of ``count`` points uniform in the k-dimensional unit ball."""
+    _check_dim(k)
+    _check_count(count)
+    return _ball_radii(stream.generator(), k, count)
 
 
 def sample_unit_ball_batch(k: int, count: int, stream: StreamKey) -> np.ndarray:
@@ -103,7 +166,8 @@ def draw_clone_batch(
     single Gaussian with per-coordinate variance
     ``sigma_subject2 + sigma_other2``. Fixed-subject-clone mode reuses
     one subject noise vector (supplied by the caller) across all
-    interactions in the batch.
+    interactions in the batch; only its norm enters the draw. Time and
+    memory are O(count) in any dimension k.
     """
     _check_dim(k)
     _check_count(count)
@@ -112,25 +176,20 @@ def draw_clone_batch(
     if mode == PER_INTERACTION:
         if subject_fixed_noise is not None:
             raise ValueError("subject_fixed_noise is only meaningful in fixed-subject-clone mode")
+        rho, variance = 0.0, sigma_subject2 + sigma_other2
     elif mode == FIXED_SUBJECT_CLONE:
         if subject_fixed_noise is None:
             raise ValueError("fixed-subject-clone mode requires subject_fixed_noise")
         subject_fixed_noise = np.asarray(subject_fixed_noise, dtype=np.float64)
         if subject_fixed_noise.shape != (k,):
             raise ValueError(f"subject_fixed_noise must have shape ({k},)")
+        rho, variance = float(np.linalg.norm(subject_fixed_noise)), sigma_other2
     else:
         raise ValueError(f"unknown clone mode {mode!r}")
 
     rng = stream.generator()
-    points = _ball_points(rng, k, count)
-    true_norms = np.linalg.norm(points, axis=1)
-    if mode == PER_INTERACTION:
-        combined = np.sqrt(sigma_subject2 + sigma_other2) * _standard_normals(rng, (count, k))
-        clone_diff = points + combined
-    else:
-        eps_other = np.sqrt(sigma_other2) * _standard_normals(rng, (count, k))
-        clone_diff = points + eps_other - subject_fixed_noise[None, :]
-    return true_norms, np.linalg.norm(clone_diff, axis=1)
+    radii = _ball_radii(rng, k, count)
+    return radii, _clone_distances(rng, k, radii, rho, variance)
 
 
 def draw_clone_interaction(

@@ -160,8 +160,7 @@ def _chunk_d_ip(payload: tuple, start: int, stop: int) -> np.ndarray:
     master_seed, label, k, m = payload
     out = np.empty(stop - start)
     for i, rep in enumerate(range(start, stop)):
-        points = sampler.sample_unit_ball_batch(k, m, _rep_key(master_seed, label, rep))
-        out[i] = np.linalg.norm(points, axis=1).min()
+        out[i] = sampler.sample_ball_radii(k, m, _rep_key(master_seed, label, rep)).min()
     return out
 
 
@@ -301,22 +300,17 @@ def estimate_group_win_rate(
     return _estimate(_fanout(_chunk_group, payload, reps, workers))
 
 
-def _seq_ball_norm_blocks(key: StreamKey, k: int, block_index: int, count: int) -> np.ndarray:
-    points = sampler.sample_unit_ball_batch(k, count, key.child("block", block_index))
-    return np.linalg.norm(points, axis=1)
-
-
 def _rep_seq_payoff(key: StreamKey, k: int, variance: float, policy: SeqSearchPolicy):
     rule = policy.rule
     if policy.regime == IN_PERSON:
         if isinstance(rule, StopAtFixedT):
-            norms = _seq_ball_norm_blocks(key, k, 0, rule.t)
+            norms = sampler.sample_ball_radii(k, rule.t, key.child("block", 0))
             return -float(norms.min()) - policy.cost_ip(rule.t), 0.0
         best = math.inf
         seen = 0
         while seen < rule.cap:
             count = min(_SEQ_BLOCK, rule.cap - seen)
-            norms = _seq_ball_norm_blocks(key, k, seen // _SEQ_BLOCK, count)
+            norms = sampler.sample_ball_radii(k, count, key.child("block", seen // _SEQ_BLOCK))
             hits = np.nonzero(norms <= rule.threshold)[0]
             if hits.size:
                 tau = seen + int(hits[0]) + 1

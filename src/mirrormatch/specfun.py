@@ -7,7 +7,7 @@ regularized incomplete gamma. Algorithm layout:
 * incomplete gamma: power series below the ``x < s + 1`` split,
   continued fraction (modified Lentz) above it;
 * ``ln I_nu``: log-sum-exp over a peak-windowed power series for
-  ``x <= max(30, nu**2/4)``, large-argument expansion with optimal
+  ``x <= max(30, nu**2)``, large-argument expansion with optimal
   truncation beyond.
 """
 

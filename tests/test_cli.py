@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -8,7 +11,8 @@ import pytest
 from mirrormatch import analytic, cli
 from mirrormatch.cli import ConfigError, ModelConfig, parse_config
 
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "mirrormatch" / "schema" / "summary.schema.json"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SCHEMA_PATH = SRC_DIR / "mirrormatch" / "schema" / "summary.schema.json"
 
 TINY = [
     "k_grid=1,5",
@@ -278,3 +282,19 @@ class TestModelConfigType:
         cfg = ModelConfig()
         spec = cfg.group()
         assert spec.sigma_r2 == 0.01 and spec.sigma_p2 == 0.04
+
+
+@pytest.mark.parametrize("module", ["mirrormatch", "mirrormatch.cli"])
+def test_python_m_entry_points(module):
+    # `python -m` runs the same parser as the console script
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = [sys.executable, "-m", module]
+    helped = subprocess.run(
+        run + ["table1", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert helped.returncode == 0
+    assert helped.stdout.startswith("usage: mirrormatch")
+    bare = subprocess.run(run, capture_output=True, text=True, env=env, timeout=60)
+    assert bare.returncode == 2
+    assert bare.stderr.startswith("usage: mirrormatch")

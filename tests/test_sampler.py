@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,16 @@ def key(*path, seed=1234):
     for label in path:
         k = k.child(label) if isinstance(label, str) else k.child(*label)
     return k
+
+
+def direct_clone_draws(k, count, variance, subject_noise, seed):
+    """(||X||, ||X + eps - subject_noise||) from full k-vectors, numpy's own generator."""
+    rng = np.random.default_rng([seed, k])
+    directions = rng.standard_normal((count, k))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    points = directions * rng.random((count, 1)) ** (1.0 / k)
+    noise = math.sqrt(variance) * rng.standard_normal((count, k))
+    return np.linalg.norm(points, axis=1), np.linalg.norm(points + noise - subject_noise, axis=1)
 
 
 class TestStreamKey:
@@ -182,18 +193,90 @@ class TestCloneDraws:
         assert stats.chi2_contingency(table).pvalue > 0.001
 
     def test_fixed_mode_distribution_matches_construction(self):
-        # ||X + eps_other - eps_fixed|| computed directly from components
-        k = 4
+        # law of (R, S) against ||X + eps_other - eps_fixed|| built from full
+        # k-vectors with an independent generator: two-sample KS on R, S, S - R
+        k, count, s_other2 = 4, 20_000, 0.03
         fixed = sampler.sample_gaussian_vector(k, 0.02, key("check-eps"))
-        stream = key("check-pool")
         norms, dists = sampler.draw_clone_batch(
-            k, 50, 0.02, 0.03,
-            mode=sampler.FIXED_SUBJECT_CLONE, subject_fixed_noise=fixed, stream=stream,
+            k, count, 0.02, s_other2,
+            mode=sampler.FIXED_SUBJECT_CLONE, subject_fixed_noise=fixed, stream=key("check-pool"),
         )
-        rng = stream.generator()
-        raw = sampler._standard_normals(rng, (50, k))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        points = raw * (rng.random((50, 1)) ** (1.0 / k))
-        eps = math.sqrt(0.03) * sampler._standard_normals(rng, (50, k))
-        assert np.allclose(norms, np.linalg.norm(points, axis=1))
-        assert np.allclose(dists, np.linalg.norm(points + eps - fixed, axis=1))
+        ref_norms, ref_dists = direct_clone_draws(k, count, s_other2, fixed, seed=4)
+        for ours, ref in ((norms, ref_norms), (dists, ref_dists), (dists - norms, ref_dists - ref_norms)):
+            assert stats.ks_2samp(ours, ref).pvalue > 0.001
+
+    def test_fixed_mode_second_moments(self):
+        # E S^2 = k/(k+2) + rho^2 + k s_o2 and E[S^2 | R] = R^2 + rho^2 + k s_o2:
+        # the mean, and an OLS fit of S^2 on R^2 (slope 1, that intercept)
+        k, count, s_other2 = 6, 400_000, 0.02
+        fixed = np.full(k, 0.5 / math.sqrt(k))  # rho = 0.5
+        norms, dists = sampler.draw_clone_batch(
+            k, count, 0.01, s_other2,
+            mode=sampler.FIXED_SUBJECT_CLONE, subject_fixed_noise=fixed, stream=key("fixed-mom"),
+        )
+        shift = 0.25 + k * s_other2
+        s2 = dists**2
+        se = s2.std(ddof=1) / math.sqrt(count)
+        assert abs(s2.mean() - (k / (k + 2) + shift)) <= 4 * se
+        fit = stats.linregress(norms**2, s2)
+        assert abs(fit.slope - 1.0) <= 4 * fit.stderr
+        assert abs(fit.intercept - shift) <= 4 * fit.intercept_stderr
+
+    @pytest.mark.parametrize(
+        "k", [1, 2, sampler._CHI2_SUM_MAX_DF + 1, sampler._CHI2_SUM_MAX_DF + 2]
+    )
+    @pytest.mark.parametrize("mode", [sampler.PER_INTERACTION, sampler.FIXED_SUBJECT_CLONE])
+    def test_edge_dimensions_match_construction(self, k, mode):
+        # k = 1 (no chi-square, cosine +-1), k = 2, and chi-square df at the
+        # small-df crossover and one above it, in both modes
+        count, s_subject2, s_other2 = 20_000, 0.02, 0.03
+        fixed = None
+        if mode == sampler.FIXED_SUBJECT_CLONE:
+            fixed = np.full(k, 0.4 / math.sqrt(k))
+            ref_noise, variance = fixed, s_other2
+        else:
+            ref_noise, variance = np.zeros(k), s_subject2 + s_other2
+        norms, dists = sampler.draw_clone_batch(
+            k, count, s_subject2, s_other2, mode=mode, subject_fixed_noise=fixed,
+            stream=key("edge", mode, ("k", k)),
+        )
+        ref_norms, ref_dists = direct_clone_draws(k, count, variance, ref_noise, seed=k)
+        for ours, ref in ((norms, ref_norms), (dists, ref_dists), (dists - norms, ref_dists - ref_norms)):
+            assert stats.ks_2samp(ours, ref).pvalue > 0.001
+
+    @pytest.mark.parametrize("mode", [sampler.PER_INTERACTION, sampler.FIXED_SUBJECT_CLONE])
+    def test_memory_is_linear_in_count(self, mode):
+        # one (count, k) float64 array here would be 8 GB
+        k, count = 10**6, 1000
+        fixed = np.full(k, 1e-4) if mode == sampler.FIXED_SUBJECT_CLONE else None
+        tracemalloc.start()
+        try:
+            norms, dists = sampler.draw_clone_batch(
+                k, count, 0.01, 0.01, mode=mode, subject_fixed_noise=fixed, stream=key("mem")
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 8 * count
+        assert np.all(np.isfinite(dists)) and norms.max() <= 1.0
+
+
+class TestChiSquare:
+    @pytest.mark.parametrize(
+        "df", [1, 3, sampler._CHI2_SUM_MAX_DF, sampler._CHI2_SUM_MAX_DF + 1, 999]
+    )
+    def test_law(self, df):
+        draws = sampler._chi_square(key("chi2", ("df", df)).generator(), df, 50_000)
+        assert stats.kstest(draws, stats.chi2(df).cdf).pvalue > 0.001
+
+    def test_zero_df_is_zero_and_draws_nothing(self):
+        rng = key("chi2-zero").generator()
+        assert np.array_equal(sampler._chi_square(rng, 0, 5), np.zeros(5))
+        assert np.array_equal(rng.random(3), key("chi2-zero").generator().random(3))
+
+
+def test_ball_radii_law():
+    # R^k is uniform on [0, 1]
+    for k in (1, 7, 1000):
+        radii = sampler.sample_ball_radii(k, 50_000, key("radii", ("k", k)))
+        assert stats.kstest(radii**k, "uniform").pvalue > 0.001
