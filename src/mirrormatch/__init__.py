@@ -11,21 +11,19 @@ tables through a deterministic CLI harness.
 
 __version__ = "0.1.0"
 
-from .analytic import GroupSpec, NumericError, RegimeValue
+from .analytic import GroupSpec, NumericError
 from .quadrature import QuadratureError
-from .sampler import FIXED_SUBJECT_CLONE, PER_INTERACTION, CloneDraw
+from .sampler import FIXED_SUBJECT_CLONE, PER_INTERACTION
 from .simulate import Estimate, SeqSearchPolicy
 from .streams import StreamKey
 
 __all__ = [
-    "CloneDraw",
     "Estimate",
     "FIXED_SUBJECT_CLONE",
     "GroupSpec",
     "NumericError",
     "PER_INTERACTION",
     "QuadratureError",
-    "RegimeValue",
     "SeqSearchPolicy",
     "StreamKey",
     "__version__",

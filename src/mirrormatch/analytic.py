@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc as _erfc_arr
 
 from . import specfun
 from .quadrature import integrate
@@ -29,26 +28,9 @@ _REL_AGREEMENT = 1e-8  # required match between the two d_ai_infinity routes
 _TIE_EPS = 1e-12  # boundary rule for the AI-equivalent sample size
 _SEARCH_LIMIT = 10**15  # exact-integer search range for the sample size
 
-_REGIME_KINDS = ("in_person", "ai_infinity", "benchmark_single_draw")
-
 
 class NumericError(RuntimeError):
     """Two independent evaluations of the same quantity disagreed."""
-
-
-@dataclass(frozen=True)
-class RegimeValue:
-    """A labeled expected-distance value for one search regime."""
-
-    k: int
-    value: float
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _REGIME_KINDS:
-            raise ValueError(f"unknown regime kind {self.kind!r}")
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"regime value must lie in [0, 1], got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -177,20 +159,6 @@ def d_ai_infinity(k: int, noise_variance_per_clone: float) -> float:
     return value
 
 
-def phi_one_dim(sigma: float) -> float:
-    """One-dimensional saturated-platform distance through the normal CDF.
-
-    Written with erf/erfc so both the sigma -> 0 and sigma -> inf limits
-    are evaluated without cancellation.
-    """
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    scale = 1.0 / (2.0 * sigma)
-    edge = math.erfc(scale)
-    numerator = integrate(lambda r: _erfc_arr(r * scale) - edge, 0.0, 1.0)
-    return numerator / math.erf(scale)
-
-
 def ai_equivalent_bound(k: int, noise_variance_per_clone: float) -> int:
     """Smallest m whose in-person distance beats the saturated platform.
 
@@ -219,24 +187,6 @@ def ai_equivalent_bound(k: int, noise_variance_per_clone: float) -> int:
     if abs(d_ip(k, hi) - bound) <= _TIE_EPS:
         return hi + 1
     return hi
-
-
-def log_density_at_zero(k: int, nu: float) -> float:
-    """ln of the clone-difference density at the origin for combined variance nu."""
-    _check_dim(k)
-    _check_variance(nu)
-    return (
-        math.log(0.5 * k)
-        - 0.5 * k * math.log(math.pi)
-        + specfun.ln_gamma(0.5 * k)
-        + specfun.log_reg_lower_inc_gamma(0.5 * k, 0.5 / nu)
-    )
-
-
-def density_at_zero(k: int, nu: float) -> float:
-    """Clone-difference density at the origin; grows like a point density in
-    high dimension, so prefer :func:`log_density_at_zero` for large k."""
-    return math.exp(log_density_at_zero(k, nu))
 
 
 def _win_probability_from_nu(k: int, nu_r: float, nu_p: float) -> float:

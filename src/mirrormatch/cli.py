@@ -7,6 +7,9 @@ command, and a JSON summary. CSV bytes are a pure function of
 (config, seed): no timestamps, LF line endings, fixed float formatting,
 so reruns are byte-identical under any worker count.
 
+Each command is a :class:`Command` declaration: a row source and the
+ordered CSV columns evaluated on its rows.
+
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
 
@@ -22,6 +25,8 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 from . import __version__, analytic, sampler, simulate
 from .analytic import GroupSpec, NumericError
@@ -40,21 +45,11 @@ MSTAR_SIGMA_GRID = (0.05, 0.1, 0.2236, 0.5, 1.0)
 GROUPS_K_GRID = (1, 2, 5, 10, 20, 50, 100, 200)
 GROUPS_RATIO_GRID = (2.0, 4.0, 16.0, 64.0)
 
-# Regression targets for the main comparison table (sigma = 0.05, pool
-# 10^4, 1000 replications). The k=1 platform entry is the calibration
+# Platform entries of the reference comparison table (sigma = 0.05, pool
+# 10^4, 1000 replications) at the calibration rows. The k=1 entry is the
 # anchor: it discriminates the std-dev reading of the noise parameter
 # from the variance reading.
-REFERENCE_D_IP2 = {
-    1: 0.3346, 5: 0.7554, 10: 0.8675, 50: 0.9709, 100: 0.9849, 125: 0.9882,
-    150: 0.9902, 175: 0.9919, 200: 0.9925, 225: 0.9933, 250: 0.9939,
-    275: 0.9949, 300: 0.9951, 400: 0.9962, 500: 0.9970, 750: 0.9980, 1000: 0.9985,
-}
-REFERENCE_D_AI = {
-    1: 0.0551, 5: 0.1743, 10: 0.3664, 50: 0.9126, 100: 0.9818, 125: 0.9871,
-    150: 0.9903, 175: 0.9920, 200: 0.9931, 225: 0.9941, 250: 0.9950,
-    275: 0.9957, 300: 0.9959, 400: 0.9972, 500: 0.9979, 750: 0.9986, 1000: 0.9990,
-}
-CALIBRATION_K_ROWS = (1, 5, 10)
+REFERENCE_D_AI = {1: 0.0551, 5: 0.1743, 10: 0.3664}
 CALIBRATION_TOL = 0.01
 
 PAPER_SCALE_REPS = 1000
@@ -65,18 +60,19 @@ class ConfigError(Exception):
     """A configuration file or override could not be interpreted."""
 
 
-def _parse_int(raw: str) -> int:
+def _int(raw: str) -> int:
     return int(raw, 0)
 
 
-def _parse_float(raw: str) -> float:
-    value = float(raw)
-    if math.isnan(value):
-        raise ValueError("nan is not a valid value")
-    return value
+def _tuple(item):
+    return lambda raw: tuple(item(part.strip()) for part in raw.split(",") if part.strip())
 
 
-def _parse_choice(*choices: str):
+def _optional(parse):
+    return lambda raw: None if raw.lower() in ("none", "") else parse(raw)
+
+
+def _choice(*choices: str):
     def parse(raw: str) -> str:
         if raw not in choices:
             raise ValueError(f"expected one of {choices}")
@@ -85,44 +81,44 @@ def _parse_choice(*choices: str):
     return parse
 
 
-def _parse_int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip(), 0) for part in raw.split(",") if part.strip())
-
-
-def _parse_float_tuple(raw: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _optional(parser):
-    def parse(raw: str):
-        if raw.lower() in ("none", ""):
-            return None
-        return parser(raw)
-
-    return parse
-
-
 _FIELD_PARSERS = {
-    "k": ("positive integer", _parse_int),
-    "noise_param": ("positive real", _parse_float),
-    "noise_convention": (f"one of {STD_DEV}|{VARIANCE}", _parse_choice(STD_DEV, VARIANCE)),
-    "n": ("positive integer", _parse_int),
-    "m": ("positive integer", _parse_int),
-    "reps": ("integer >= 2", _parse_int),
-    "master_seed": ("unsigned 64-bit integer", _parse_int),
+    "k": ("positive integer", _int),
+    "noise_param": ("positive real", float),
+    "noise_convention": (f"one of {STD_DEV}|{VARIANCE}", _choice(STD_DEV, VARIANCE)),
+    "n": ("positive integer", _int),
+    "reps": ("integer >= 2", _int),
+    "master_seed": ("unsigned 64-bit integer", _int),
     "clone_mode": (
         f"one of {sampler.PER_INTERACTION}|{sampler.FIXED_SUBJECT_CLONE}",
-        _parse_choice(sampler.PER_INTERACTION, sampler.FIXED_SUBJECT_CLONE),
+        _choice(sampler.PER_INTERACTION, sampler.FIXED_SUBJECT_CLONE),
     ),
-    "group_sigma_r2": ("positive real", _parse_float),
-    "group_sigma_p2": ("positive real", _parse_float),
-    "k_grid": ("comma list of positive integers or none", _optional(_parse_int_tuple)),
-    "sigma_grid": ("comma list of positive reals or none", _optional(_parse_float_tuple)),
-    "seq_kappa": ("nonnegative real or none", _optional(_parse_float)),
-    "seq_cost_ip_per_period": ("nonnegative real", _parse_float),
-    "seq_cost_ai_per_period": ("nonnegative real", _parse_float),
-    "seq_cap": ("positive integer", _parse_int),
+    "group_sigma_r2": ("positive real", float),
+    "group_sigma_p2": ("positive real", float),
+    "k_grid": ("comma list of positive integers or none", _optional(_tuple(_int))),
+    "sigma_grid": ("comma list of positive reals or none", _optional(_tuple(float))),
+    "seq_kappa": ("nonnegative real or none", _optional(float)),
+    "seq_cost_ip_per_period": ("nonnegative real", float),
+    "seq_cost_ai_per_period": ("nonnegative real", float),
+    "seq_cap": ("positive integer", _int),
 }
+
+
+def noise_variance(noise: float, convention: str) -> float:
+    """Per-clone noise variance that a noise value denotes under a convention."""
+    return noise**2 if convention == STD_DEV else noise
+
+
+# accepted variances: the derived scales 2v, 4v, 64v and 1/(4v) stay finite
+# and nonzero, and a noise value squared neither overflows nor flushes to 0
+_MIN_VARIANCE = 1e-300
+_MAX_VARIANCE = 1e300
+
+
+def _variance_in_range(noise: float, convention: str) -> bool:
+    try:
+        return _MIN_VARIANCE <= noise_variance(noise, convention) <= _MAX_VARIANCE
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,6 @@ class ModelConfig:
     noise_param: float = 0.05
     noise_convention: str = STD_DEV
     n: int = 2000
-    m: int = 2
     reps: int = 200
     master_seed: int = 0
     clone_mode: str = sampler.PER_INTERACTION
@@ -147,33 +142,36 @@ class ModelConfig:
     seq_cap: int = 10_000
 
     def __post_init__(self) -> None:
-        for name in ("k", "n", "m", "seq_cap"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.reps < 2:
-            raise ConfigError(f"reps must be >= 2, got {self.reps!r}")
-        if not self.noise_param > 0:
-            raise ConfigError(f"noise_param must be positive, got {self.noise_param!r}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{field.name} must be finite, got {value!r}")
+        for name, least in (("k", 1), ("n", 1), ("seq_cap", 1), ("reps", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         if self.master_seed < 0 or self.master_seed >= 2**64:
             raise ConfigError(f"master_seed must fit in 64 unsigned bits, got {self.master_seed!r}")
-        if not (0 < self.group_sigma_r2 and 0 < self.group_sigma_p2):
-            raise ConfigError("group variances must be positive")
+        # calibrate reads noise_param both ways, so every noise value must
+        # give a variance in range under either convention
+        for noise in (self.noise_param, *(self.sigma_grid or ())):
+            if not all(_variance_in_range(noise, c) for c in (STD_DEV, VARIANCE)):
+                raise ConfigError(
+                    f"noise value {noise!r} must give a per-clone variance in"
+                    f" [{_MIN_VARIANCE:g}, {_MAX_VARIANCE:g}] under both conventions"
+                )
+        if not _MIN_VARIANCE <= self.group_sigma_r2 < self.group_sigma_p2 <= _MAX_VARIANCE:
+            raise ConfigError(
+                f"group variances must satisfy {_MIN_VARIANCE:g} <= group_sigma_r2"
+                f" < group_sigma_p2 <= {_MAX_VARIANCE:g}"
+            )
         if self.k_grid is not None and any(k < 1 for k in self.k_grid):
             raise ConfigError("k_grid entries must be positive")
-        if self.sigma_grid is not None and any(s <= 0 for s in self.sigma_grid):
-            raise ConfigError("sigma_grid entries must be positive")
-        if self.seq_kappa is not None and self.seq_kappa < 0:
-            raise ConfigError("seq_kappa must be nonnegative")
-        if self.seq_cost_ip_per_period < 0 or self.seq_cost_ai_per_period < 0:
-            raise ConfigError("per-period costs must be nonnegative")
+        if min(self.seq_kappa or 0, self.seq_cost_ip_per_period, self.seq_cost_ai_per_period) < 0:
+            raise ConfigError("seq_kappa and the per-period costs must be nonnegative")
 
     def noise_variance_per_clone(self) -> float:
-        if self.noise_convention == STD_DEV:
-            return self.noise_param**2
-        return self.noise_param
-
-    def variance_for(self, convention: str) -> float:
-        return self.noise_param**2 if convention == STD_DEV else self.noise_param
+        return noise_variance(self.noise_param, self.noise_convention)
 
     def group(self) -> GroupSpec:
         return GroupSpec(self.group_sigma_r2, self.group_sigma_p2)
@@ -182,13 +180,9 @@ class ModelConfig:
         lines = []
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if value is None:
-                rendered = "none"
-            elif isinstance(value, tuple):
-                rendered = ",".join(_fmt(v) for v in value)
-            else:
-                rendered = _fmt(value)
-            lines.append(f"{field.name} = {rendered}")
+            if isinstance(value, tuple):
+                value = ",".join(_fmt(v) for v in value)
+            lines.append(f"{field.name} = {'none' if value is None else _fmt(value)}")
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
@@ -215,43 +209,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _apply_overrides(values: dict, overrides, where: str) -> None:
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"{where}: expected key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _FIELD_PARSERS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        expected, parser = _FIELD_PARSERS[key]
-        try:
-            values[key] = parser(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: key {key!r} expects {expected}: {exc}") from exc
-
-
 def parse_config(path: str | Path | None = None, overrides=()) -> ModelConfig:
     """Build a ModelConfig from an optional file plus key=value overrides."""
-    values: dict = {}
+    items = []
     if path is not None:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            _apply_overrides(values, [text], f"{path}:{lineno}")
-    _apply_overrides(values, overrides, "override")
-    try:
-        return ModelConfig(**values)
-    except ConfigError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+            if text:
+                items.append((f"{path}:{lineno}", text))
+    items += [("override", item) for item in overrides]
+    values: dict = {}
+    for where, item in items:
+        key, sep, raw = item.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ConfigError(f"{where}: expected key=value, got {item!r}")
+        if key not in _FIELD_PARSERS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        expected, parse = _FIELD_PARSERS[key]
+        try:
+            values[key] = parse(raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{where}: key {key!r} expects {expected}: {exc}") from exc
+    return ModelConfig(**values)
 
 
 def _write_atomic(path: Path, data: str) -> None:
@@ -260,419 +243,287 @@ def _write_atomic(path: Path, data: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, columns: list[tuple[str, str]], rows: list[dict]) -> None:
-    # header cells are "name: meaning"; comma-free by construction, LF endings
-    header = ",".join(f"{name}: {meaning}" for name, meaning in columns)
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(row[name]) for name, _ in columns))
-    _write_atomic(path, "\n".join(lines) + "\n")
+@dataclass(frozen=True)
+class Command:
+    """One experiment: a row source and the ordered CSV columns read from it.
+
+    ``rows(cfg, workers)`` yields one dict of fields per CSV row. Each
+    column is ``(name, meaning, value)``: ``value(row)`` reads the fields
+    and the columns to its left as attributes, and ``None`` keeps the
+    field of that name. ``{cfg...}`` in a meaning is filled from the
+    config. Every CSV ends with a ``config_hash`` column.
+    """
+
+    name: str
+    rows: Callable
+    columns: tuple
+    metrics: Callable = lambda rows: {}
+    provenance: Callable = lambda metrics: {}
+
+    def __call__(self, cfg: ModelConfig, out_root: Path, workers: int | None = None) -> ExperimentResult:
+        try:
+            worker_count = simulate.resolve_workers(workers)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        config_hash = cfg.config_hash()
+        header = [(name, meaning.format(cfg=cfg)) for name, meaning, _ in self.columns]
+        header.append(("config_hash", "hash of the canonical config"))
+        rows = []
+        for fields in self.rows(cfg, workers):
+            row = SimpleNamespace(**fields, config_hash=config_hash)
+            for name, _, value in self.columns:
+                if value is not None:
+                    setattr(row, name, value(row))
+            rows.append({name: getattr(row, name) for name, _ in header})
+        metrics = self.metrics(rows)
+        provenance = {
+            "artifact_version": __version__,
+            "workers": worker_count,
+            "master_seed": cfg.master_seed,
+            "noise_convention": cfg.noise_convention,
+            **self.provenance(metrics),
+        }
+        run_dir = out_root / config_hash
+        run_dir.mkdir(parents=True, exist_ok=True)
+        _write_atomic(run_dir / "config.txt", cfg.canonical_text())
+        # header cells are "name: meaning"; comma-free by construction, LF endings
+        lines = [",".join(f"{name}: {meaning}" for name, meaning in header)]
+        lines += [",".join(_fmt(row[name]) for name, _ in header) for row in rows]
+        csv_path = run_dir / f"{self.name}.csv"
+        _write_atomic(csv_path, "\n".join(lines) + "\n")
+        summary = {
+            "command": self.name,
+            "version": __version__,
+            "config_hash": config_hash,
+            "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "config": json.loads(json.dumps(dataclasses.asdict(cfg))),
+            "files": [csv_path.name],
+            "metrics": metrics,
+            "provenance": provenance,
+        }
+        summary_path = run_dir / "summary.json"
+        _write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        return ExperimentResult(cfg, self.name, rows, metrics, [csv_path, summary_path], provenance)
 
 
-def _write_summary(out_dir: Path, result: ExperimentResult) -> Path:
-    summary = {
-        "command": result.command,
-        "version": __version__,
-        "config_hash": result.config.config_hash(),
-        "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config": json.loads(json.dumps(dataclasses.asdict(result.config))),
-        "files": [p.name for p in result.files],
-        "metrics": result.metrics,
-        "provenance": result.provenance,
-    }
-    path = out_dir / "summary.json"
-    _write_atomic(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return path
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
-def _run_dir(cfg: ModelConfig, out_root: Path) -> Path:
-    run_dir = out_root / cfg.config_hash()
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(run_dir / "config.txt", cfg.canonical_text())
-    return run_dir
-
-
-def _finish(
-    cfg: ModelConfig,
-    command: str,
-    out_root: Path,
-    columns: list[tuple[str, str]],
-    rows: list[dict],
-    metrics: dict,
-    provenance: dict,
-) -> ExperimentResult:
-    run_dir = _run_dir(cfg, out_root)
-    csv_path = run_dir / f"{command}.csv"
-    _write_csv(csv_path, columns, rows)
-    result = ExperimentResult(
-        config=cfg,
-        command=command,
-        rows=rows,
-        metrics=metrics,
-        files=[csv_path],
-        provenance=provenance,
-    )
-    summary_path = _write_summary(run_dir, result)
-    result.files.append(summary_path)
-    return result
-
-
-def _provenance(cfg: ModelConfig, workers: int, extra: dict | None = None) -> dict:
-    data = {
-        "artifact_version": __version__,
-        "workers": workers,
-        "master_seed": cfg.master_seed,
-        "noise_convention": cfg.noise_convention,
-    }
-    if extra:
-        data.update(extra)
-    return data
-
-
-_TWO_DRAW_MEANING = "closed-form expected distance to the better of two draws"
-_BENCH_MEANING = "expected distance to a single uniform draw k/(k+1)"
-
-
-def cmd_table1(cfg: ModelConfig, out_root: Path, workers: int | None = None) -> ExperimentResult:
-    """Main comparison table: two in-person draws versus the noisy platform."""
-    worker_count = simulate.resolve_workers(workers)
-    variance = cfg.noise_variance_per_clone()
-    ks = cfg.k_grid or TABLE_K_GRID
-    config_hash = cfg.config_hash()
-    rows = []
-    for k in ks:
-        ip = simulate.estimate_d_ip(k, 2, cfg.reps, cfg.master_seed, workers=workers)
-        ai = simulate.estimate_d_ai(
-            k, cfg.n, variance, cfg.reps, cfg.clone_mode, cfg.master_seed, workers=workers
-        )
-        rows.append(
-            {
-                "k": k,
-                "d_ip2_closed": analytic.d_ip2_identity(k),
-                "d_ip2_mc": ip.mean,
-                "se_ip": ip.std_error,
-                "d_ai_mc": ai.mean,
-                "se_ai": ai.std_error,
-                "benchmark": analytic.benchmark_single_draw(k),
-                "winner": "ai" if ai.mean < ip.mean else "ip",
-                "config_hash": config_hash,
-            }
-        )
-    columns = [
-        ("k", "number of attribute dimensions"),
-        ("d_ip2_closed", _TWO_DRAW_MEANING),
-        ("d_ip2_mc", "Monte Carlo estimate of the two-draw in-person distance"),
-        ("se_ip", "standard error of d_ip2_mc"),
-        ("d_ai_mc", "Monte Carlo estimate of the platform match distance"),
-        ("se_ai", "standard error of d_ai_mc"),
-        ("benchmark", _BENCH_MEANING),
-        ("winner", "regime with the smaller estimated distance"),
-        ("config_hash", "hash of the canonical config"),
-    ]
-    first_ip = next((row["k"] for row in rows if row["winner"] == "ip"), None)
-    metrics = {"first_in_person_win_k": first_ip}
-    return _finish(
-        cfg, "table1", out_root, columns, rows, metrics, _provenance(cfg, worker_count)
-    )
-
-
-def cmd_figure2(cfg: ModelConfig, out_root: Path, workers: int | None = None) -> ExperimentResult:
-    """Dense-grid version of the comparison with analytic overlays."""
-    worker_count = simulate.resolve_workers(workers)
-    variance = cfg.noise_variance_per_clone()
-    ks = cfg.k_grid or FIGURE_K_GRID
-    config_hash = cfg.config_hash()
-    rows = []
-    for k in ks:
-        ip = simulate.estimate_d_ip(k, 2, cfg.reps, cfg.master_seed, workers=workers)
-        ai = simulate.estimate_d_ai(
-            k, cfg.n, variance, cfg.reps, cfg.clone_mode, cfg.master_seed, workers=workers
-        )
-        rows.append(
-            {
-                "k": k,
-                "d_ip2_closed": analytic.d_ip2_identity(k),
-                "d_ai_inf": analytic.d_ai_infinity(k, variance),
-                "d_ip2_mc": ip.mean,
-                "se_ip": ip.std_error,
-                "d_ai_mc": ai.mean,
-                "se_ai": ai.std_error,
-                "benchmark": analytic.benchmark_single_draw(k),
-                "config_hash": config_hash,
-            }
-        )
-    columns = [
-        ("k", "number of attribute dimensions"),
-        ("d_ip2_closed", _TWO_DRAW_MEANING),
-        ("d_ai_inf", "saturated-platform lower bound on the match distance"),
-        ("d_ip2_mc", "Monte Carlo estimate of the two-draw in-person distance"),
-        ("se_ip", "standard error of d_ip2_mc"),
-        ("d_ai_mc", "Monte Carlo estimate of the platform match distance"),
-        ("se_ai", "standard error of d_ai_mc"),
-        ("benchmark", _BENCH_MEANING),
-        ("config_hash", "hash of the canonical config"),
-    ]
-    return _finish(cfg, "figure2", out_root, columns, rows, {}, _provenance(cfg, worker_count))
-
-
-def cmd_mstar(cfg: ModelConfig, out_root: Path, workers: int | None = None) -> ExperimentResult:
-    """Tabulate the bound-certified equivalent sample size over (k, noise) grids."""
-    worker_count = simulate.resolve_workers(workers)
-    ks = cfg.k_grid or MSTAR_K_GRID
-    noises = cfg.sigma_grid or MSTAR_SIGMA_GRID
-    config_hash = cfg.config_hash()
-    rows = []
-    for k in ks:
-        for noise in noises:
-            variance = noise**2 if cfg.noise_convention == STD_DEV else noise
-            m_star = analytic.ai_equivalent_bound(k, variance)
-            rows.append(
-                {
-                    "k": k,
-                    "noise_param": noise,
-                    "variance_per_clone": variance,
-                    "m_star_bound": m_star,
-                    "two_draw_regime": "yes" if m_star == 2 else "no",
-                    "config_hash": config_hash,
-                }
+def _duel_rows(default_grid):
+    # two in-person draws and the platform at each k, both by Monte Carlo
+    def rows(cfg: ModelConfig, workers):
+        variance = cfg.noise_variance_per_clone()
+        for k in cfg.k_grid or default_grid:
+            ip = simulate.estimate_d_ip(k, 2, cfg.reps, cfg.master_seed, workers=workers)
+            ai = simulate.estimate_d_ai(
+                k, cfg.n, variance, cfg.reps, cfg.clone_mode, cfg.master_seed, workers=workers
             )
-    columns = [
-        ("k", "number of attribute dimensions"),
-        ("noise_param", f"noise parameter under the {cfg.noise_convention} convention"),
-        ("variance_per_clone", "per-clone noise variance implied by the convention"),
-        ("m_star_bound", "equivalent sample size certified against the infinite-pool bound"),
-        ("two_draw_regime", "whether two in-person draws already dominate"),
-        ("config_hash", "hash of the canonical config"),
-    ]
-    metrics = {"rows_in_two_draw_regime": sum(1 for r in rows if r["m_star_bound"] == 2)}
-    return _finish(cfg, "mstar", out_root, columns, rows, metrics, _provenance(cfg, worker_count))
+            yield dict(k=k, variance=variance, ip=ip, ai=ai)
+
+    return rows
 
 
-def cmd_groups(cfg: ModelConfig, out_root: Path, workers: int | None = None) -> ExperimentResult:
-    """Data-rich versus data-poor selection rates: analytic, bound, and MC."""
-    worker_count = simulate.resolve_workers(workers)
-    config_hash = cfg.config_hash()
-    rows = []
-
-    def add_row(section: str, k: int, spec: GroupSpec) -> None:
-        mc = simulate.estimate_group_win_rate(
-            k, spec, cfg.n, cfg.reps, cfg.master_seed, workers=workers
-        )
-        equal = spec.sigma_r2 == spec.sigma_p2
-        rows.append(
-            {
-                "section": section,
-                "k": k,
-                "sigma_r2": spec.sigma_r2,
-                "sigma_p2": spec.sigma_p2,
-                "analytic_win": analytic.rich_win_probability(k, spec),
-                "win_lower_bound": analytic.rich_win_lower_bound(k, spec),
-                "mc_win": mc.mean,
-                "mc_se": mc.std_error,
-                "equal_variance_control": "yes" if equal else "no",
-                "config_hash": config_hash,
-            }
-        )
-
-    add_row("control", cfg.k, GroupSpec.unchecked(cfg.group_sigma_r2, cfg.group_sigma_r2))
-    for k in cfg.k_grid or GROUPS_K_GRID:
-        add_row("dimension-sweep", k, cfg.group())
-    for ratio in GROUPS_RATIO_GRID:
-        add_row(
-            "disparity-sweep",
-            cfg.k,
-            GroupSpec(cfg.group_sigma_r2, cfg.group_sigma_r2 * ratio),
-        )
-    columns = [
-        ("section", "sweep the row belongs to"),
-        ("k", "number of attribute dimensions"),
-        ("sigma_r2", "data-rich per-clone noise variance"),
-        ("sigma_p2", "data-poor per-clone noise variance"),
-        ("analytic_win", "large-population probability the match is data-rich"),
-        ("win_lower_bound", "closed-form lower bound on that probability"),
-        ("mc_win", "Monte Carlo win rate of the data-rich pool"),
-        ("mc_se", "standard error of mc_win"),
-        ("equal_variance_control", "degenerate equal-noise control row"),
-        ("config_hash", "hash of the canonical config"),
-    ]
-    return _finish(cfg, "groups", out_root, columns, rows, {}, _provenance(cfg, worker_count))
+_DUEL_COLUMNS = {
+    "k": ("number of attribute dimensions", None),
+    "d_ip2_closed": ("closed-form expected distance to the better of two draws",
+                     lambda r: analytic.d_ip2_identity(r.k)),
+    "d_ai_inf": ("saturated-platform lower bound on the match distance",
+                 lambda r: analytic.d_ai_infinity(r.k, r.variance)),
+    "d_ip2_mc": ("Monte Carlo estimate of the two-draw in-person distance", lambda r: r.ip.mean),
+    "se_ip": ("standard error of d_ip2_mc", lambda r: r.ip.std_error),
+    "d_ai_mc": ("Monte Carlo estimate of the platform match distance", lambda r: r.ai.mean),
+    "se_ai": ("standard error of d_ai_mc", lambda r: r.ai.std_error),
+    "benchmark": ("expected distance to a single uniform draw k/(k+1)",
+                  lambda r: analytic.benchmark_single_draw(r.k)),
+    "winner": ("regime with the smaller estimated distance",
+               lambda r: "ai" if r.d_ai_mc < r.d_ip2_mc else "ip"),
+}
 
 
-def _seq_policies(cfg: ModelConfig, variance: float) -> list[tuple[str, SeqSearchPolicy]]:
+def _duel_columns(names: str) -> tuple:
+    return tuple((name, *_DUEL_COLUMNS[name]) for name in names.split())
+
+
+# Main comparison table: two in-person draws versus the noisy platform.
+cmd_table1 = Command(
+    "table1",
+    _duel_rows(TABLE_K_GRID),
+    _duel_columns("k d_ip2_closed d_ip2_mc se_ip d_ai_mc se_ai benchmark winner"),
+    metrics=lambda rows: {
+        "first_in_person_win_k": next((r["k"] for r in rows if r["winner"] == "ip"), None)
+    },
+)
+
+# Dense-grid version of the comparison with analytic overlays.
+cmd_figure2 = Command(
+    "figure2",
+    _duel_rows(FIGURE_K_GRID),
+    _duel_columns("k d_ip2_closed d_ai_inf d_ip2_mc se_ip d_ai_mc se_ai benchmark"),
+)
+
+
+def _mstar_rows(cfg: ModelConfig, workers):
+    for k in cfg.k_grid or MSTAR_K_GRID:
+        for noise in cfg.sigma_grid or MSTAR_SIGMA_GRID:
+            variance = noise_variance(noise, cfg.noise_convention)
+            yield dict(k=k, noise_param=noise, variance_per_clone=variance)
+
+
+# The bound-certified equivalent sample size over (k, noise) grids.
+cmd_mstar = Command(
+    "mstar",
+    _mstar_rows,
+    (
+        ("k", "number of attribute dimensions", None),
+        ("noise_param", "noise parameter under the {cfg.noise_convention} convention", None),
+        ("variance_per_clone", "per-clone noise variance implied by the convention", None),
+        ("m_star_bound", "equivalent sample size certified against the infinite-pool bound",
+         lambda r: analytic.ai_equivalent_bound(r.k, r.variance_per_clone)),
+        ("two_draw_regime", "whether two in-person draws already dominate",
+         lambda r: _yes(r.m_star_bound == 2)),
+    ),
+    metrics=lambda rows: {"rows_in_two_draw_regime": sum(r["m_star_bound"] == 2 for r in rows)},
+)
+
+
+def _group_rows(cfg: ModelConfig, workers):
+    r2 = cfg.group_sigma_r2
+    cells = [("control", cfg.k, GroupSpec.unchecked(r2, r2))]
+    cells += [("dimension-sweep", k, cfg.group()) for k in cfg.k_grid or GROUPS_K_GRID]
+    cells += [("disparity-sweep", cfg.k, GroupSpec(r2, r2 * ratio)) for ratio in GROUPS_RATIO_GRID]
+    for section, k, spec in cells:
+        mc = simulate.estimate_group_win_rate(k, spec, cfg.n, cfg.reps, cfg.master_seed, workers=workers)
+        yield dict(section=section, k=k, spec=spec, mc=mc)
+
+
+# Data-rich versus data-poor selection rates: analytic, bound, and MC.
+cmd_groups = Command(
+    "groups",
+    _group_rows,
+    (
+        ("section", "sweep the row belongs to", None),
+        ("k", "number of attribute dimensions", None),
+        ("sigma_r2", "data-rich per-clone noise variance", lambda r: r.spec.sigma_r2),
+        ("sigma_p2", "data-poor per-clone noise variance", lambda r: r.spec.sigma_p2),
+        ("analytic_win", "large-population probability the match is data-rich",
+         lambda r: analytic.rich_win_probability(r.k, r.spec)),
+        ("win_lower_bound", "closed-form lower bound on that probability",
+         lambda r: analytic.rich_win_lower_bound(r.k, r.spec)),
+        ("mc_win", "Monte Carlo win rate of the data-rich pool", lambda r: r.mc.mean),
+        ("mc_se", "standard error of mc_win", lambda r: r.mc.std_error),
+        ("equal_variance_control", "degenerate equal-noise control row",
+         lambda r: _yes(r.sigma_r2 == r.sigma_p2)),
+    ),
+)
+
+
+def _seq_rows(cfg: ModelConfig, workers):
+    variance = cfg.noise_variance_per_clone()
     cost_ip = AffineCost(per_period=cfg.seq_cost_ip_per_period)
     cost_ai = AffineCost(per_period=cfg.seq_cost_ai_per_period)
     kappa = cfg.seq_kappa if cfg.seq_kappa is not None else cost_ip(2) + 0.01
-    k = cfg.k
     # typical clone-distance scale sqrt(E R^2 + k nu) anchors the threshold grid
-    s_typ = math.sqrt(k / (k + 2.0) + 2.0 * k * variance)
-    policies: list[tuple[str, SeqSearchPolicy]] = []
-    for t in (1, 2, 4):
-        policies.append(
-            (
-                f"ip_stop{t}",
-                SeqSearchPolicy(simulate.IN_PERSON, StopAtFixedT(t), cost_ip, cost_ai, kappa),
-            )
-        )
-    for factor in (0.85, 0.95, 1.0):
-        policies.append(
-            (
-                f"ai_threshold_{factor:g}",
-                SeqSearchPolicy(
-                    simulate.AI_PLATFORM,
-                    StopWhenBestBelow(factor * s_typ, cfg.seq_cap),
-                    cost_ip,
-                    cost_ai,
-                    kappa,
-                ),
-            )
-        )
-    policies.append(
-        (
-            "ai_exhaust_cap",
-            SeqSearchPolicy(
-                simulate.AI_PLATFORM, StopWhenBestBelow(0.0, cfg.seq_cap), cost_ip, cost_ai, kappa
-            ),
-        )
-    )
-    return policies
-
-
-def cmd_seqsearch(cfg: ModelConfig, out_root: Path, workers: int | None = None) -> ExperimentResult:
-    """Expected payoffs of stopping policies in both regimes.
-
-    The dominance summary compares the best platform policy on the grid
-    with stopping in person after two draws; it is a necessary-condition
-    check over this policy family, not a search over all stopping rules.
-    """
-    worker_count = simulate.resolve_workers(workers)
-    variance = cfg.noise_variance_per_clone()
-    config_hash = cfg.config_hash()
-    rows = []
-    reports = {}
-    for name, policy in _seq_policies(cfg, variance):
+    s_typ = math.sqrt(cfg.k / (cfg.k + 2.0) + 2.0 * cfg.k * variance)
+    rules = [(f"ip_stop{t}", simulate.IN_PERSON, StopAtFixedT(t)) for t in (1, 2, 4)]
+    rules += [
+        (f"ai_threshold_{f:g}", simulate.AI_PLATFORM, StopWhenBestBelow(f * s_typ, cfg.seq_cap))
+        for f in (0.85, 0.95, 1.0)
+    ]
+    rules.append(("ai_exhaust_cap", simulate.AI_PLATFORM, StopWhenBestBelow(0.0, cfg.seq_cap)))
+    for name, regime, rule in rules:
+        policy = SeqSearchPolicy(regime, rule, cost_ip, cost_ai, kappa)
         report = simulate.evaluate_seq_policy(
             cfg.k, variance, policy, cfg.reps, cfg.master_seed, workers=workers
         )
-        reports[name] = report
-        rule = policy.rule
-        rows.append(
-            {
-                "policy": name,
-                "regime": policy.regime,
-                "rule": (
-                    f"stop_at_t={rule.t}"
-                    if isinstance(rule, StopAtFixedT)
-                    else f"threshold={rule.threshold:.6g};cap={rule.cap}"
-                ),
-                "kappa": policy.kappa,
-                "mean_payoff": report.payoff.mean,
-                "se": report.payoff.std_error,
-                "truncated_reps": report.truncated_reps,
-                "config_hash": config_hash,
-            }
-        )
-    ai_names = [n for n in reports if n.startswith("ai_")]
-    best_ai = max(ai_names, key=lambda n: reports[n].payoff.mean)
-    ip2 = reports["ip_stop2"]
-    best = reports[best_ai]
-    gap = ip2.payoff.mean - best.payoff.mean
-    two_se = 2.0 * math.hypot(ip2.payoff.std_error, best.payoff.std_error)
-    metrics = {
-        "best_ai_policy": best_ai,
-        "in_person_two_draw_payoff": ip2.payoff.mean,
-        "best_ai_payoff": best.payoff.mean,
+        yield dict(policy=name, regime=regime, rule=rule, report=report)
+
+
+def _seq_metrics(rows: list[dict]) -> dict:
+    # a necessary-condition check over this policy family, not a search
+    # over all stopping rules
+    best = max((r for r in rows if r["policy"].startswith("ai_")), key=lambda r: r["mean_payoff"])
+    ip2 = next(r for r in rows if r["policy"] == "ip_stop2")
+    gap = ip2["mean_payoff"] - best["mean_payoff"]
+    return {
+        "best_ai_policy": best["policy"],
+        "in_person_two_draw_payoff": ip2["mean_payoff"],
+        "best_ai_payoff": best["mean_payoff"],
         "dominance_gap": gap,
-        "dominance_within_two_se": bool(gap >= -two_se),
+        "dominance_within_two_se": bool(gap >= -2.0 * math.hypot(ip2["se"], best["se"])),
         "policy_grid_check": "necessary-condition over the listed policy family",
     }
-    columns = [
-        ("policy", "policy identifier"),
-        ("regime", "search regime"),
-        ("rule", "stopping rule"),
-        ("kappa", "platform entry fee"),
-        ("mean_payoff", "estimated expected payoff"),
-        ("se", "standard error of the payoff estimate"),
-        ("truncated_reps", "replications stopped by the cap instead of the rule"),
-        ("config_hash", "hash of the canonical config"),
-    ]
-    return _finish(
-        cfg, "seqsearch", out_root, columns, rows, metrics, _provenance(cfg, worker_count)
-    )
 
 
-def cmd_calibrate(cfg: ModelConfig, out_root: Path, workers: int | None = None) -> ExperimentResult:
-    """Resolve the noise-parameter convention against the reference table.
+# Expected payoffs of stopping policies in both regimes; the summary
+# compares the best platform policy with stopping in person after two draws.
+cmd_seqsearch = Command(
+    "seqsearch",
+    _seq_rows,
+    (
+        ("policy", "policy identifier", None),
+        ("regime", "search regime", None),
+        ("rule", "stopping rule",
+         lambda r: f"stop_at_t={r.rule.t}" if isinstance(r.rule, StopAtFixedT)
+         else f"threshold={r.rule.threshold:.6g};cap={r.rule.cap}"),
+        ("kappa", "platform entry fee", lambda r: r.report.policy.kappa),
+        ("mean_payoff", "estimated expected payoff", lambda r: r.report.payoff.mean),
+        ("se", "standard error of the payoff estimate", lambda r: r.report.payoff.std_error),
+        ("truncated_reps", "replications stopped by the cap instead of the rule",
+         lambda r: r.report.truncated_reps),
+    ),
+    metrics=_seq_metrics,
+)
 
-    Runs the platform estimator under both readings of noise_param=0.05
-    and compares each k in (1, 5, 10) with its reference value. The k=1
-    row is the binding discriminator; per-row deviations are emitted so a
-    convention that fails some rows is documented rather than hidden.
-    """
-    worker_count = simulate.resolve_workers(workers)
-    config_hash = cfg.config_hash()
-    rows = []
-    k1_dev = {}
+
+def _calibration_rows(cfg: ModelConfig, workers):
     for convention in (STD_DEV, VARIANCE):
-        variance = cfg.variance_for(convention)
-        for k in CALIBRATION_K_ROWS:
+        variance = noise_variance(cfg.noise_param, convention)
+        for k in REFERENCE_D_AI:
             est = simulate.estimate_d_ai(
                 k, cfg.n, variance, cfg.reps, cfg.clone_mode, cfg.master_seed, workers=workers
             )
-            reference = REFERENCE_D_AI[k]
-            deviation = est.mean - reference
-            if k == 1:
-                k1_dev[convention] = abs(deviation)
-            rows.append(
-                {
-                    "convention": convention,
-                    "k": k,
-                    "variance_per_clone": variance,
-                    "analytic_lower_bound": analytic.d_ai_infinity(k, variance),
-                    "mc_estimate": est.mean,
-                    "se": est.std_error,
-                    "reference": reference,
-                    "deviation": deviation,
-                    "within_tolerance": "yes" if abs(deviation) <= CALIBRATION_TOL else "no",
-                    "config_hash": config_hash,
-                }
-            )
-    resolved = min(k1_dev, key=k1_dev.get)
-    reproduced = {
-        conv: all(
-            row["within_tolerance"] == "yes" for row in rows if row["convention"] == conv
-        )
-        for conv in (STD_DEV, VARIANCE)
-    }
-    metrics = {
-        "resolved_convention": resolved,
-        "k1_abs_deviation_std_dev": k1_dev[STD_DEV],
-        "k1_abs_deviation_variance": k1_dev[VARIANCE],
-        "all_rows_reproduced_std_dev": reproduced[STD_DEV],
-        "all_rows_reproduced_variance": reproduced[VARIANCE],
-    }
-    columns = [
-        ("convention", "reading of noise_param under test"),
-        ("k", "number of attribute dimensions"),
-        ("variance_per_clone", "per-clone noise variance implied by the convention"),
-        ("analytic_lower_bound", "saturated-platform lower bound"),
-        ("mc_estimate", "Monte Carlo platform distance"),
-        ("se", "standard error of the estimate"),
-        ("reference", "reference value for this row"),
-        ("deviation", "estimate minus reference"),
-        ("within_tolerance", f"|deviation| <= {CALIBRATION_TOL}"),
-        ("config_hash", "hash of the canonical config"),
-    ]
-    provenance = _provenance(cfg, worker_count, {"noise_convention_resolved": resolved})
-    return _finish(cfg, "calibrate", out_root, columns, rows, metrics, provenance)
+            yield dict(convention=convention, k=k, variance_per_clone=variance, est=est)
 
+
+def _calibration_metrics(rows: list[dict]) -> dict:
+    k1_dev = {r["convention"]: abs(r["deviation"]) for r in rows if r["k"] == 1}
+    metrics = {"resolved_convention": min(k1_dev, key=k1_dev.get)}
+    for conv in (STD_DEV, VARIANCE):
+        metrics[f"k1_abs_deviation_{conv}"] = k1_dev[conv]
+        metrics[f"all_rows_reproduced_{conv}"] = all(
+            r["within_tolerance"] == "yes" for r in rows if r["convention"] == conv
+        )
+    return metrics
+
+
+# Resolve the noise-parameter convention against the reference table: the
+# platform estimator under both readings of noise_param at k in (1, 5, 10).
+# The k=1 row is the binding discriminator; per-row deviations are emitted
+# so a convention that fails some rows is documented rather than hidden.
+cmd_calibrate = Command(
+    "calibrate",
+    _calibration_rows,
+    (
+        ("convention", "reading of noise_param under test", None),
+        ("k", "number of attribute dimensions", None),
+        ("variance_per_clone", "per-clone noise variance implied by the convention", None),
+        ("analytic_lower_bound", "saturated-platform lower bound",
+         lambda r: analytic.d_ai_infinity(r.k, r.variance_per_clone)),
+        ("mc_estimate", "Monte Carlo platform distance", lambda r: r.est.mean),
+        ("se", "standard error of the estimate", lambda r: r.est.std_error),
+        ("reference", "reference value for this row", lambda r: REFERENCE_D_AI[r.k]),
+        ("deviation", "estimate minus reference", lambda r: r.mc_estimate - r.reference),
+        ("within_tolerance", f"|deviation| <= {CALIBRATION_TOL}",
+         lambda r: _yes(abs(r.deviation) <= CALIBRATION_TOL)),
+    ),
+    metrics=_calibration_metrics,
+    provenance=lambda metrics: {"noise_convention_resolved": metrics["resolved_convention"]},
+)
 
 COMMANDS = {
-    "table1": cmd_table1,
-    "figure2": cmd_figure2,
-    "mstar": cmd_mstar,
-    "groups": cmd_groups,
-    "seqsearch": cmd_seqsearch,
-    "calibrate": cmd_calibrate,
+    cmd.name: cmd
+    for cmd in (cmd_table1, cmd_figure2, cmd_mstar, cmd_groups, cmd_seqsearch, cmd_calibrate)
 }
 
 
@@ -684,11 +535,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", metavar="PATH", default=None)
     parser.add_argument(
-        "--set",
-        dest="overrides",
-        metavar="KEY=VALUE",
-        action="append",
-        default=[],
+        "--set", dest="overrides", metavar="KEY=VALUE", action="append", default=[],
         help="override one config key",
     )
     parser.add_argument("--out", metavar="DIR", default="runs")
@@ -708,8 +555,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides.append(f"master_seed={args.seed}")
         if args.paper_scale:
-            overrides.append(f"reps={PAPER_SCALE_REPS}")
-            overrides.append(f"n={PAPER_SCALE_N}")
+            overrides += [f"reps={PAPER_SCALE_REPS}", f"n={PAPER_SCALE_N}"]
         cfg = parse_config(args.config, overrides)
         result = COMMANDS[args.command](cfg, Path(args.out))
     except ConfigError as exc:

@@ -47,13 +47,6 @@ class JointDensityParams:
         return 0.5 * self.k - 1.0
 
 
-def marginal_r_density(params: JointDensityParams, r: float) -> float:
-    """Density k r^(k-1) of the norm of a uniform ball draw."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r!r}")
-    return params.k * r ** (params.k - 1)
-
-
 def _conditional_s_log_density_arr(params: JointDensityParams, r, s) -> np.ndarray:
     # scaled noncentral chi: t = s/sqrt(nu), lam = r/sqrt(nu), order k/2 - 1
     order = params.bessel_order

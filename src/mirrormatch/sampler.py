@@ -12,9 +12,7 @@ uniform stream:
   of one row-major ``(count, df)`` block of squared standard normals,
   above that ``2 * gammaincinv(df / 2, U)`` with one uniform per draw;
   ``df = 0`` is exactly zero and draws nothing;
-* ball radii: ``U**(1/k)``, one uniform per point;
-* unit-ball points: a ``(count, k)`` block of normals normalized to the
-  sphere, then the radii -- rejection-free in any dimension.
+* ball radii: ``U**(1/k)``, one uniform per point.
 
 Clone draws cost O(1) in k. Only the candidate's norm R and the clone
 distance S are returned, and both depend on the vectors only through
@@ -36,7 +34,6 @@ draws.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaincinv, ndtri
@@ -51,13 +48,6 @@ _MIN_UNIFORM = 2.0**-54  # ndtri(0) is -inf; clamp the (prob 2**-53) exact zero
 # call per draw is cheaper than df inverse-CDF normals (the two meet near
 # df = 24 at 25-512 draws a call)
 _CHI2_SUM_MAX_DF = 24
-
-
-class CloneDraw(NamedTuple):
-    """One interaction outcome: true distance and clone distance."""
-
-    true_norm: float
-    clone_dist: float
 
 
 def _check_dim(k: int) -> None:
@@ -89,16 +79,6 @@ def _ball_radii(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
     return rng.random(count) ** (1.0 / k)
 
 
-def _ball_points(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
-    directions = _standard_normals(rng, (count, k))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    # an exactly-zero normal vector has probability 2**(-53 k) per draw but
-    # would poison a whole batch with NaNs; map it to the origin instead
-    np.maximum(norms, np.finfo(float).tiny, out=norms)
-    directions /= norms
-    return directions * _ball_radii(rng, k, count)[:, None]
-
-
 def _clone_distances(
     rng: np.random.Generator, k: int, radii: np.ndarray, rho: float, variance: float
 ) -> np.ndarray:
@@ -121,18 +101,6 @@ def sample_ball_radii(k: int, count: int, stream: StreamKey) -> np.ndarray:
     _check_dim(k)
     _check_count(count)
     return _ball_radii(stream.generator(), k, count)
-
-
-def sample_unit_ball_batch(k: int, count: int, stream: StreamKey) -> np.ndarray:
-    """Draw ``count`` points uniformly from the k-dimensional unit ball."""
-    _check_dim(k)
-    _check_count(count)
-    return _ball_points(stream.generator(), k, count)
-
-
-def sample_unit_ball(k: int, stream: StreamKey) -> np.ndarray:
-    """Draw one point uniformly from the k-dimensional unit ball."""
-    return sample_unit_ball_batch(k, 1, stream)[0]
 
 
 def sample_gaussian_batch(k: int, count: int, variance: float, stream: StreamKey) -> np.ndarray:
@@ -190,19 +158,3 @@ def draw_clone_batch(
     rng = stream.generator()
     radii = _ball_radii(rng, k, count)
     return radii, _clone_distances(rng, k, radii, rho, variance)
-
-
-def draw_clone_interaction(
-    k: int,
-    sigma_subject2: float,
-    sigma_other2: float,
-    mode: str = PER_INTERACTION,
-    subject_fixed_noise: np.ndarray | None = None,
-    *,
-    stream: StreamKey,
-) -> CloneDraw:
-    """Draw a single clone interaction."""
-    norms, dists = draw_clone_batch(
-        k, 1, sigma_subject2, sigma_other2, mode, subject_fixed_noise, stream=stream
-    )
-    return CloneDraw(float(norms[0]), float(dists[0]))

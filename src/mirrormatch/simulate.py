@@ -109,10 +109,19 @@ class PolicyReport:
 
 
 def resolve_workers(workers: int | None) -> int:
+    """Worker count: the argument, else ``MIRRORMATCH_WORKERS``, else 1."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("MIRRORMATCH_WORKERS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"MIRRORMATCH_WORKERS must be a positive integer, got {env!r}")
+    return count
 
 
 def _rep_key(master_seed: int, label: str, rep: int) -> StreamKey:

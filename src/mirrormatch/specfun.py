@@ -20,7 +20,6 @@ from scipy.special import gammaln as _gammaln
 
 NEG_INF = float("-inf")
 
-_SQRT2 = math.sqrt(2.0)
 _MAX_ITER = 800
 _EXP_UNDERFLOW = -745.0  # below log(min subnormal double)
 
@@ -30,18 +29,6 @@ def ln_gamma(x: float) -> float:
     if not x > 0:
         raise ValueError(f"ln_gamma requires x > 0, got {x!r}")
     return math.lgamma(x)
-
-
-def beta(a: float, b: float) -> float:
-    """Beta function B(a, b), symmetric in its arguments."""
-    if not (a > 0 and b > 0):
-        raise ValueError(f"beta requires positive arguments, got ({a!r}, {b!r})")
-    return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF, accurate into both tails."""
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def _log_p_series(s: float, x: float) -> float:
@@ -101,16 +88,6 @@ def _check_inc_gamma_domain(s: float, x: float) -> None:
         raise ValueError(f"incomplete gamma requires s > 0, got {s!r}")
     if not x >= 0:
         raise ValueError(f"incomplete gamma requires x >= 0, got {x!r}")
-
-
-def reg_lower_inc_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) in [0, 1]."""
-    _check_inc_gamma_domain(s, x)
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return math.exp(_log_p_series(s, x))
-    return 1.0 - _upper_q_cont_frac(s, x)
 
 
 def log_reg_lower_inc_gamma(s: float, x: float) -> float:

@@ -5,9 +5,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate as sci_integrate
+from scipy.special import erf, erfc, gammainc, gammaln
 
 from mirrormatch import analytic
 from mirrormatch.analytic import GroupSpec, NumericError
+
+
+def phi_one_dim(sigma):
+    """Oracle: one-dimensional saturated-platform distance through the normal CDF.
+
+    E[|Z| : |Z| <= 1] for Z ~ N(0, 2 sigma^2), written with erf/erfc so both
+    the sigma -> 0 and sigma -> inf limits are evaluated without cancellation.
+    """
+    scale = 1.0 / (2.0 * sigma)
+    edge = erfc(scale)
+    numerator, _ = sci_integrate.quad(
+        lambda r: erfc(r * scale) - edge, 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200
+    )
+    return numerator / erf(scale)
+
+
+def density_at_zero(k, nu):
+    """Oracle: density at the origin of the clone difference x + Z, x uniform in
+    the unit ball and Z isotropic Gaussian with per-coordinate variance nu."""
+    log_value = (
+        math.log(0.5 * k) - 0.5 * k * math.log(math.pi) + gammaln(0.5 * k)
+        + math.log(gammainc(0.5 * k, 0.5 / nu))
+    )
+    return math.exp(log_value)
 
 
 class TestDIp:
@@ -129,10 +155,10 @@ class TestDAiInfinity:
 
 class TestPhiOneDim:
     def test_reference_interval(self):
-        assert 1.0 / 18.0 <= analytic.phi_one_dim(0.05) < 1.0 / 17.0
+        assert 1.0 / 18.0 <= phi_one_dim(0.05) < 1.0 / 17.0
 
     def test_large_noise_limit(self):
-        assert analytic.phi_one_dim(1e3) == pytest.approx(0.5, abs=1e-3)
+        assert phi_one_dim(1e3) == pytest.approx(0.5, abs=1e-3)
 
     def test_against_rejection_oracle(self):
         # oracle: accepted half-normal mean at sigma = 0.2236
@@ -141,11 +167,11 @@ class TestPhiOneDim:
         z = math.sqrt(2) * sigma * rng.standard_normal(1_000_000)
         kept = np.abs(z[np.abs(z) <= 1.0])
         se = float(kept.std(ddof=1) / math.sqrt(kept.size))
-        assert analytic.phi_one_dim(sigma) == pytest.approx(float(kept.mean()), abs=3 * se)
+        assert phi_one_dim(sigma) == pytest.approx(float(kept.mean()), abs=3 * se)
 
     def test_matches_d_ai_infinity(self):
         for sigma in (0.005, 0.05, 0.1, 0.2236, 1.0, 1e3):
-            phi = analytic.phi_one_dim(sigma)
+            phi = phi_one_dim(sigma)
             other = analytic.d_ai_infinity(1, sigma**2)
             assert abs(phi - other) <= 1e-8 * max(phi, other), sigma
 
@@ -178,7 +204,7 @@ class TestDensityAtZero:
     def test_two_dim_closed_form(self):
         for nu in (0.02, 0.1, 0.5, 2.0):
             expected = (1 - math.exp(-1 / (2 * nu))) / math.pi
-            assert analytic.density_at_zero(2, nu) == pytest.approx(expected, rel=1e-12)
+            assert density_at_zero(2, nu) == pytest.approx(expected, rel=1e-12)
 
     def test_one_dim_quadrature_oracle(self):
         from scipy import integrate as sci_integrate
@@ -187,24 +213,22 @@ class TestDensityAtZero:
         oracle, _ = sci_integrate.quad(lambda t: t**-0.5 * math.exp(-t), 0, 1 / (2 * nu),
                                        epsabs=1e-14)
         oracle *= 1 / (2 * math.pi**0.5)
-        assert analytic.density_at_zero(1, nu) == pytest.approx(oracle, abs=1e-10)
+        assert density_at_zero(1, nu) == pytest.approx(oracle, abs=1e-10)
 
     def test_monotone_decreasing_in_nu(self):
-        assert analytic.density_at_zero(5, 0.1) > analytic.density_at_zero(5, 0.2)
+        assert density_at_zero(5, 0.1) > density_at_zero(5, 0.2)
 
     @given(st.integers(min_value=1, max_value=40),
            st.floats(min_value=0.01, max_value=2.0),
            st.floats(min_value=1.05, max_value=4.0))
     @settings(deadline=None, max_examples=40)
     def test_monotonicity_property(self, k, nu, factor):
-        from mirrormatch import specfun
-
-        lower = analytic.log_density_at_zero(k, nu * factor)
-        upper = analytic.log_density_at_zero(k, nu)
+        lower = density_at_zero(k, nu * factor)
+        upper = density_at_zero(k, nu)
         assert upper >= lower
         # strictness is only representable while the incomplete-gamma factor
         # has not saturated to 1 in double precision
-        if specfun.reg_lower_inc_gamma(0.5 * k, 0.5 / nu) < 1.0 - 1e-9:
+        if gammainc(0.5 * k, 0.5 / nu) < 1.0 - 1e-9:
             assert upper > lower
 
 
@@ -245,17 +269,17 @@ class TestRichWinProbability:
             for spec in (GroupSpec(0.01, 0.04), GroupSpec(0.01, 0.64), GroupSpec(0.3, 0.5)):
                 assert analytic.rich_win_lower_bound(k, spec) <= analytic.rich_win_probability(k, spec)
 
+    def test_density_at_zero_ratio(self):
+        # the selection probability is the rich share of the two densities at zero
+        for k in (1, 2, 5, 20, 40):
+            for spec in (GroupSpec(0.01, 0.04), GroupSpec(0.05, 0.051), GroupSpec(0.2, 1.0)):
+                f_r = density_at_zero(k, spec.nu_r)
+                f_p = density_at_zero(k, spec.nu_p)
+                expected = f_r / (f_r + f_p)
+                assert analytic.rich_win_probability(k, spec) == pytest.approx(expected, rel=1e-12)
+
     def test_depends_only_on_combined_variances(self):
         spec = GroupSpec(0.01, 0.04)
         direct = analytic._win_probability_from_nu(7, spec.nu_r, spec.nu_p)
         assert analytic.rich_win_probability(7, spec) == direct
 
-
-class TestRegimeValue:
-    def test_validation(self):
-        value = analytic.RegimeValue(k=3, value=0.75, kind="benchmark_single_draw")
-        assert value.value == 0.75
-        with pytest.raises(ValueError):
-            analytic.RegimeValue(k=3, value=1.5, kind="ai_infinity")
-        with pytest.raises(ValueError):
-            analytic.RegimeValue(k=3, value=0.5, kind="nonsense")

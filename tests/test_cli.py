@@ -5,10 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tempfile
+
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mirrormatch import analytic, cli
+from mirrormatch import analytic, cli, simulate
 from mirrormatch.cli import ConfigError, ModelConfig, parse_config
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -20,6 +24,23 @@ TINY = [
     "n=64",
     "master_seed=7",
 ]
+
+
+# column names and order of every command's CSV
+HEADERS = {
+    "table1": "k d_ip2_closed d_ip2_mc se_ip d_ai_mc se_ai benchmark winner config_hash",
+    "figure2": "k d_ip2_closed d_ai_inf d_ip2_mc se_ip d_ai_mc se_ai benchmark config_hash",
+    "mstar": "k noise_param variance_per_clone m_star_bound two_draw_regime config_hash",
+    "groups": "section k sigma_r2 sigma_p2 analytic_win win_lower_bound mc_win mc_se"
+    " equal_variance_control config_hash",
+    "seqsearch": "policy regime rule kappa mean_payoff se truncated_reps config_hash",
+    "calibrate": "convention k variance_per_clone analytic_lower_bound mc_estimate se reference"
+    " deviation within_tolerance config_hash",
+}
+
+
+def set_args(overrides):
+    return [arg for pair in overrides for arg in ("--set", pair)]
 
 
 def run_command(name, out_dir, overrides, workers=None):
@@ -85,11 +106,7 @@ class TestTable1:
         csv_b = again.files[0].read_text()
         assert csv_a == csv_b
         header, *rows = csv_a.strip().split("\n")
-        names = [cell.split(":")[0] for cell in header.split(",")]
-        assert names == [
-            "k", "d_ip2_closed", "d_ip2_mc", "se_ip", "d_ai_mc", "se_ai",
-            "benchmark", "winner", "config_hash",
-        ]
+        # test_command_header pins the column names and order;
         # every header cell documents the column's meaning
         assert all(":" in cell for cell in header.split(","))
         assert len(rows) == 2
@@ -111,6 +128,16 @@ class TestTable1:
         assert row["d_ip2_closed"] == pytest.approx(1 / 3, rel=1e-12)
         assert abs(row["d_ip2_mc"] - 1 / 3) <= 4 * row["se_ip"]
         assert row["winner"] == "ai"  # low dimension: platform wins easily
+
+
+@pytest.mark.parametrize("name", sorted(HEADERS))
+def test_command_header(tmp_path, name):
+    result = run_command(name, tmp_path, TINY + ["seq_cap=50"])
+    header, *rows = result.files[0].read_text().strip().split("\n")
+    cells = header.split(",")
+    assert [cell.split(": ", 1)[0] for cell in cells] == HEADERS[name].split()
+    assert all(len(cell.split(": ", 1)) == 2 for cell in cells)  # every column has a meaning
+    assert len(rows) == len(result.rows) > 0
 
 
 class TestFigure2:
@@ -267,6 +294,80 @@ class TestMainEntry:
         base = parse_config(None, [])
         scaled = parse_config(None, [f"reps={cli.PAPER_SCALE_REPS}", f"n={cli.PAPER_SCALE_N}"])
         assert base.config_hash() != scaled.config_hash()
+
+
+class TestUpFrontValidation:
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("figure2", "noise_param=inf"),
+            ("table1", "noise_param=1e300"),  # the std-dev reading squares past the double range
+            ("groups", "group_sigma_p2=0.005"),  # below group_sigma_r2
+        ],
+    )
+    def test_rejected_before_any_compute(self, tmp_path, capsys, monkeypatch, command, override):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before the config was rejected")
+
+        for name in ("estimate_d_ip", "estimate_d_ai", "estimate_group_win_rate"):
+            monkeypatch.setattr(simulate, name, no_compute)
+        monkeypatch.setattr(analytic, "d_ai_infinity", no_compute)
+        code = cli.main([command, "--out", str(tmp_path)] + set_args(TINY + [override]))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not any(tmp_path.iterdir())  # no run directory was started
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+    def test_malformed_workers_variable(self, tmp_path, capsys, monkeypatch, value):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setenv("MIRRORMATCH_WORKERS", value)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        code = cli.main(["mstar", "--out", str(tmp_path), "--set", "k_grid=1"])
+        assert code == 2
+        assert "MIRRORMATCH_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        ["noise_param=1e-300", "sigma_grid=0.05,nan", "sigma_grid=-0.1", "seq_kappa=inf",
+         "group_sigma_r2=5e-324", "group_sigma_p2=1e301"],
+    )
+    def test_out_of_range_values(self, override):
+        with pytest.raises(ConfigError):
+            parse_config(None, [override])
+
+
+FLOAT_KEYS = (
+    "noise_param", "group_sigma_r2", "group_sigma_p2",
+    "seq_kappa", "seq_cost_ip_per_period", "seq_cost_ai_per_period",
+)
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, 0.0, -0.0, -1.0, -0.05, 1e-300, 1e300, 0.05, 0.3]),
+    st.floats(),
+)
+
+
+@given(
+    command=st.sampled_from(["mstar", "table1", "groups"]),
+    values=st.fixed_dictionaries(
+        {},
+        optional={
+            **{key: EDGE_FLOATS for key in FLOAT_KEYS},
+            "sigma_grid": st.lists(EDGE_FLOATS, min_size=1, max_size=3),
+        },
+    ),
+)
+@settings(deadline=None, max_examples=80)
+def test_float_keys_fuzz(command, values):
+    # any float in any float key ends in success, a config error or a numeric failure
+    overrides = ["k_grid=1", "reps=2", "n=2"]
+    for key, value in values.items():
+        text = ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+        overrides.append(f"{key}={text}")
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main([command, "--out", out] + set_args(overrides))
+    assert code in (0, 2, 3)
 
 
 class TestModelConfigType:

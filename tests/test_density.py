@@ -5,7 +5,7 @@ import pytest
 
 from mirrormatch import analytic, sampler
 from mirrormatch.density import JointDensityParams, conditional_mean_r_given_s, \
-    conditional_s_log_density, joint_log_density, marginal_r_density, mlrp_grid_check
+    conditional_s_log_density, joint_log_density, mlrp_grid_check
 from mirrormatch.quadrature import integrate
 from mirrormatch.streams import StreamKey
 
@@ -22,14 +22,21 @@ def s_domain_cut(params, r):
     return math.sqrt(r * r + params.k * params.nu) + 20.0 * math.sqrt(params.nu)
 
 
+def r_marginal(params, r):
+    """The joint density at R = r integrated over s."""
+    joint = lambda s: np.array([math.exp(joint_log_density(params, r, float(v))) for v in s])
+    return integrate(joint, 0.0, s_domain_cut(params, r))
+
+
 class TestMarginal:
+    # the joint law's R-marginal is the ball-norm density k r^(k-1)
     def test_one_dim_uniform(self):
         params = JointDensityParams(1, 0.01)
-        for r in (0.0, 0.3, 0.99, 1.0):
-            assert marginal_r_density(params, r) == 1.0
+        for r in (0.3, 0.99, 1.0):
+            assert r_marginal(params, r) == pytest.approx(1.0, abs=1e-6)
 
     def test_three_dim(self):
-        assert marginal_r_density(JointDensityParams(3, 0.01), 0.5) == pytest.approx(0.75)
+        assert r_marginal(JointDensityParams(3, 0.01), 0.5) == pytest.approx(0.75, abs=1e-6)
 
     def test_normalization_high_dim(self):
         params = JointDensityParams(150, 0.01)
@@ -38,7 +45,7 @@ class TestMarginal:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            marginal_r_density(JointDensityParams(3, 0.01), 1.2)
+            joint_log_density(JointDensityParams(3, 0.01), 1.2, 0.5)
 
 
 class TestConditionalDensity:
@@ -88,9 +95,8 @@ class TestJointDensity:
         for r in (0.2, 0.7, 1.0):
             for s in (0.1, 0.8, 2.0):
                 joint = joint_log_density(params, r, s)
-                split = math.log(marginal_r_density(params, r)) + conditional_s_log_density(
-                    params, r, s
-                )
+                log_marginal = math.log(params.k * r ** (params.k - 1))
+                split = log_marginal + conditional_s_log_density(params, r, s)
                 assert joint == pytest.approx(split, rel=1e-12)
 
     def test_cross_ratio_reduces_to_bessel_term(self):

@@ -28,20 +28,20 @@ def direct_clone_draws(k, count, variance, subject_noise, seed):
 
 class TestStreamKey:
     def test_pure_function_of_key(self):
-        a = sampler.sample_unit_ball_batch(4, 8, key("x"))
-        b = sampler.sample_unit_ball_batch(4, 8, key("x"))
+        a = sampler.sample_ball_radii(4, 8, key("x"))
+        b = sampler.sample_ball_radii(4, 8, key("x"))
         assert np.array_equal(a, b)
 
     def test_distinct_paths_differ(self):
-        a = sampler.sample_unit_ball_batch(4, 8, key("x"))
-        b = sampler.sample_unit_ball_batch(4, 8, key("y"))
-        c = sampler.sample_unit_ball_batch(4, 8, key(("x", 1)))
+        a = sampler.sample_ball_radii(4, 8, key("x"))
+        b = sampler.sample_ball_radii(4, 8, key("y"))
+        c = sampler.sample_ball_radii(4, 8, key(("x", 1)))
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_seed_matters(self):
-        a = sampler.sample_unit_ball_batch(4, 8, key("x", seed=1))
-        b = sampler.sample_unit_ball_batch(4, 8, key("x", seed=2))
+        a = sampler.sample_ball_radii(4, 8, key("x", seed=1))
+        b = sampler.sample_ball_radii(4, 8, key("x", seed=2))
         assert not np.array_equal(a, b)
 
     def test_sibling_streams_uncorrelated(self):
@@ -70,44 +70,36 @@ class TestStreamKey:
 
 
 class TestUnitBall:
+    # the norm of a uniform unit-ball point, the only part of it any draw uses
     def test_support(self):
         for k in (1, 2, 7, 40):
-            points = sampler.sample_unit_ball_batch(k, 200, key("support", ("k", k)))
-            assert points.shape == (200, k)
-            assert np.linalg.norm(points, axis=1).max() <= 1.0 + 1e-12
+            radii = sampler.sample_ball_radii(k, 200, key("support", ("k", k)))
+            assert radii.shape == (200,)
+            assert radii.min() >= 0.0 and radii.max() <= 1.0
 
     def test_single_draw_shape(self):
-        point = sampler.sample_unit_ball(7, key("one"))
-        assert point.shape == (7,)
-        assert np.linalg.norm(point) <= 1.0
+        radii = sampler.sample_ball_radii(7, 1, key("one"))
+        assert radii.shape == (1,)
+        assert 0.0 <= radii[0] <= 1.0
 
     @pytest.mark.parametrize("k", [1, 2, 10, 150])
     def test_radius_power_uniform(self, k):
         # ||X||^k is uniform on [0, 1]; KS test at the 0.1% level
-        points = sampler.sample_unit_ball_batch(k, 100_000, key("ks", ("k", k)))
-        radii_k = np.linalg.norm(points, axis=1) ** k
-        assert stats.kstest(radii_k, "uniform").pvalue > 0.001
+        radii = sampler.sample_ball_radii(k, 100_000, key("ks", ("k", k)))
+        assert stats.kstest(radii**k, "uniform").pvalue > 0.001
 
     def test_ball_cdf_at_half(self):
         # P(||X|| <= 0.5) = 0.5^k at k = 3
-        points = sampler.sample_unit_ball_batch(3, 100_000, key("cdf"))
-        frac = float((np.linalg.norm(points, axis=1) <= 0.5).mean())
-        assert frac == pytest.approx(0.125, abs=0.004)
+        radii = sampler.sample_ball_radii(3, 100_000, key("cdf"))
+        assert float((radii <= 0.5).mean()) == pytest.approx(0.125, abs=0.004)
 
     def test_mean_norm_one_dim(self):
-        points = sampler.sample_unit_ball_batch(1, 100_000, key("mean1"))
-        assert float(np.abs(points).mean()) == pytest.approx(0.5, abs=0.005)
-
-    def test_isotropy(self):
-        n = 100_000
-        for k in (2, 8, 50):
-            points = sampler.sample_unit_ball_batch(k, n, key("iso", ("k", k)))
-            center = np.linalg.norm(points.mean(axis=0))
-            assert center <= 4.0 * math.sqrt(k / n)
+        radii = sampler.sample_ball_radii(1, 100_000, key("mean1"))
+        assert float(radii.mean()) == pytest.approx(0.5, abs=0.005)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
-            sampler.sample_unit_ball(0, key("bad"))
+            sampler.sample_ball_radii(0, 1, key("bad"))
 
 
 class TestGaussian:
@@ -157,9 +149,10 @@ class TestCloneDraws:
         assert np.abs(dists - norms).max() <= 1e-4
 
     def test_scalar_draw(self):
-        draw = sampler.draw_clone_interaction(3, 0.01, 0.01, stream=key("scalar"))
-        assert draw.true_norm <= 1.0
-        assert draw.clone_dist >= 0.0
+        norms, dists = sampler.draw_clone_batch(3, 1, 0.01, 0.01, stream=key("scalar"))
+        assert norms.shape == dists.shape == (1,)
+        assert norms[0] <= 1.0
+        assert dists[0] >= 0.0
 
     def test_fixed_mode_requires_noise_vector(self):
         with pytest.raises(ValueError):

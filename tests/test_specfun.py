@@ -6,11 +6,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
-from scipy.special import gammainc, ive
+from scipy.special import beta, gammainc, ive
 
-from mirrormatch import specfun
+from mirrormatch import analytic, sampler, specfun
 
 mp.mp.dps = 35
+
+
+def reg_lower_inc_gamma(s, x):
+    """P(s, x) through the log-scaled evaluation the closed forms use."""
+    return math.exp(specfun.log_reg_lower_inc_gamma(s, x))
+
+
+class FixedUniforms:
+    """Stands in for a generator whose uniform stream is given."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, shape):
+        return self.values.copy().reshape(shape)
+
+
+def normal_quantile(u):
+    """The sampler's standard normal for a given uniform: the inverse normal CDF."""
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    return sampler._standard_normals(FixedUniforms(u), u.shape)
 
 
 def ref_log_bessel_i(nu, x):
@@ -40,51 +61,41 @@ class TestLnGamma:
 
 
 class TestBeta:
+    # d_ip(k, m) = B(1/k, m+1) / k, evaluated through ln_gamma
     def test_known_values(self):
-        assert specfun.beta(1, 2) == pytest.approx(0.5, rel=1e-10)
-        assert specfun.beta(1, 1) == pytest.approx(1.0, rel=1e-10)
+        for m in (1, 2, 5, 40):
+            assert analytic.d_ip(1, m) == pytest.approx(beta(1, m + 1), rel=1e-12)
+        for k, m in ((2, 1), (7, 3), (150, 2), (1000, 100)):
+            assert analytic.d_ip(k, m) == pytest.approx(beta(1 / k, m + 1) / k, rel=1e-10)
 
     def test_best_of_two_identity_at_k5(self):
         # oracle: direct numeric integration of (1 - r^5)^2 on [0, 1]
         oracle, err = sci_integrate.quad(lambda r: (1 - r**5) ** 2, 0, 1, epsabs=1e-14)
         assert err < 1e-12
         assert oracle == pytest.approx(50.0 / 66.0, abs=1e-13)
-        assert 0.2 * specfun.beta(0.2, 3) == pytest.approx(oracle, rel=1e-10)
-
-    @given(
-        st.floats(min_value=0.05, max_value=50.0),
-        st.floats(min_value=0.05, max_value=50.0),
-    )
-    @settings(deadline=None, max_examples=60)
-    def test_symmetry_exact(self, a, b):
-        assert specfun.beta(a, b) == specfun.beta(b, a)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            specfun.beta(0.0, 1.0)
-        with pytest.raises(ValueError):
-            specfun.beta(1.0, -2.0)
+        assert 0.2 * beta(0.2, 3) == pytest.approx(oracle, rel=1e-10)
+        assert analytic.d_ip(5, 2) == pytest.approx(oracle, rel=1e-10)
 
 
 class TestRegLowerIncGamma:
     def test_exponential_cdf(self):
-        assert specfun.reg_lower_inc_gamma(1.0, 1.0) == pytest.approx(1 - math.exp(-1), abs=1e-13)
+        assert reg_lower_inc_gamma(1.0, 1.0) == pytest.approx(1 - math.exp(-1), abs=1e-13)
 
     def test_zero_argument(self):
         for s in (0.3, 1.0, 7.5):
-            assert specfun.reg_lower_inc_gamma(s, 0.0) == 0.0
+            assert reg_lower_inc_gamma(s, 0.0) == 0.0
 
     def test_half_order(self):
         # oracle: adaptive quadrature of t^(-1/2) e^(-t) over [0, 2], normalized
         oracle, _ = sci_integrate.quad(lambda t: t**-0.5 * math.exp(-t), 0, 2, epsabs=1e-14)
         oracle /= math.sqrt(math.pi)
         assert oracle == pytest.approx(math.erf(math.sqrt(2)), abs=1e-12)
-        assert specfun.reg_lower_inc_gamma(0.5, 2.0) == pytest.approx(oracle, abs=1e-12)
+        assert reg_lower_inc_gamma(0.5, 2.0) == pytest.approx(oracle, abs=1e-12)
 
     def test_against_scipy_grid(self):
         for s in (0.1, 0.5, 1.0, 3.7, 10.0, 50.0, 250.0):
             for x in (1e-4, 0.1, 1.0, 5.0, 30.0, 200.0, 5000.0):
-                assert specfun.reg_lower_inc_gamma(s, x) == pytest.approx(
+                assert reg_lower_inc_gamma(s, x) == pytest.approx(
                     float(gammainc(s, x)), abs=1e-12
                 )
 
@@ -92,9 +103,9 @@ class TestRegLowerIncGamma:
         # P(s+1, x) = P(s, x) - x^s e^-x / Gamma(s+1)
         for s in np.arange(0.5, 50.5, 0.5):
             for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0):
-                lhs = specfun.reg_lower_inc_gamma(s + 1.0, x)
+                lhs = reg_lower_inc_gamma(s + 1.0, x)
                 drop = math.exp(s * math.log(x) - x - specfun.ln_gamma(s + 1.0))
-                rhs = specfun.reg_lower_inc_gamma(s, x) - drop
+                rhs = reg_lower_inc_gamma(s, x) - drop
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
     @given(
@@ -105,8 +116,8 @@ class TestRegLowerIncGamma:
     @settings(deadline=None, max_examples=60)
     def test_monotone_and_bounded(self, s, x1, x2):
         lo, hi = sorted((x1, x2))
-        p_lo = specfun.reg_lower_inc_gamma(s, lo)
-        p_hi = specfun.reg_lower_inc_gamma(s, hi)
+        p_lo = reg_lower_inc_gamma(s, lo)
+        p_hi = reg_lower_inc_gamma(s, hi)
         assert 0.0 <= p_lo <= p_hi <= 1.0
 
     def test_log_variant_deep_tail(self):
@@ -115,17 +126,19 @@ class TestRegLowerIncGamma:
         assert specfun.log_reg_lower_inc_gamma(1000.0, 100.0) == pytest.approx(ref, rel=1e-12)
 
     def test_log_variant_consistency(self):
+        # both branches (series below x = s + 1, continued fraction above)
         for s in (0.5, 3.0, 40.0):
             for x in (0.2, 3.0, 80.0):
-                assert math.exp(specfun.log_reg_lower_inc_gamma(s, x)) == pytest.approx(
-                    specfun.reg_lower_inc_gamma(s, x), rel=1e-13
+                ref = float(mp.log(mp.gammainc(s, 0, x, regularized=True)))
+                assert specfun.log_reg_lower_inc_gamma(s, x) == pytest.approx(
+                    ref, rel=1e-13, abs=1e-15
                 )
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            specfun.reg_lower_inc_gamma(0.0, 1.0)
+            specfun.log_reg_lower_inc_gamma(0.0, 1.0)
         with pytest.raises(ValueError):
-            specfun.reg_lower_inc_gamma(1.0, -0.1)
+            specfun.log_reg_lower_inc_gamma(1.0, -0.1)
 
 
 class TestLogBesselI:
@@ -178,28 +191,29 @@ class TestLogBesselI:
 
 
 class TestStdNormalCdf:
+    # the sampler draws a standard normal as the inverse of this CDF at a uniform
     def test_center(self):
-        assert specfun.std_normal_cdf(0.0) == 0.5
+        assert normal_quantile(0.5)[0] == 0.0
 
     def test_upper_quantile(self):
         # oracle: quadrature of the normal density up to the 97.5% point
         density = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
         tail, _ = sci_integrate.quad(density, 0, 1.959963985, epsabs=1e-14)
         assert 0.5 + tail == pytest.approx(0.975, abs=1e-9)
-        assert specfun.std_normal_cdf(1.959963985) == pytest.approx(0.975, abs=1e-9)
+        assert normal_quantile(0.975)[0] == pytest.approx(1.959963985, abs=1e-8)
 
     def test_deep_tail_no_underflow(self):
-        value = specfun.std_normal_cdf(-8.0)
-        assert value > 0.0
-        assert value == pytest.approx(6.220960574271784e-16, rel=1e-12)
+        # a uniform of exactly zero is clamped to 2**-54 instead of giving -inf
+        value = normal_quantile(0.0)[0]
+        assert math.isfinite(value)
+        assert value == pytest.approx(float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(2) ** -54 - 1)), rel=1e-12)
 
     def test_symmetry(self):
-        for x in (-7.5, -2.0, -0.3, 0.0, 0.9, 4.2, 8.0):
-            total = specfun.std_normal_cdf(x) + specfun.std_normal_cdf(-x)
-            assert abs(total - 1.0) <= 1e-14
+        # dyadic uniforms, so 1 - u is exact
+        u = np.array([2.0**-40, 2.0**-7, 0.3125, 0.5, 0.75, 1.0 - 2.0**-11])
+        assert np.allclose(normal_quantile(u), -normal_quantile(1.0 - u), rtol=1e-12, atol=0)
 
     def test_accuracy_grid(self):
-        for x in np.linspace(-10, 10, 81):
-            assert specfun.std_normal_cdf(float(x)) == pytest.approx(
-                float(mp.ncdf(float(x))), abs=1e-12
-            )
+        for u in np.linspace(0.0005, 0.9995, 81):
+            ref = float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(float(u)) - 1))
+            assert normal_quantile(u)[0] == pytest.approx(ref, rel=1e-12, abs=1e-14)
