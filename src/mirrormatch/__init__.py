@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 from .analytic import GroupSpec, NumericError
 from .quadrature import QuadratureError
-from .sampler import FIXED_SUBJECT_CLONE, PER_INTERACTION
-from .simulate import Estimate, SeqSearchPolicy
+from .simulate import FIXED_SUBJECT_CLONE, PER_INTERACTION, Estimate, SeqSearchPolicy
 from .streams import StreamKey
 
 __all__ = [

@@ -136,6 +136,10 @@ def _d_ai_infinity_quadrature(k: int, variance: float) -> float:
 
     peak_num, q_num = shifted_integral(k)
     peak_den, q_den = shifted_integral(k - 1)
+    if not q_den > 0.0:
+        raise NumericError(
+            f"d_ai_infinity quadrature denominator is {q_den!r} at k={k}, variance={variance}"
+        )
     return math.exp(peak_num - peak_den) * q_num / q_den
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
-from . import __version__, analytic, sampler, simulate
+from . import __version__, analytic, simulate
 from .analytic import GroupSpec, NumericError
 from .quadrature import QuadratureError
 from .simulate import AffineCost, SeqSearchPolicy, StopAtFixedT, StopWhenBestBelow
@@ -89,8 +89,8 @@ _FIELD_PARSERS = {
     "reps": ("integer >= 2", _int),
     "master_seed": ("unsigned 64-bit integer", _int),
     "clone_mode": (
-        f"one of {sampler.PER_INTERACTION}|{sampler.FIXED_SUBJECT_CLONE}",
-        _choice(sampler.PER_INTERACTION, sampler.FIXED_SUBJECT_CLONE),
+        f"one of {simulate.PER_INTERACTION}|{simulate.FIXED_SUBJECT_CLONE}",
+        _choice(simulate.PER_INTERACTION, simulate.FIXED_SUBJECT_CLONE),
     ),
     "group_sigma_r2": ("positive real", float),
     "group_sigma_p2": ("positive real", float),
@@ -131,7 +131,7 @@ class ModelConfig:
     n: int = 2000
     reps: int = 200
     master_seed: int = 0
-    clone_mode: str = sampler.PER_INTERACTION
+    clone_mode: str = simulate.PER_INTERACTION
     group_sigma_r2: float = 0.01
     group_sigma_p2: float = 0.04
     k_grid: tuple[int, ...] | None = None

@@ -47,34 +47,22 @@ class JointDensityParams:
         return 0.5 * self.k - 1.0
 
 
-def _conditional_s_log_density_arr(params: JointDensityParams, r, s) -> np.ndarray:
-    # scaled noncentral chi: t = s/sqrt(nu), lam = r/sqrt(nu), order k/2 - 1
+def _joint_log_density_arr(params: JointDensityParams, r, s) -> np.ndarray:
+    # ball-norm density k r^(k-1) times the scaled noncentral chi density of
+    # S given R = r: t = s/sqrt(nu), lam = r/sqrt(nu), order k/2 - 1
     order = params.bessel_order
     root_nu = math.sqrt(params.nu)
+    r = np.asarray(r, dtype=np.float64)
     t = np.asarray(s, dtype=np.float64) / root_nu
-    lam = np.asarray(r, dtype=np.float64) / root_nu
-    return (
+    lam = r / root_nu
+    log_marginal = math.log(params.k) + (params.k - 1) * np.log(r)
+    return log_marginal + (
         -order * np.log(lam)
         + (order + 1.0) * np.log(t)
         - 0.5 * (t * t + lam * lam)
         + _log_bessel_vec(order, lam * t)
         - math.log(root_nu)
     )
-
-
-def conditional_s_log_density(params: JointDensityParams, r: float, s: float) -> float:
-    """Log density of the clone distance S at s, given true norm R = r."""
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"r must lie in (0, 1], got {r!r}")
-    if not s > 0.0:
-        raise ValueError(f"s must be positive, got {s!r}")
-    return float(_conditional_s_log_density_arr(params, r, s))
-
-
-def _joint_log_density_arr(params: JointDensityParams, r, s) -> np.ndarray:
-    r = np.asarray(r, dtype=np.float64)
-    log_marginal = math.log(params.k) + (params.k - 1) * np.log(r)
-    return log_marginal + _conditional_s_log_density_arr(params, r, s)
 
 
 def joint_log_density(params: JointDensityParams, r: float, s: float) -> float:

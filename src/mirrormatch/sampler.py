@@ -26,9 +26,10 @@ clone difference onto the first coordinate gives::
     W**2  = (R - rho)**2 + 2 R rho (1 - Theta)   = ||x - subject noise||**2
     S**2  = (W + sqrt(v) g)**2 + v chi2[k-1]
 
-Batch draw order: the radii, then (rho > 0 only) ``g1`` and its
-chi-square, then ``g`` and its chi-square; each block holds ``count``
-draws.
+The subject-noise norm is drawn on its own stream as
+``rho = sqrt(variance * chi2[k])``, one chi-square draw. Batch draw order:
+the radii, then (rho > 0 only) ``g1`` and its chi-square, then ``g`` and
+its chi-square; each block holds ``count`` draws.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from .streams import StreamKey
-
-PER_INTERACTION = "per-interaction"
-FIXED_SUBJECT_CLONE = "fixed-subject-clone"
 
 _MIN_UNIFORM = 2.0**-54  # ndtri(0) is -inf; clamp the (prob 2**-53) exact zero
 # largest df drawn as a sum of squared normals; above it one gammaincinv
@@ -103,18 +101,12 @@ def sample_ball_radii(k: int, count: int, stream: StreamKey) -> np.ndarray:
     return _ball_radii(stream.generator(), k, count)
 
 
-def sample_gaussian_batch(k: int, count: int, variance: float, stream: StreamKey) -> np.ndarray:
-    """Draw ``count`` isotropic Gaussian vectors with the given per-coordinate variance."""
+def sample_noise_norm(k: int, variance: float, stream: StreamKey) -> float:
+    """Draw the norm of one isotropic k-dimensional Gaussian vector, sqrt(variance * chi2[k])."""
     _check_dim(k)
-    _check_count(count)
     if not variance > 0:
         raise ValueError(f"variance must be positive, got {variance!r}")
-    return np.sqrt(variance) * _standard_normals(stream.generator(), (count, k))
-
-
-def sample_gaussian_vector(k: int, variance: float, stream: StreamKey) -> np.ndarray:
-    """Draw one mean-zero isotropic Gaussian vector."""
-    return sample_gaussian_batch(k, 1, variance, stream)[0]
+    return math.sqrt(variance * float(_chi_square(stream.generator(), k, 1)[0]))
 
 
 def draw_clone_batch(
@@ -122,38 +114,30 @@ def draw_clone_batch(
     count: int,
     sigma_subject2: float,
     sigma_other2: float,
-    mode: str = PER_INTERACTION,
-    subject_fixed_noise: np.ndarray | None = None,
+    subject_noise_norm: float | None = None,
     *,
     stream: StreamKey,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``count`` full clone interactions; returns (true_norms, clone_dists).
 
-    Per-interaction mode regenerates the subject's proxy for every
-    interaction, so the combined noise on the clone difference is a
-    single Gaussian with per-coordinate variance
-    ``sigma_subject2 + sigma_other2``. Fixed-subject-clone mode reuses
-    one subject noise vector (supplied by the caller) across all
-    interactions in the batch; only its norm enters the draw. Time and
-    memory are O(count) in any dimension k.
+    With ``subject_noise_norm`` None (per-interaction) the subject's proxy
+    is regenerated for every interaction, so the combined noise on the
+    clone difference is a single Gaussian with per-coordinate variance
+    ``sigma_subject2 + sigma_other2``. A float reuses one subject noise
+    vector of that norm across the batch (fixed subject clone), and only
+    ``sigma_other2`` is fresh per interaction. Time and memory are
+    O(count) in any dimension k.
     """
     _check_dim(k)
     _check_count(count)
     if not (sigma_subject2 > 0 and sigma_other2 > 0):
         raise ValueError("noise variances must be positive")
-    if mode == PER_INTERACTION:
-        if subject_fixed_noise is not None:
-            raise ValueError("subject_fixed_noise is only meaningful in fixed-subject-clone mode")
+    if subject_noise_norm is None:
         rho, variance = 0.0, sigma_subject2 + sigma_other2
-    elif mode == FIXED_SUBJECT_CLONE:
-        if subject_fixed_noise is None:
-            raise ValueError("fixed-subject-clone mode requires subject_fixed_noise")
-        subject_fixed_noise = np.asarray(subject_fixed_noise, dtype=np.float64)
-        if subject_fixed_noise.shape != (k,):
-            raise ValueError(f"subject_fixed_noise must have shape ({k},)")
-        rho, variance = float(np.linalg.norm(subject_fixed_noise)), sigma_other2
+    elif 0.0 <= subject_noise_norm < math.inf:
+        rho, variance = float(subject_noise_norm), sigma_other2
     else:
-        raise ValueError(f"unknown clone mode {mode!r}")
+        raise ValueError(f"subject_noise_norm must be finite and nonnegative, got {subject_noise_norm!r}")
 
     rng = stream.generator()
     radii = _ball_radii(rng, k, count)

@@ -18,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampler
-from .analytic import GroupSpec
+from .analytic import GroupSpec, NumericError
 from .streams import StreamKey
 
 IN_PERSON = "in_person"
 AI_PLATFORM = "ai_platform"
+PER_INTERACTION = "per-interaction"
+FIXED_SUBJECT_CLONE = "fixed-subject-clone"
 
 _SEQ_BLOCK = 512  # sequential-search draws per indexed sub-stream block
 
@@ -44,17 +46,16 @@ class Estimate:
 
 @dataclass(frozen=True)
 class AffineCost:
-    """Search cost c(tau) = fixed + per_period * tau, nondecreasing in tau."""
+    """Search cost c(tau) = per_period * tau, nondecreasing in tau."""
 
     per_period: float = 0.0
-    fixed: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.per_period < 0 or self.fixed < 0:
-            raise ValueError("cost components must be nonnegative")
+        if self.per_period < 0:
+            raise ValueError("the per-period cost must be nonnegative")
 
     def __call__(self, tau: int) -> float:
-        return self.fixed + self.per_period * tau
+        return self.per_period * tau
 
 
 @dataclass(frozen=True)
@@ -128,34 +129,39 @@ def _rep_key(master_seed: int, label: str, rep: int) -> StreamKey:
     return StreamKey(master_seed).child(label).child("rep", rep)
 
 
-def _estimate(values: np.ndarray) -> Estimate:
+def _estimate(values: np.ndarray, label: str) -> Estimate:
     reps = values.shape[0]
-    return Estimate(
-        mean=float(values.mean()),
-        std_error=float(values.std(ddof=1) / math.sqrt(reps)),
-        reps=reps,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        std_error = float(values.std(ddof=1) / math.sqrt(reps))
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise NumericError(f"{label}: the mean {mean!r} with standard error {std_error!r} is not finite")
+    return Estimate(mean=mean, std_error=std_error, reps=reps)
 
 
-def _fanout(chunk_fn, payload: tuple, reps: int, workers: int | None) -> np.ndarray:
-    """Run chunk_fn(payload, start, stop) over [0, reps), any worker count.
+def _chunk(rep_fn, args: tuple, label: str, master_seed: int, start: int, stop: int) -> np.ndarray:
+    return np.array([rep_fn(_rep_key(master_seed, label, rep), *args) for rep in range(start, stop)])
 
-    Chunks land in a replication-indexed array, so the assembled result is
-    identical to a serial run.
+
+def _replicate(
+    rep_fn, args: tuple, label: str, reps: int, master_seed: int, workers: int | None
+) -> np.ndarray:
+    """Stack rep_fn(key, *args) for every replication in [0, reps), any worker count.
+
+    Replication ``rep`` always draws from the key (master_seed, label,
+    rep), and chunks land in a replication-indexed array, so the result
+    is identical to a serial run.
     """
     count = resolve_workers(workers)
     if count == 1 or reps < 2 * count:
-        return chunk_fn(payload, 0, reps)
+        return _chunk(rep_fn, args, label, master_seed, 0, reps)
     bounds = np.unique(np.linspace(0, reps, 4 * count + 1).astype(int))
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    pieces: list[np.ndarray | None] = [None] * len(spans)
     with ProcessPoolExecutor(max_workers=count) as pool:
-        futures = {
-            pool.submit(chunk_fn, payload, int(a), int(b)): i for i, (a, b) in enumerate(spans)
-        }
-        for future, i in futures.items():
-            pieces[i] = future.result()
-    return np.concatenate(pieces, axis=0)
+        futures = [
+            pool.submit(_chunk, rep_fn, args, label, master_seed, int(a), int(b))
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        return np.concatenate([future.result() for future in futures], axis=0)
 
 
 def _check_common(reps: int, m_or_n: int, name: str) -> None:
@@ -165,38 +171,23 @@ def _check_common(reps: int, m_or_n: int, name: str) -> None:
         raise ValueError(f"{name} must be a positive integer, got {m_or_n!r}")
 
 
-def _chunk_d_ip(payload: tuple, start: int, stop: int) -> np.ndarray:
-    master_seed, label, k, m = payload
-    out = np.empty(stop - start)
-    for i, rep in enumerate(range(start, stop)):
-        out[i] = sampler.sample_ball_radii(k, m, _rep_key(master_seed, label, rep)).min()
-    return out
+def _rep_d_ip(key: StreamKey, k: int, m: int) -> float:
+    return sampler.sample_ball_radii(k, m, key).min()
 
 
 def estimate_d_ip(k: int, m: int, reps: int, master_seed: int, *, workers: int | None = None) -> Estimate:
     """Mean of the min-norm over m fresh ball draws per replication."""
     _check_common(reps, m, "m")
     label = f"d_ip(k={k},m={m})"
-    return _estimate(_fanout(_chunk_d_ip, (master_seed, label, k, m), reps, workers))
+    return _estimate(_replicate(_rep_d_ip, (k, m), label, reps, master_seed, workers), label)
 
 
-def _rep_clone_pool(key: StreamKey, k: int, n: int, variance: float, clone_mode: str):
-    fixed = None
-    if clone_mode == sampler.FIXED_SUBJECT_CLONE:
-        fixed = sampler.sample_gaussian_vector(k, variance, key.child("subject-clone"))
-    return sampler.draw_clone_batch(
-        k, n, variance, variance, mode=clone_mode, subject_fixed_noise=fixed, stream=key.child("pool")
-    )
-
-
-def _chunk_d_ai(payload: tuple, start: int, stop: int) -> np.ndarray:
-    master_seed, label, k, n, variance, clone_mode = payload
-    out = np.empty(stop - start)
-    for i, rep in enumerate(range(start, stop)):
-        key = _rep_key(master_seed, label, rep)
-        norms, dists = _rep_clone_pool(key, k, n, variance, clone_mode)
-        out[i] = norms[int(np.argmin(dists))]  # argmin takes the lowest index on ties
-    return out
+def _rep_d_ai(key: StreamKey, k: int, n: int, variance: float, clone_mode: str) -> float:
+    rho = None
+    if clone_mode == FIXED_SUBJECT_CLONE:
+        rho = sampler.sample_noise_norm(k, variance, key.child("subject-clone"))
+    norms, dists = sampler.draw_clone_batch(k, n, variance, variance, rho, stream=key.child("pool"))
+    return norms[int(np.argmin(dists))]  # argmin takes the lowest index on ties
 
 
 def estimate_d_ai(
@@ -204,7 +195,7 @@ def estimate_d_ai(
     n: int,
     noise_variance_per_clone: float,
     reps: int,
-    clone_mode: str = sampler.PER_INTERACTION,
+    clone_mode: str = PER_INTERACTION,
     master_seed: int = 0,
     *,
     workers: int | None = None,
@@ -213,15 +204,17 @@ def estimate_d_ai(
 
     Per replication: draw n clone interactions, select the argmin of the
     clone distance, record the winner's true norm; average over
-    replications. With the fixed-subject-clone mode one shared subject
-    noise vector is drawn per replication.
+    replications. In fixed-subject-clone mode each replication first
+    draws the norm of one shared subject noise vector
+    (``sampler.sample_noise_norm``), so a replication costs O(n) in any
+    dimension k in either mode.
     """
     _check_common(reps, n, "n")
-    if clone_mode not in (sampler.PER_INTERACTION, sampler.FIXED_SUBJECT_CLONE):
+    if clone_mode not in (PER_INTERACTION, FIXED_SUBJECT_CLONE):
         raise ValueError(f"unknown clone mode {clone_mode!r}")
     label = f"d_ai(k={k},n={n},mode={clone_mode})"
-    payload = (master_seed, label, k, n, noise_variance_per_clone, clone_mode)
-    return _estimate(_fanout(_chunk_d_ai, payload, reps, workers))
+    args = (k, n, noise_variance_per_clone, clone_mode)
+    return _estimate(_replicate(_rep_d_ai, args, label, reps, master_seed, workers), label)
 
 
 def monotonicity_grid(n_max: int) -> list[int]:
@@ -236,15 +229,9 @@ def monotonicity_grid(n_max: int) -> list[int]:
     return grid
 
 
-def _chunk_coupled(payload: tuple, start: int, stop: int) -> np.ndarray:
-    master_seed, label, k, variance, n_max, grid = payload
-    out = np.empty((stop - start, len(grid)))
-    for i, rep in enumerate(range(start, stop)):
-        key = _rep_key(master_seed, label, rep)
-        norms, dists = _rep_clone_pool(key, k, n_max, variance, sampler.PER_INTERACTION)
-        for j, n in enumerate(grid):
-            out[i, j] = norms[int(np.argmin(dists[:n]))]
-    return out
+def _rep_coupled(key: StreamKey, k: int, variance: float, n_max: int, grid: list[int]) -> list[float]:
+    norms, dists = sampler.draw_clone_batch(k, n_max, variance, variance, stream=key.child("pool"))
+    return [norms[int(np.argmin(dists[:n]))] for n in grid]
 
 
 def coupled_monotonicity_test(
@@ -266,25 +253,16 @@ def coupled_monotonicity_test(
     _check_common(reps, n_max, "n_max")
     grid = monotonicity_grid(n_max)
     label = f"coupled(k={k},n_max={n_max})"
-    payload = (master_seed, label, k, noise_variance_per_clone, n_max, tuple(grid))
-    values = _fanout(_chunk_coupled, payload, reps, workers)
-    return {n: _estimate(values[:, j]) for j, n in enumerate(grid)}
+    args = (k, noise_variance_per_clone, n_max, grid)
+    values = _replicate(_rep_coupled, args, label, reps, master_seed, workers)
+    return {n: _estimate(values[:, j], label) for j, n in enumerate(grid)}
 
 
-def _chunk_group(payload: tuple, start: int, stop: int) -> np.ndarray:
-    master_seed, label, k, n, sigma_r2, sigma_p2 = payload
-    out = np.empty(stop - start)
-    for i, rep in enumerate(range(start, stop)):
-        key = _rep_key(master_seed, label, rep)
-        _, dists_r = sampler.draw_clone_batch(
-            k, n, sigma_r2, sigma_r2, stream=key.child("pool-rich")
-        )
-        _, dists_p = sampler.draw_clone_batch(
-            k, n, sigma_r2, sigma_p2, stream=key.child("pool-poor")
-        )
-        # global argmin with the deterministic tie rule: rich pool wins ties
-        out[i] = 1.0 if dists_r.min() <= dists_p.min() else 0.0
-    return out
+def _rep_group(key: StreamKey, k: int, n: int, sigma_r2: float, sigma_p2: float) -> float:
+    _, dists_r = sampler.draw_clone_batch(k, n, sigma_r2, sigma_r2, stream=key.child("pool-rich"))
+    _, dists_p = sampler.draw_clone_batch(k, n, sigma_r2, sigma_p2, stream=key.child("pool-poor"))
+    # global argmin with the deterministic tie rule: rich pool wins ties
+    return 1.0 if dists_r.min() <= dists_p.min() else 0.0
 
 
 def estimate_group_win_rate(
@@ -305,62 +283,40 @@ def estimate_group_win_rate(
     """
     _check_common(reps, n, "n")
     label = f"groups(k={k},n={n})"
-    payload = (master_seed, label, k, n, group.sigma_r2, group.sigma_p2)
-    return _estimate(_fanout(_chunk_group, payload, reps, workers))
+    args = (k, n, group.sigma_r2, group.sigma_p2)
+    return _estimate(_replicate(_rep_group, args, label, reps, master_seed, workers), label)
 
 
-def _rep_seq_payoff(key: StreamKey, k: int, variance: float, policy: SeqSearchPolicy):
+def _rep_seq_payoff(
+    key: StreamKey, k: int, variance: float, policy: SeqSearchPolicy
+) -> tuple[float, float]:
+    # Draws arrive in blocks from the sub-streams ("block", 0), ("block", 1),
+    # ...: 512 draws for a threshold rule, one t-draw block with no threshold
+    # for StopAtFixedT(t). The search observes one value per draw (in person
+    # the ball radius, on the platform the clone distance) and is paid the
+    # true norm of the draw it stops on, or of the best observation at the cap.
     rule = policy.rule
-    if policy.regime == IN_PERSON:
-        if isinstance(rule, StopAtFixedT):
-            norms = sampler.sample_ball_radii(k, rule.t, key.child("block", 0))
-            return -float(norms.min()) - policy.cost_ip(rule.t), 0.0
-        best = math.inf
-        seen = 0
-        while seen < rule.cap:
-            count = min(_SEQ_BLOCK, rule.cap - seen)
-            norms = sampler.sample_ball_radii(k, count, key.child("block", seen // _SEQ_BLOCK))
-            hits = np.nonzero(norms <= rule.threshold)[0]
-            if hits.size:
-                tau = seen + int(hits[0]) + 1
-                return -float(norms[int(hits[0])]) - policy.cost_ip(tau), 0.0
-            best = min(best, float(norms.min()))
-            seen += count
-        return -best - policy.cost_ip(rule.cap), 1.0
-
     if isinstance(rule, StopAtFixedT):
-        norms, dists = sampler.draw_clone_batch(
-            k, rule.t, variance, variance, stream=key.child("block", 0)
-        )
-        winner = int(np.argmin(dists))
-        return -float(norms[winner]) - policy.cost_ai(rule.t) - policy.kappa, 0.0
-    best_dist = math.inf
-    best_norm = math.inf
-    seen = 0
-    while seen < rule.cap:
-        count = min(_SEQ_BLOCK, rule.cap - seen)
-        norms, dists = sampler.draw_clone_batch(
-            k, count, variance, variance, stream=key.child("block", seen // _SEQ_BLOCK)
-        )
-        hits = np.nonzero(dists <= rule.threshold)[0]
-        if hits.size:
-            tau = seen + int(hits[0]) + 1
-            return -float(norms[int(hits[0])]) - policy.cost_ai(tau) - policy.kappa, 0.0
-        block_best = int(np.argmin(dists))
-        if dists[block_best] < best_dist:
-            best_dist = float(dists[block_best])
-            best_norm = float(norms[block_best])
-        seen += count
-    return -best_norm - policy.cost_ai(rule.cap) - policy.kappa, 1.0
-
-
-def _chunk_seq(payload: tuple, start: int, stop: int) -> np.ndarray:
-    master_seed, label, k, variance, policy = payload
-    out = np.empty((stop - start, 2))
-    for i, rep in enumerate(range(start, stop)):
-        key = _rep_key(master_seed, label, rep)
-        out[i] = _rep_seq_payoff(key, k, variance, policy)
-    return out
+        block, cap, threshold, truncated = rule.t, rule.t, -math.inf, 0.0
+    else:
+        block, cap, threshold, truncated = _SEQ_BLOCK, rule.cap, rule.threshold, 1.0
+    in_person = policy.regime == IN_PERSON
+    cost, fee = (policy.cost_ip, 0.0) if in_person else (policy.cost_ai, policy.kappa)
+    best_obs = best_norm = math.inf
+    for seen in range(0, cap, block):
+        count = min(block, cap - seen)
+        stream = key.child("block", seen // block)
+        if in_person:
+            norms = observed = sampler.sample_ball_radii(k, count, stream)
+        else:
+            norms, observed = sampler.draw_clone_batch(k, count, variance, variance, stream=stream)
+        i = int(np.argmin(observed))
+        if observed[i] <= threshold:
+            first = int(np.argmax(observed <= threshold))  # the first draw at or below it
+            return -float(norms[first]) - cost(seen + first + 1) - fee, 0.0
+        if observed[i] < best_obs:
+            best_obs, best_norm = float(observed[i]), float(norms[i])
+    return -best_norm - cost(cap) - fee, truncated
 
 
 def evaluate_seq_policy(
@@ -382,10 +338,10 @@ def evaluate_seq_policy(
     if not isinstance(reps, int) or reps < 2:
         raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
     label = f"seq(k={k},regime={policy.regime},rule={policy.rule})"
-    payload = (master_seed, label, k, noise_variance_per_clone, policy)
-    values = _fanout(_chunk_seq, payload, reps, workers)
+    args = (k, noise_variance_per_clone, policy)
+    values = _replicate(_rep_seq_payoff, args, label, reps, master_seed, workers)
     return PolicyReport(
-        payoff=_estimate(values[:, 0]),
+        payoff=_estimate(values[:, 0], label),
         truncated_reps=int(values[:, 1].sum()),
         policy=policy,
     )

@@ -290,6 +290,22 @@ class TestMainEntry:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, overrides, cell",
+        [
+            # both shifted quadrature integrals of d_ai_infinity underflow to 0.0
+            ("mstar", ["k_grid=100000000", "sigma_grid=0.05"], "k=100000000, variance=0.0025"),
+            # the cost at the 10^4-period cap overflows, so the payoff SE is not finite
+            ("seqsearch", ["seq_cost_ai_per_period=1e306", "reps=2"], "seq(k=5,regime=ai_platform"),
+        ],
+        ids=["mstar", "seqsearch"],
+    )
+    def test_numeric_failure_names_the_cell(self, tmp_path, capsys, command, overrides, cell):
+        code = cli.main([command, "--out", str(tmp_path)] + set_args(overrides))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and cell in err
+
     def test_paper_scale_flag_changes_identity(self, tmp_path):
         base = parse_config(None, [])
         scaled = parse_config(None, [f"reps={cli.PAPER_SCALE_REPS}", f"n={cli.PAPER_SCALE_N}"])

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mirrormatch import analytic, sampler
 from mirrormatch.density import JointDensityParams, conditional_mean_r_given_s, \
-    conditional_s_log_density, joint_log_density, mlrp_grid_check
+    joint_log_density, mlrp_grid_check
 from mirrormatch.quadrature import integrate
 from mirrormatch.streams import StreamKey
 
@@ -14,7 +15,15 @@ TEST_MATRIX = [(k, nu) for k in (1, 2, 5, 50, 150) for nu in (0.0025, 0.005, 0.0
 
 
 def cond_density_vec(params, r, s_values):
-    return np.array([math.exp(conditional_s_log_density(params, r, float(s))) for s in s_values])
+    """Density of S given R = r: the joint density over the ball-norm density k r^(k-1)."""
+    marginal = params.k * r ** (params.k - 1)
+    return np.array([math.exp(joint_log_density(params, r, float(s))) for s in s_values]) / marginal
+
+
+def ncx2_cond_log_density(params, r, s):
+    """Independent oracle: S^2/nu ~ ncx2(k, r^2/nu), so f(s) = ncx2.pdf(s^2/nu) 2s/nu."""
+    law = stats.ncx2(params.k, r * r / params.nu)
+    return law.logpdf(s * s / params.nu) + math.log(2.0 * s / params.nu)
 
 
 def s_domain_cut(params, r):
@@ -67,9 +76,9 @@ class TestConditionalDensity:
         # simulation oracle: fix the true point at radius r, add combined noise
         params = JointDensityParams(2, 0.05)
         r, draws = 0.6, 100_000
-        key = StreamKey(99).child("cond-hist")
+        rng = np.random.default_rng(99)
         direction = np.array([1.0, 0.0])
-        noise = sampler.sample_gaussian_batch(params.k, draws, params.nu, key)
+        noise = math.sqrt(params.nu) * rng.standard_normal((draws, params.k))
         dists = np.linalg.norm(r * direction + noise, axis=1)
         edges = np.quantile(dists, np.linspace(0.005, 0.995, 21))
         counts, _ = np.histogram(dists, edges)
@@ -84,20 +93,22 @@ class TestConditionalDensity:
     def test_domain(self):
         params = JointDensityParams(3, 0.1)
         with pytest.raises(ValueError):
-            conditional_s_log_density(params, 0.0, 1.0)
+            joint_log_density(params, 0.0, 1.0)
         with pytest.raises(ValueError):
-            conditional_s_log_density(params, 0.5, 0.0)
+            joint_log_density(params, 0.5, 0.0)
 
 
 class TestJointDensity:
     def test_composition(self):
-        params = JointDensityParams(4, 0.05)
-        for r in (0.2, 0.7, 1.0):
-            for s in (0.1, 0.8, 2.0):
-                joint = joint_log_density(params, r, s)
-                log_marginal = math.log(params.k * r ** (params.k - 1))
-                split = log_marginal + conditional_s_log_density(params, r, s)
-                assert joint == pytest.approx(split, rel=1e-12)
+        # the joint density is k r^(k-1) times the scipy noncentral chi-square oracle
+        for k, nu in ((1, 0.01), (4, 0.05), (50, 0.005)):
+            params = JointDensityParams(k, nu)
+            for r in (0.2, 0.7, 1.0):
+                s_typ = math.sqrt(r * r + k * nu)
+                for s in (0.5 * s_typ, s_typ, 1.5 * s_typ):
+                    joint = joint_log_density(params, r, s)
+                    split = math.log(k * r ** (k - 1)) + ncx2_cond_log_density(params, r, s)
+                    assert joint == pytest.approx(split, rel=1e-9, abs=1e-9), (k, nu, r, s)
 
     def test_cross_ratio_reduces_to_bessel_term(self):
         # all separable factors cancel in the cross-difference; only the

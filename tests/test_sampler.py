@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mirrormatch import sampler
+from mirrormatch import sampler, simulate
 from mirrormatch.streams import StreamKey
 
 
@@ -16,8 +16,15 @@ def key(*path, seed=1234):
     return k
 
 
+def noise_norms(k, variance, label, count):
+    return np.array([sampler.sample_noise_norm(k, variance, key(label, ("i", i))) for i in range(count)])
+
+
 def direct_clone_draws(k, count, variance, subject_noise, seed):
-    """(||X||, ||X + eps - subject_noise||) from full k-vectors, numpy's own generator."""
+    """(||X||, ||X + eps - subject_noise||) from full k-vectors, numpy's own generator.
+
+    ``subject_noise`` is a k-vector; any direction gives the same law.
+    """
     rng = np.random.default_rng([seed, k])
     directions = rng.standard_normal((count, k))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -103,14 +110,18 @@ class TestUnitBall:
 
 
 class TestGaussian:
-    def test_per_coordinate_variance(self):
-        draws = sampler.sample_gaussian_batch(4, 100_000, 0.25, key("var"))
-        assert np.allclose(draws.var(axis=0), 0.25, atol=0.01)
-        assert np.allclose(draws.mean(axis=0), 0.0, atol=0.01)
+    # the norm of an isotropic Gaussian vector, the only part of it any draw uses
+    @pytest.mark.parametrize("k", [1, sampler._CHI2_SUM_MAX_DF, sampler._CHI2_SUM_MAX_DF + 1, 1000])
+    def test_norm_law(self, k):
+        # rho / sigma follows the chi law with k degrees of freedom, on both
+        # chi-square routes
+        sigma = 0.3
+        draws = noise_norms(k, sigma**2, f"norm-{k}", 10_000)
+        assert stats.kstest(draws / sigma, stats.chi(k).cdf).pvalue > 0.001
 
     def test_norm_second_moment(self):
-        draws = sampler.sample_gaussian_batch(10, 100_000, 1.0, key("m2"))
-        assert float((np.linalg.norm(draws, axis=1) ** 2).mean()) == pytest.approx(10.0, abs=0.2)
+        draws = noise_norms(10, 1.0, "m2", 20_000)
+        assert float((draws**2).mean()) == pytest.approx(10.0, abs=0.2)
 
     def test_half_normal_mean(self):
         # oracle: one-dimensional quadrature of |z| against the normal density
@@ -120,12 +131,14 @@ class TestGaussian:
             lambda z: abs(z) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi), -9, 9
         )
         assert oracle == pytest.approx(math.sqrt(2 / math.pi), abs=1e-10)
-        draws = sampler.sample_gaussian_batch(1, 100_000, 1.0, key("half"))
-        assert float(np.abs(draws).mean()) == pytest.approx(oracle, abs=0.01)
+        draws = noise_norms(1, 1.0, "half", 50_000)
+        assert float(draws.mean()) == pytest.approx(oracle, abs=0.01)
 
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):
-            sampler.sample_gaussian_vector(3, 0.0, key("bad"))
+            sampler.sample_noise_norm(3, 0.0, key("bad"))
+        with pytest.raises(ValueError):
+            sampler.sample_noise_norm(0, 1.0, key("bad"))
 
 
 class TestCloneDraws:
@@ -154,27 +167,17 @@ class TestCloneDraws:
         assert norms[0] <= 1.0
         assert dists[0] >= 0.0
 
-    def test_fixed_mode_requires_noise_vector(self):
+    @pytest.mark.parametrize("rho", [-0.1, math.inf, math.nan])
+    def test_rejects_bad_noise_norm(self, rho):
         with pytest.raises(ValueError):
-            sampler.draw_clone_batch(
-                3, 4, 0.01, 0.01, mode=sampler.FIXED_SUBJECT_CLONE, stream=key("no-noise")
-            )
-        with pytest.raises(ValueError):
-            sampler.draw_clone_batch(
-                3, 4, 0.01, 0.01,
-                subject_fixed_noise=np.zeros(3), stream=key("extra-noise"),
-            )
+            sampler.draw_clone_batch(3, 4, 0.01, 0.01, rho, stream=key("bad-norm"))
 
     def test_fixed_mode_conditional_iid(self):
         # conditional on the fixed subject noise, distances must be i.i.d.:
         # chi-square independence of consecutive above/below-median signs
         k, count = 3, 40_000
-        fixed = sampler.sample_gaussian_vector(k, 0.01, key("fixed-eps"))
-        _, dists = sampler.draw_clone_batch(
-            k, count, 0.01, 0.01,
-            mode=sampler.FIXED_SUBJECT_CLONE, subject_fixed_noise=fixed,
-            stream=key("fixed-pool"),
-        )
+        rho = sampler.sample_noise_norm(k, 0.01, key("fixed-eps"))
+        _, dists = sampler.draw_clone_batch(k, count, 0.01, 0.01, rho, stream=key("fixed-pool"))
         signs = dists > np.median(dists)
         first, second = signs[0::2], signs[1::2]
         table = np.array(
@@ -189,11 +192,9 @@ class TestCloneDraws:
         # law of (R, S) against ||X + eps_other - eps_fixed|| built from full
         # k-vectors with an independent generator: two-sample KS on R, S, S - R
         k, count, s_other2 = 4, 20_000, 0.03
-        fixed = sampler.sample_gaussian_vector(k, 0.02, key("check-eps"))
-        norms, dists = sampler.draw_clone_batch(
-            k, count, 0.02, s_other2,
-            mode=sampler.FIXED_SUBJECT_CLONE, subject_fixed_noise=fixed, stream=key("check-pool"),
-        )
+        rho = sampler.sample_noise_norm(k, 0.02, key("check-eps"))
+        norms, dists = sampler.draw_clone_batch(k, count, 0.02, s_other2, rho, stream=key("check-pool"))
+        fixed = np.full(k, rho / math.sqrt(k))
         ref_norms, ref_dists = direct_clone_draws(k, count, s_other2, fixed, seed=4)
         for ours, ref in ((norms, ref_norms), (dists, ref_dists), (dists - norms, ref_dists - ref_norms)):
             assert stats.ks_2samp(ours, ref).pvalue > 0.001
@@ -202,11 +203,7 @@ class TestCloneDraws:
         # E S^2 = k/(k+2) + rho^2 + k s_o2 and E[S^2 | R] = R^2 + rho^2 + k s_o2:
         # the mean, and an OLS fit of S^2 on R^2 (slope 1, that intercept)
         k, count, s_other2 = 6, 400_000, 0.02
-        fixed = np.full(k, 0.5 / math.sqrt(k))  # rho = 0.5
-        norms, dists = sampler.draw_clone_batch(
-            k, count, 0.01, s_other2,
-            mode=sampler.FIXED_SUBJECT_CLONE, subject_fixed_noise=fixed, stream=key("fixed-mom"),
-        )
+        norms, dists = sampler.draw_clone_batch(k, count, 0.01, s_other2, 0.5, stream=key("fixed-mom"))
         shift = 0.25 + k * s_other2
         s2 = dists**2
         se = s2.std(ddof=1) / math.sqrt(count)
@@ -218,35 +215,32 @@ class TestCloneDraws:
     @pytest.mark.parametrize(
         "k", [1, 2, sampler._CHI2_SUM_MAX_DF + 1, sampler._CHI2_SUM_MAX_DF + 2]
     )
-    @pytest.mark.parametrize("mode", [sampler.PER_INTERACTION, sampler.FIXED_SUBJECT_CLONE])
+    @pytest.mark.parametrize("mode", [simulate.PER_INTERACTION, simulate.FIXED_SUBJECT_CLONE])
     def test_edge_dimensions_match_construction(self, k, mode):
         # k = 1 (no chi-square, cosine +-1), k = 2, and chi-square df at the
         # small-df crossover and one above it, in both modes
         count, s_subject2, s_other2 = 20_000, 0.02, 0.03
-        fixed = None
-        if mode == sampler.FIXED_SUBJECT_CLONE:
-            fixed = np.full(k, 0.4 / math.sqrt(k))
-            ref_noise, variance = fixed, s_other2
+        rho = None
+        if mode == simulate.FIXED_SUBJECT_CLONE:
+            rho = 0.4
+            ref_noise, variance = np.full(k, rho / math.sqrt(k)), s_other2
         else:
             ref_noise, variance = np.zeros(k), s_subject2 + s_other2
         norms, dists = sampler.draw_clone_batch(
-            k, count, s_subject2, s_other2, mode=mode, subject_fixed_noise=fixed,
-            stream=key("edge", mode, ("k", k)),
+            k, count, s_subject2, s_other2, rho, stream=key("edge", mode, ("k", k))
         )
         ref_norms, ref_dists = direct_clone_draws(k, count, variance, ref_noise, seed=k)
         for ours, ref in ((norms, ref_norms), (dists, ref_dists), (dists - norms, ref_dists - ref_norms)):
             assert stats.ks_2samp(ours, ref).pvalue > 0.001
 
-    @pytest.mark.parametrize("mode", [sampler.PER_INTERACTION, sampler.FIXED_SUBJECT_CLONE])
+    @pytest.mark.parametrize("mode", [simulate.PER_INTERACTION, simulate.FIXED_SUBJECT_CLONE])
     def test_memory_is_linear_in_count(self, mode):
         # one (count, k) float64 array here would be 8 GB
         k, count = 10**6, 1000
-        fixed = np.full(k, 1e-4) if mode == sampler.FIXED_SUBJECT_CLONE else None
+        rho = 0.1 if mode == simulate.FIXED_SUBJECT_CLONE else None
         tracemalloc.start()
         try:
-            norms, dists = sampler.draw_clone_batch(
-                k, count, 0.01, 0.01, mode=mode, subject_fixed_noise=fixed, stream=key("mem")
-            )
+            norms, dists = sampler.draw_clone_batch(k, count, 0.01, 0.01, rho, stream=key("mem"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,10 +70,10 @@ class TestEstimateDAi:
 
     def test_fixed_clone_mode_agrees(self):
         per = simulate.estimate_d_ai(
-            5, 1000, 0.0025, 10_000, sampler.PER_INTERACTION, SEED
+            5, 1000, 0.0025, 10_000, simulate.PER_INTERACTION, SEED
         )
         fixed = simulate.estimate_d_ai(
-            5, 1000, 0.0025, 10_000, sampler.FIXED_SUBJECT_CLONE, SEED
+            5, 1000, 0.0025, 10_000, simulate.FIXED_SUBJECT_CLONE, SEED
         )
         spread = 3 * math.hypot(per.std_error, fixed.std_error)
         assert abs(per.mean - fixed.mean) <= spread
@@ -80,6 +81,20 @@ class TestEstimateDAi:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             simulate.estimate_d_ai(3, 10, 0.0025, 100, "sometimes-fixed", SEED)
+
+    def test_fixed_mode_memory_is_dimension_free(self):
+        # only the norm of the shared subject noise is drawn; as a k-vector it
+        # would take 8 MB per replication here
+        tracemalloc.start()
+        try:
+            est = simulate.estimate_d_ai(
+                10**6, 100, 0.0025, 4, simulate.FIXED_SUBJECT_CLONE, SEED, workers=1
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+        assert 0.0 < est.mean <= 1.0
 
 
 class TestCoupledMonotonicity:
@@ -167,6 +182,18 @@ class TestSeqPolicies:
         spread = 3 * math.hypot(report.payoff.std_error, reference.std_error)
         assert abs(report.payoff.mean - expected) <= spread
 
+    def test_fixed_stop_is_one_block(self):
+        # StopAtFixedT(t) draws one t-draw ("block", 0) batch, also past the
+        # 512-draw block of the threshold rules, and pays its argmin winner
+        policy = SeqSearchPolicy(simulate.AI_PLATFORM, StopAtFixedT(600), kappa=0.1)
+        for rep in range(3):
+            key = StreamKey(SEED).child("one-block", rep)
+            norms, dists = sampler.draw_clone_batch(
+                3, 600, 0.0025, 0.0025, stream=key.child("block", 0)
+            )
+            winner = -float(norms[int(np.argmin(dists))]) - 0.0 - 0.1
+            assert simulate._rep_seq_payoff(key, 3, 0.0025, policy) == (winner, 0.0)
+
     def test_in_person_threshold_stops_at_first_hit(self):
         policy = SeqSearchPolicy(simulate.IN_PERSON, StopWhenBestBelow(0.9, 4096))
         report = simulate.evaluate_seq_policy(1, 0.0025, policy, 2000, SEED)
@@ -198,6 +225,6 @@ class TestEstimateType:
         # the reduction is over the replication-indexed array; a shuffled
         # worker completion order cannot change it
         values = StreamKey(3).child("x").generator().random(1000)
-        est = simulate._estimate(values)
+        est = simulate._estimate(values, "x")
         assert est.mean == float(values.mean())
         assert est.reps == 1000
