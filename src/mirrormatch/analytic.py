@@ -120,18 +120,10 @@ def _d_ai_infinity_quadrature(k: int, variance: float) -> float:
     def shifted_integral(p: int) -> tuple[float, float]:
         if p == 0:
             peak_log = 0.0
-
-            def log_f(r: np.ndarray) -> np.ndarray:
-                return -x * r * r
-
         else:
             r_star = min(r_cut, math.sqrt(p / (2.0 * x)))
             peak_log = p * math.log(r_star) - x * r_star * r_star
-
-            def log_f(r: np.ndarray) -> np.ndarray:
-                return p * np.log(r) - x * r * r
-
-        value = integrate(lambda r: np.exp(log_f(r) - peak_log), 0.0, r_cut)
+        value = integrate(lambda r: np.exp(p * np.log(r) - x * r * r - peak_log), 0.0, r_cut)
         return peak_log, value
 
     peak_num, q_num = shifted_integral(k)
@@ -153,8 +145,15 @@ def d_ai_infinity(k: int, noise_variance_per_clone: float) -> float:
     """
     _check_dim(k)
     _check_variance(noise_variance_per_clone)
-    value = _d_ai_infinity_gamma(k, noise_variance_per_clone)
-    check = _d_ai_infinity_quadrature(k, noise_variance_per_clone)
+    try:
+        value = _d_ai_infinity_gamma(k, noise_variance_per_clone)
+        check = _d_ai_infinity_quadrature(k, noise_variance_per_clone)
+    except NumericError:
+        raise
+    except RuntimeError as exc:  # an incomplete-gamma series or the quadrature did not converge
+        raise NumericError(
+            f"d_ai_infinity did not converge at k={k}, variance={noise_variance_per_clone}: {exc}"
+        ) from exc
     if abs(value - check) > _REL_AGREEMENT * max(abs(value), abs(check)):
         raise NumericError(
             f"d_ai_infinity routes disagree at k={k}, variance={noise_variance_per_clone}: "
@@ -193,16 +192,6 @@ def ai_equivalent_bound(k: int, noise_variance_per_clone: float) -> int:
     return hi
 
 
-def _win_probability_from_nu(k: int, nu_r: float, nu_p: float) -> float:
-    _check_dim(k)
-    _check_variance(nu_r)
-    _check_variance(nu_p)
-    log_ratio = specfun.log_reg_lower_inc_gamma(0.5 * k, 0.5 / nu_p) - specfun.log_reg_lower_inc_gamma(
-        0.5 * k, 0.5 / nu_r
-    )
-    return 1.0 / (1.0 + math.exp(log_ratio))
-
-
 def rich_win_probability(k: int, group: GroupSpec) -> float:
     """Large-population probability that the selected match is data-rich.
 
@@ -210,7 +199,19 @@ def rich_win_probability(k: int, group: GroupSpec) -> float:
     incomplete gammas; all prefactors cancel, so the value depends on the
     group only through (nu_r, nu_p).
     """
-    return _win_probability_from_nu(k, group.nu_r, group.nu_p)
+    _check_dim(k)
+    _check_variance(group.nu_r)
+    _check_variance(group.nu_p)
+    try:
+        log_p_rich, log_p_poor = (
+            specfun.log_reg_lower_inc_gamma(0.5 * k, 0.5 / nu) for nu in (group.nu_r, group.nu_p)
+        )
+    except RuntimeError as exc:  # an incomplete-gamma series did not converge
+        raise NumericError(
+            f"rich_win_probability did not converge at k={k}, "
+            f"nu_r={group.nu_r}, nu_p={group.nu_p}: {exc}"
+        ) from exc
+    return 1.0 / (1.0 + math.exp(log_p_poor - log_p_rich))
 
 
 def rich_win_lower_bound(k: int, group: GroupSpec) -> float:

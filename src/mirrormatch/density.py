@@ -26,7 +26,7 @@ from .quadrature import integrate
 
 _STRETCH_MIN_DIM = 50
 
-_log_bessel_vec = np.vectorize(specfun.log_bessel_i, otypes=[np.float64])
+_log_bessel_vec = specfun.log_bessel_i
 
 
 @dataclass(frozen=True)
@@ -147,15 +147,9 @@ def conditional_mean_r_given_s(params: JointDensityParams, s: float) -> float:
     if not s >= 0.0:
         raise ValueError(f"s must be nonnegative, got {s!r}")
     if s == 0.0:
-        if params.k == 1:
 
-            def log_kernel(r: np.ndarray) -> np.ndarray:
-                return -r * r / (2.0 * params.nu)
-
-        else:
-
-            def log_kernel(r: np.ndarray) -> np.ndarray:
-                return (params.k - 1) * np.log(r) - r * r / (2.0 * params.nu)
+        def log_kernel(r: np.ndarray) -> np.ndarray:
+            return (params.k - 1) * np.log(r) - r * r / (2.0 * params.nu)
 
     else:
 

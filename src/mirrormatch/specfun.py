@@ -1,14 +1,15 @@
-"""Scalar special functions backing the closed-form layer.
+"""Special functions backing the closed-form layer.
 
 Log-scaled variants are provided wherever raw values leave the double
 range: the high-order modified Bessel function and the deep tails of the
-regularized incomplete gamma. Algorithm layout:
+regularized incomplete gamma. ``scipy.special`` does the work where its
+results are representable; log-space power series cover the rest:
 
-* incomplete gamma: power series below the ``x < s + 1`` split,
-  continued fraction (modified Lentz) above it;
-* ``ln I_nu``: log-sum-exp over a peak-windowed power series for
-  ``x <= max(30, nu**2)``, large-argument expansion with optimal
-  truncation beyond.
+* incomplete gamma: power series below the ``x < s + 1`` split, where
+  P(s, x) may underflow; ``log1p(-gammaincc(s, x))`` above it;
+* ``ln I_nu``: ``log(ive(nu, x)) + x``, with a log-sum-exp over a
+  peak-windowed power series where the scaled ``ive`` underflows (x
+  small against nu, or nu in the thousands).
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaincc as _gammaincc
 from scipy.special import gammaln as _gammaln
+from scipy.special import ive as _ive
 
 NEG_INF = float("-inf")
 
 _MAX_ITER = 800
-_EXP_UNDERFLOW = -745.0  # below log(min subnormal double)
+_TINY = np.finfo(np.float64).tiny  # smallest normal double
 
 
 def ln_gamma(x: float) -> float:
@@ -45,59 +48,17 @@ def _log_p_series(s: float, x: float) -> float:
     return s * math.log(x) - x - math.lgamma(s + 1.0) + math.log(total)
 
 
-def _upper_q_cont_frac(s: float, x: float) -> float:
-    # Q(s,x) via the classical continued fraction; valid x >= s+1
-    ax = s * math.log(x) - x - math.lgamma(s)
-    if ax < _EXP_UNDERFLOW:
-        return 0.0
-    big = 4.503599627370496e15
-    biginv = 1.0 / big
-    y = 1.0 - s
-    z = x + y + 1.0
-    c = 0.0
-    p3, q3 = 1.0, x
-    p2, q2 = x + 1.0, z * x
-    ans = p2 / q2
-    for _ in range(_MAX_ITER):
-        c += 1.0
-        y += 1.0
-        z += 2.0
-        yc = y * c
-        p = p2 * z - p3 * yc
-        q = q2 * z - q3 * yc
-        if q != 0.0:
-            nxt = p / q
-            err = abs((ans - nxt) / nxt)
-            ans = nxt
-        else:
-            err = 1.0
-        p3, p2 = p2, p
-        q3, q2 = q2, q
-        if abs(p) > big:
-            p3 *= biginv
-            p2 *= biginv
-            q3 *= biginv
-            q2 *= biginv
-        if err <= 1e-16:
-            return math.exp(ax) * ans
-    raise RuntimeError(f"incomplete gamma continued fraction did not converge at s={s}, x={x}")
-
-
-def _check_inc_gamma_domain(s: float, x: float) -> None:
+def log_reg_lower_inc_gamma(s: float, x: float) -> float:
+    """ln P(s, x); stays finite far into the lower tail where P underflows."""
     if not s > 0:
         raise ValueError(f"incomplete gamma requires s > 0, got {s!r}")
     if not x >= 0:
         raise ValueError(f"incomplete gamma requires x >= 0, got {x!r}")
-
-
-def log_reg_lower_inc_gamma(s: float, x: float) -> float:
-    """ln P(s, x); stays finite far into the lower tail where P underflows."""
-    _check_inc_gamma_domain(s, x)
     if x == 0.0:
         return NEG_INF
     if x < s + 1.0:
         return _log_p_series(s, x)
-    return math.log1p(-_upper_q_cont_frac(s, x))
+    return math.log1p(-float(_gammaincc(s, x)))
 
 
 def _log_i_series(nu: float, x: float) -> float:
@@ -126,40 +87,24 @@ def _log_i_series(nu: float, x: float) -> float:
     raise RuntimeError(f"Bessel series window did not stabilize at nu={nu}, x={x}")
 
 
-def _log_i_large_x(nu: float, x: float) -> float:
-    # I_nu(x) ~ e^x / sqrt(2 pi x) * sum_j term_j with
-    # term_j = term_{j-1} * ((2j-1)^2 - 4 nu^2) / (8 j x); optimal truncation
-    mu = 4.0 * nu * nu
-    total = 1.0
-    term = 1.0
-    for j in range(1, 200):
-        nxt = term * (((2.0 * j - 1.0) ** 2 - mu) / (8.0 * j * x))
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(total)
-
-
-def log_bessel_i(nu: float, x: float) -> float:
+def log_bessel_i(nu: float, x):
     """ln of the modified Bessel function of the first kind, order nu >= -1/2.
 
-    I_nu(0) = 0 for nu > 0, represented as the -inf sentinel (log of
-    zero); callers must handle it. For nu in [-1/2, 0) the x -> 0 limit
-    diverges, represented as +inf.
+    ``x`` is a scalar or an array of any shape; the result has the same
+    shape (a float for a scalar). I_nu(0) = 0 for nu > 0, represented as
+    the -inf sentinel (log of zero); callers must handle it. For nu in
+    [-1/2, 0) the x -> 0 limit diverges, represented as +inf.
     """
     if nu < -0.5:
         raise ValueError(f"log_bessel_i requires nu >= -1/2, got {nu!r}")
-    if not x >= 0:
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x >= 0):
         raise ValueError(f"log_bessel_i requires x >= 0, got {x!r}")
-    if x == 0.0:
-        if nu == 0.0:
-            return 0.0
-        return NEG_INF if nu > 0 else math.inf
-    # the large-argument expansion only decays from its first term once
-    # x exceeds nu^2 / 2; keep the series well past that point
-    if x <= max(30.0, nu * nu):
-        return _log_i_series(nu, x)
-    return _log_i_large_x(nu, x)
+    flat = x.ravel()
+    scaled = _ive(nu, flat)
+    normal = (scaled >= _TINY) & np.isfinite(scaled)
+    out = np.log(np.where(normal, scaled, 1.0)) + flat
+    at_origin = 0.0 if nu == 0.0 else (NEG_INF if nu > 0 else math.inf)
+    for i in np.flatnonzero(~normal):
+        out[i] = at_origin if flat[i] == 0.0 else _log_i_series(nu, float(flat[i]))
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ def density_at_zero(k, nu):
     the unit ball and Z isotropic Gaussian with per-coordinate variance nu."""
     log_value = (
         math.log(0.5 * k) - 0.5 * k * math.log(math.pi) + gammaln(0.5 * k)
-        + math.log(gammainc(0.5 * k, 0.5 / nu))
+        + float(mp.log(mp.gammainc(0.5 * k, 0, 0.5 / nu, regularized=True)))
     )
     return math.exp(log_value)
 
@@ -279,7 +280,11 @@ class TestRichWinProbability:
                 assert analytic.rich_win_probability(k, spec) == pytest.approx(expected, rel=1e-12)
 
     def test_depends_only_on_combined_variances(self):
+        # the rich share of P(k/2, 1/(2 nu)) at nu = nu_r and nu = nu_p
         spec = GroupSpec(0.01, 0.04)
-        direct = analytic._win_probability_from_nu(7, spec.nu_r, spec.nu_p)
-        assert analytic.rich_win_probability(7, spec) == direct
+        p_rich, p_poor = (
+            mp.gammainc(3.5, 0, 0.5 / nu, regularized=True) for nu in (spec.nu_r, spec.nu_p)
+        )
+        expected = float(p_rich / (p_rich + p_poor))
+        assert analytic.rich_win_probability(7, spec) == pytest.approx(expected, rel=1e-12)
 

@@ -297,8 +297,16 @@ class TestMainEntry:
             ("mstar", ["k_grid=100000000", "sigma_grid=0.05"], "k=100000000, variance=0.0025"),
             # the cost at the 10^4-period cap overflows, so the payoff SE is not finite
             ("seqsearch", ["seq_cost_ai_per_period=1e306", "reps=2"], "seq(k=5,regime=ai_platform"),
+            # the incomplete-gamma series of the gamma route runs out of terms near x = s
+            ("mstar", ["k_grid=100000000", "sigma_grid=0.0000708"], "k=100000000, variance=5.01264e-09"),
+            # the same series in the data-rich selection probability
+            (
+                "groups",
+                ["k_grid=100000000", "group_sigma_r2=5e-9", "group_sigma_p2=5.0001e-9", "reps=2", "n=2"],
+                "k=100000000, nu_r=1e-08",
+            ),
         ],
-        ids=["mstar", "seqsearch"],
+        ids=["mstar", "seqsearch", "mstar-series", "groups-series"],
     )
     def test_numeric_failure_names_the_cell(self, tmp_path, capsys, command, overrides, cell):
         code = cli.main([command, "--out", str(tmp_path)] + set_args(overrides))
@@ -383,6 +391,22 @@ def test_float_keys_fuzz(command, values):
         overrides.append(f"{key}={text}")
     with tempfile.TemporaryDirectory() as out:
         code = cli.main([command, "--out", out] + set_args(overrides))
+    assert code in (0, 2, 3)
+
+
+@given(
+    k_grid=st.lists(st.integers(min_value=1, max_value=10**12), min_size=1, max_size=3),
+    sigma_grid=st.lists(EDGE_FLOATS, min_size=1, max_size=3),
+)
+@settings(deadline=None, max_examples=60)
+def test_int_keys_fuzz(k_grid, sigma_grid):
+    # any dimension up to 10^12 at any noise ends in success, a config error or a numeric failure
+    overrides = [
+        "k_grid=" + ",".join(map(str, k_grid)),
+        "sigma_grid=" + ",".join(map(repr, sigma_grid)),
+    ]
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main(["mstar", "--out", out] + set_args(overrides))
     assert code in (0, 2, 3)
 
 
