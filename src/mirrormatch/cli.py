@@ -10,7 +10,8 @@ so reruns are byte-identical under any worker count.
 Each command is a :class:`Command` declaration: a row source and the
 ordered CSV columns evaluated on its rows.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure.
+Exit codes: 0 success, 2 config error (including an unusable ``--out``),
+3 numeric failure (including any other unexpected library error).
 """
 
 from __future__ import annotations
@@ -214,9 +215,11 @@ def parse_config(path: str | Path | None = None, overrides=()) -> ModelConfig:
     items = []
     if path is not None:
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        for lineno, line in enumerate(text.splitlines(), start=1):
             text = line.split("#", 1)[0].strip()
             if text:
                 items.append((f"{path}:{lineno}", text))
@@ -266,6 +269,14 @@ class Command:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         config_hash = cfg.config_hash()
+        # the run directory is made and written to before any compute, so an
+        # unusable --out fails at once
+        run_dir = out_root / config_hash
+        try:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            _write_atomic(run_dir / "config.txt", cfg.canonical_text())
+        except OSError as exc:
+            raise ConfigError(f"{self.name}: --out {str(out_root)!r} is not a usable directory: {exc}") from exc
         header = [(name, meaning.format(cfg=cfg)) for name, meaning, _ in self.columns]
         header.append(("config_hash", "hash of the canonical config"))
         rows = []
@@ -283,9 +294,6 @@ class Command:
             "noise_convention": cfg.noise_convention,
             **self.provenance(metrics),
         }
-        run_dir = out_root / config_hash
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_atomic(run_dir / "config.txt", cfg.canonical_text())
         # header cells are "name: meaning"; comma-free by construction, LF endings
         lines = [",".join(f"{name}: {meaning}" for name, meaning in header)]
         lines += [",".join(_fmt(row[name]) for name, _ in header) for row in rows]
@@ -563,6 +571,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericError, QuadratureError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a library failure no check anticipated
+        print(f"{args.command}: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     for path in result.files:
         print(path)

@@ -1,11 +1,13 @@
 """Population and clone-interaction sampling.
 
 Every operation is a pure function of its :class:`~mirrormatch.streams.StreamKey`:
-calling it twice with the same key returns identical values. The draw
-algorithms are frozen so that golden outputs stay stable, and none of them
-uses a numpy ``Generator`` distribution method (those algorithms are not
-stable across numpy versions); everything is an inverse CDF of the key's
-uniform stream:
+calling it twice with the same key returns identical values. Each call
+draws through :meth:`~mirrormatch.streams.StreamKey.draw`, so the
+generator it sees never leaves the call. The draw algorithms are frozen
+so that golden outputs stay stable, and none of them uses a numpy
+``Generator`` distribution method (those algorithms are not stable across
+numpy versions); everything is an inverse CDF of the key's uniform
+stream:
 
 * standard normals: inverse normal CDF (zero-guarded at 2**-54);
 * chi-square with ``df`` degrees of freedom: for ``df <= 24`` the row sums
@@ -77,10 +79,10 @@ def _ball_radii(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
     return rng.random(count) ** (1.0 / k)
 
 
-def _clone_distances(
-    rng: np.random.Generator, k: int, radii: np.ndarray, rho: float, variance: float
-) -> np.ndarray:
-    count = radii.shape[0]
+def _clone_batch(
+    rng: np.random.Generator, k: int, count: int, rho: float, variance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    radii = _ball_radii(rng, k, count)
     if rho > 0.0:
         g1 = _standard_normals(rng, count)
         axis_norm = np.sqrt(g1 * g1 + _chi_square(rng, k - 1, count))
@@ -91,14 +93,14 @@ def _clone_distances(
     else:
         offset = radii
     along = offset + math.sqrt(variance) * _standard_normals(rng, count)
-    return np.sqrt(along * along + variance * _chi_square(rng, k - 1, count))
+    return radii, np.sqrt(along * along + variance * _chi_square(rng, k - 1, count))
 
 
 def sample_ball_radii(k: int, count: int, stream: StreamKey) -> np.ndarray:
     """Draw the norms of ``count`` points uniform in the k-dimensional unit ball."""
     _check_dim(k)
     _check_count(count)
-    return _ball_radii(stream.generator(), k, count)
+    return stream.draw(_ball_radii, k, count)
 
 
 def sample_noise_norm(k: int, variance: float, stream: StreamKey) -> float:
@@ -106,7 +108,7 @@ def sample_noise_norm(k: int, variance: float, stream: StreamKey) -> float:
     _check_dim(k)
     if not variance > 0:
         raise ValueError(f"variance must be positive, got {variance!r}")
-    return math.sqrt(variance * float(_chi_square(stream.generator(), k, 1)[0]))
+    return math.sqrt(variance * float(stream.draw(_chi_square, k, 1)[0]))
 
 
 def draw_clone_batch(
@@ -139,6 +141,4 @@ def draw_clone_batch(
     else:
         raise ValueError(f"subject_noise_norm must be finite and nonnegative, got {subject_noise_norm!r}")
 
-    rng = stream.generator()
-    radii = _ball_radii(rng, k, count)
-    return radii, _clone_distances(rng, k, radii, rho, variance)
+    return stream.draw(_clone_batch, k, count, rho, variance)

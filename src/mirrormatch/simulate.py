@@ -125,10 +125,6 @@ def resolve_workers(workers: int | None) -> int:
     return count
 
 
-def _rep_key(master_seed: int, label: str, rep: int) -> StreamKey:
-    return StreamKey(master_seed).child(label).child("rep", rep)
-
-
 def _estimate(values: np.ndarray, label: str) -> Estimate:
     reps = values.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -140,7 +136,8 @@ def _estimate(values: np.ndarray, label: str) -> Estimate:
 
 
 def _chunk(rep_fn, args: tuple, label: str, master_seed: int, start: int, stop: int) -> np.ndarray:
-    return np.array([rep_fn(_rep_key(master_seed, label, rep), *args) for rep in range(start, stop)])
+    base = StreamKey(master_seed).child(label)
+    return np.array([rep_fn(base.child("rep", rep), *args) for rep in range(start, stop)])
 
 
 def _replicate(

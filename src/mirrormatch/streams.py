@@ -6,16 +6,59 @@ sees are a pure function of that address: SHA-256 of the address keys a
 counter-based Philox generator. Two runs with the same key produce the
 same stream on any platform and under any worker layout, and distinct
 paths give statistically independent streams.
+
+Deriving a key is cheap. Each key keeps the SHA-256 state of its own
+address, so :meth:`StreamKey.child` copies that prefix and hashes only the
+new ``(label, index)`` element. A Philox stream's whole state is its
+(counter, key) pair, so :meth:`StreamKey.draw` does not build a generator
+per key: it resets one generator per process to ``{counter: 0, key}`` and
+runs ``fn(rng, *args)`` on it, which yields the same bits as
+:meth:`StreamKey.generator`. The rng handed to ``fn`` must not escape
+it, since the next ``draw`` resets it. A ``draw`` made while the shared
+generator is in use (nested inside another ``fn``, or from another
+thread) runs on a fresh :meth:`StreamKey.generator` instead.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import struct
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
 _U64_MAX = 2**64 - 1
+_LABEL_MAX_BYTES = 2**16 - 1  # the label length is hashed as two bytes
+
+
+def _element(label: str, index: int) -> bytes:
+    """The bytes one path element adds to the hashed address, after validating it."""
+    if not isinstance(label, str) or not label:
+        raise ValueError(f"path labels must be non-empty strings, got {label!r}")
+    if not isinstance(index, int) or not 0 <= index <= _U64_MAX:
+        raise ValueError(f"path indices must be 64-bit unsigned integers, got {index!r}")
+    raw = label.encode("utf-8")
+    if len(raw) > _LABEL_MAX_BYTES:
+        raise ValueError(f"path labels must be at most {_LABEL_MAX_BYTES} UTF-8 bytes, got {len(raw)}")
+    return len(raw).to_bytes(2, "little") + raw + index.to_bytes(8, "little")
+
+
+def _new_shared() -> tuple:
+    # a Philox, its Generator, and the state of a newly keyed Philox with its
+    # arrays as lists of ints (cheaper to assign); a reset fills in "key"
+    bits = np.random.Philox(key=0)
+    state = bits.state
+    reset = {
+        **state,
+        "state": {"counter": state["state"]["counter"].tolist(), "key": None},
+        "buffer": state["buffer"].tolist(),
+    }
+    return bits, np.random.Generator(bits), reset
+
+
+_shared_lock = threading.Lock()
+_shared: tuple | None = None  # built by the first draw of the process
 
 
 @dataclass(frozen=True)
@@ -24,35 +67,56 @@ class StreamKey:
 
     master_seed: int
     path: tuple[tuple[str, int], ...] = ()
+    _prefix: object = field(init=False, repr=False, compare=False)  # SHA-256 of the address
 
     def __post_init__(self) -> None:
         if not isinstance(self.master_seed, int) or not 0 <= self.master_seed <= _U64_MAX:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
-        for element in self.path:
-            label, index = element
-            if not isinstance(label, str) or not label:
-                raise ValueError(f"path labels must be non-empty strings, got {label!r}")
-            if not isinstance(index, int) or not 0 <= index <= _U64_MAX:
-                raise ValueError(f"path indices must be 64-bit unsigned integers, got {index!r}")
+        prefix = hashlib.sha256(self.master_seed.to_bytes(8, "little"))
+        for label, index in self.path:
+            prefix.update(_element(label, index))
+        object.__setattr__(self, "_prefix", prefix)
+
+    def __reduce__(self):
+        # a hash object does not pickle; the address rebuilds it
+        return StreamKey, (self.master_seed, self.path)
 
     def child(self, label: str, index: int = 0) -> "StreamKey":
         """Derive the sub-stream named (label, index)."""
-        return StreamKey(self.master_seed, self.path + ((label, index),))
+        prefix = self._prefix.copy()
+        prefix.update(_element(label, index))
+        # skips __init__: this key's address is already validated and hashed
+        key = object.__new__(StreamKey)
+        vars(key).update(master_seed=self.master_seed, path=self.path + ((label, index),), _prefix=prefix)
+        return key
 
-    def _digest(self) -> bytes:
-        h = hashlib.sha256()
-        h.update(self.master_seed.to_bytes(8, "little"))
-        for label, index in self.path:
-            raw = label.encode("utf-8")
-            h.update(len(raw).to_bytes(2, "little"))
-            h.update(raw)
-            h.update(index.to_bytes(8, "little"))
-        return h.digest()
+    def _words(self) -> tuple[int, int]:
+        # the first 16 digest bytes as two native-order words
+        return struct.unpack_from("=2Q", self._prefix.digest())
 
     def philox_key(self) -> np.ndarray:
         """Two uint64 words keying the Philox counter stream."""
-        return np.frombuffer(self._digest()[:16], dtype=np.uint64).copy()
+        return np.array(self._words(), dtype=np.uint64)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this key's stream."""
         return np.random.Generator(np.random.Philox(key=self.philox_key()))
+
+    def draw(self, fn, *args):
+        """Return ``fn(rng, *args)`` with ``rng`` at the start of this key's stream.
+
+        ``rng`` is the process's shared generator, reset to this key; it
+        must not be kept or returned by ``fn``.
+        """
+        global _shared
+        if not _shared_lock.acquire(blocking=False):
+            return fn(self.generator(), *args)
+        try:
+            if _shared is None:
+                _shared = _new_shared()
+            bits, rng, state = _shared
+            state["state"]["key"] = self._words()
+            bits.state = state
+            return fn(rng, *args)
+        finally:
+            _shared_lock.release()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -313,6 +314,30 @@ class TestMainEntry:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and cell in err
+
+    def test_unusable_out_fails_before_compute(self, tmp_path, capsys, monkeypatch):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before --out was checked")
+
+        monkeypatch.setattr(analytic, "ai_equivalent_bound", no_compute)
+        out = tmp_path / "a-file"
+        out.write_text("")
+        code = cli.main(["mstar", "--out", str(out), "--set", "k_grid=1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mstar: --out ") and "Traceback" not in err
+
+    def test_unexpected_library_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(cfg, workers):
+            raise MemoryError("cannot allocate the pool")
+            yield
+
+        command = dataclasses.replace(cli.COMMANDS["table1"], rows=out_of_memory)
+        monkeypatch.setitem(cli.COMMANDS, "table1", command)
+        code = cli.main(["table1", "--out", str(tmp_path)] + set_args(TINY))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("table1: unexpected MemoryError") and "cannot allocate" in err
 
     def test_paper_scale_flag_changes_identity(self, tmp_path):
         base = parse_config(None, [])

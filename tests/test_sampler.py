@@ -1,11 +1,14 @@
 import math
+import pickle
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mirrormatch import sampler, simulate
+from mirrormatch import sampler, simulate, streams
 from mirrormatch.streams import StreamKey
 
 
@@ -67,13 +70,146 @@ class TestStreamKey:
             StreamKey(0).child("")
         with pytest.raises(ValueError):
             StreamKey(0).child("x", -3)
+        with pytest.raises(ValueError):
+            StreamKey(0).child("x" * 2**16)  # its length does not fit the two hashed bytes
+
+    # Philox key words and first uniforms (float.hex) of a few keys; any
+    # change to the key derivation breaks these
+    GOLDEN = [
+        (
+            StreamKey(0),
+            (0x7A0B81A1F57055AF, 0x0F660AC74BAF8CF7),
+            ("0x1.ed671aed29408p-2", "0x1.94d192dedc8dep-2", "0x1.921238402481cp-1", "0x1.be40ef86e22aep-2"),
+        ),
+        (
+            StreamKey(1234).child("d_ai(k=5,n=10,mode=per-interaction)").child("rep", 7).child("pool"),
+            (0xF4AC1BDDB75EAD44, 0xD1A62BA35E1E45FD),
+            ("0x1.b031a8e2baa5ep-2", "0x1.30ebbada457c8p-2", "0x1.e2e1d8b2ccaf0p-1", "0x1.a3365aa0e6690p-4"),
+        ),
+        (
+            StreamKey(2**64 - 1).child("σ²-clône", 3),
+            (0xE2C860FFA80F8F23, 0xBD11BF573D8629D6),
+            ("0x1.130175befdea9p-1", "0x1.b3a4c65ee7ffcp-3", "0x1.eccb891ef7559p-1", "0x1.c5b8dbed3eb46p-2"),
+        ),
+        (
+            StreamKey(42).child("rep", 2**64 - 1),
+            (0x355A646A9F73CE94, 0x619163E3595F166A),
+            ("0x1.391f00f8ebecdp-1", "0x1.394e43dc3d022p-2", "0x1.fca8efaff00d0p-5", "0x1.798bfd9a2a5ecp-2"),
+        ),
+    ]
 
     def test_golden_uniforms(self):
-        # freezes the Philox keying; any change to the derivation breaks this
-        first = StreamKey(0).child("golden").generator().random(3)
-        again = StreamKey(0).child("golden").generator().random(3)
-        assert np.array_equal(first, again)
-        assert np.all((first >= 0) & (first < 1))
+        for stream, words, uniforms in self.GOLDEN:
+            assert tuple(int(w) for w in stream.philox_key()) == words, stream
+            expected = [float.fromhex(u) for u in uniforms]
+            assert stream.generator().random(4).tolist() == expected, stream
+            # the cached prefix and a key built from the whole path agree
+            rebuilt = StreamKey(stream.master_seed, stream.path)
+            assert tuple(int(w) for w in rebuilt.philox_key()) == words, stream
+
+    def test_equality_hash_and_repr(self):
+        a = StreamKey(5).child("x", 2)
+        b = StreamKey(5, (("x", 2),))
+        assert a == b and hash(a) == hash(b)
+        assert a != StreamKey(5).child("x", 3) and a != StreamKey(6).child("x", 2)
+        assert repr(a) == "StreamKey(master_seed=5, path=(('x', 2),))"
+
+    def test_pickle_round_trip(self):
+        a = StreamKey(11).child("rep", 9).child("pool")
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and hash(b) == hash(a)
+        assert np.array_equal(b.philox_key(), a.philox_key())
+        assert b.child("block", 1) == a.child("block", 1)
+        assert np.array_equal(b.child("block", 1).philox_key(), a.child("block", 1).philox_key())
+
+
+def pool_keys(count=40):
+    base = StreamKey(99).child("shared")
+    return [base.child("rep", i) for i in range(count)]
+
+
+class TestSharedDraw:
+    # StreamKey.draw resets one generator per process instead of building one
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda s: sampler.sample_ball_radii(3, 17, s),
+            lambda s: np.array([sampler.sample_noise_norm(30, 0.2, s)]),
+            lambda s: np.concatenate(sampler.draw_clone_batch(4, 9, 0.01, 0.02, stream=s)),
+            lambda s: np.concatenate(sampler.draw_clone_batch(40, 9, 0.01, 0.02, 0.3, stream=s)),
+        ],
+        ids=["ball", "noise-norm", "clone-per-interaction", "clone-fixed-subject"],
+    )
+    def test_draw_matches_fresh_generator(self, entry, monkeypatch):
+        shared = [entry(s) for s in pool_keys()]
+        # the same entry point on a fresh generator per key
+        monkeypatch.setattr(StreamKey, "draw", lambda self, fn, *args: fn(self.generator(), *args))
+        fresh = [entry(s) for s in pool_keys()]
+        for a, b in zip(shared, fresh):
+            assert a.tobytes() == b.tobytes()
+
+    def test_golden_uniforms(self):
+        for stream, _, uniforms in TestStreamKey.GOLDEN:
+            expected = [float.fromhex(u) for u in uniforms]
+            assert stream.draw(lambda rng: rng.random(4)).tolist() == expected, stream
+
+    def test_reset_after_partial_use(self):
+        # a dirty generator (buffered 32-bit half, advanced counter) resets cleanly
+        first, second = pool_keys(2)
+
+        def dirty(rng):
+            rng.integers(0, 2**32, size=3, dtype=np.uint32)
+            return rng.random(5)
+
+        first.draw(dirty)
+        expected = second.generator().random(5000)
+        assert second.draw(lambda rng: rng.random(5000)).tobytes() == expected.tobytes()
+
+    def test_one_shared_generator(self):
+        first, second = pool_keys(2)
+        # identity only; draw's callers never let the generator escape
+        assert first.draw(lambda rng: rng) is second.draw(lambda rng: rng)
+
+    def test_nested_draw_does_not_alias(self):
+        outer, inner = pool_keys(2)
+
+        def nested(rng):
+            head = rng.random(3)
+            middle = inner.draw(lambda r: r.random(4))
+            return head, middle, rng.random(3)
+
+        head, middle, tail = outer.draw(nested)
+        assert np.concatenate([head, tail]).tobytes() == outer.generator().random(6).tobytes()
+        assert middle.tobytes() == inner.generator().random(4).tobytes()
+
+    def test_exception_releases_shared_generator(self):
+        first, second = pool_keys(2)
+
+        def fail(rng):
+            raise RuntimeError("inside fn")
+
+        with pytest.raises(RuntimeError):
+            first.draw(fail)
+        assert not streams._shared_lock.locked()
+        shared = first.draw(lambda rng: rng)
+        assert second.draw(lambda rng: rng) is shared  # still the shared path
+
+    def test_concurrent_draws(self):
+        # more threads than cores, switching often: a draw that reset the
+        # generator under another thread's fn would change that thread's bits
+        def piecewise(rng):
+            return np.concatenate([rng.random(3) for _ in range(40)]).tobytes()
+
+        keys = pool_keys(200)
+        expected = [piecewise(k.generator()) for k in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda k: k.draw(piecewise), keys, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
 
 
 class TestUnitBall:

@@ -97,6 +97,33 @@ class TestEstimateDAi:
         assert 0.0 < est.mean <= 1.0
 
 
+def every_estimator(workers):
+    policy = SeqSearchPolicy(simulate.AI_PLATFORM, StopWhenBestBelow(0.6, 700))
+    return [
+        simulate.estimate_d_ip(3, 2, 40, SEED, workers=workers),
+        simulate.estimate_d_ai(30, 16, 0.01, 40, simulate.FIXED_SUBJECT_CLONE, SEED, workers=workers),
+        simulate.coupled_monotonicity_test(2, 0.01, 16, 40, SEED, workers=workers),
+        simulate.estimate_group_win_rate(2, GroupSpec(0.01, 0.04), 16, 40, SEED, workers=workers),
+        simulate.evaluate_seq_policy(3, 0.01, policy, 40, SEED, workers=workers),
+    ]
+
+
+class TestSharedGeneratorAcrossWorkers:
+    # StreamKey.draw resets one generator per process; forked workers
+    # inherit whatever state the parent left in it
+    def test_workers_agree_after_parent_drew(self):
+        StreamKey(1).draw(lambda rng: rng.random(3))  # parent's shared generator mid-stream
+        serial = every_estimator(1)
+        StreamKey(2).draw(lambda rng: rng.integers(0, 2**32, size=3, dtype=np.uint32))
+        assert every_estimator(2) == serial
+
+    def test_workers_forked_inside_a_draw(self):
+        # the parent holds the shared generator while the pool forks, so
+        # every draw in parent and workers takes the fresh-generator path
+        serial = every_estimator(1)
+        assert StreamKey(1).draw(lambda rng: every_estimator(2)) == serial
+
+
 class TestCoupledMonotonicity:
     def test_grid(self):
         assert simulate.monotonicity_grid(64) == [1, 2, 4, 8, 16, 32, 64]
