@@ -9,9 +9,10 @@ twice -- through regularized incomplete-gamma identities and through
 direct log-space quadrature -- and the two routes must agree to 1e-8;
 disagreement raises rather than returning a number.
 
-All ratios of integrals with kernels r^(k-1) exp(-r^2/(4 sigma2)) are
-computed in log space (max-subtracted), since the raw integrand
-underflows already around k=150 at sigma=0.05.
+Both routes hold at any k. The gamma route takes the ratio from the two
+incomplete-gamma series sums wherever ln P is large; the quadrature
+route integrates r^(k-1) exp(-r^2/(4 sigma2)) divided by its peak value,
+over panels bracketing the peak (``_knots``, shared with ``density``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import poch
 
 from . import specfun
 from .quadrature import integrate
@@ -27,6 +29,7 @@ from .quadrature import integrate
 _REL_AGREEMENT = 1e-8  # required match between the two d_ai_infinity routes
 _TIE_EPS = 1e-12  # boundary rule for the AI-equivalent sample size
 _SEARCH_LIMIT = 10**15  # exact-integer search range for the sample size
+_KNOT_WIDTHS = (1.0, 8.0, 64.0)  # panel knots, in Laplace widths from the peak
 
 
 class NumericError(RuntimeError):
@@ -100,39 +103,52 @@ def d_ip2_identity(k: int) -> float:
 
 
 def _d_ai_infinity_gamma(k: int, variance: float) -> float:
-    # ratio of lower incomplete gamma values: 2 sigma * g((k+1)/2, X) / g(k/2, X)
+    # 2 sigma * g(a, X) / g(b, X), a = (k+1)/2, b = k/2, for the lower incomplete
+    # gamma g(s, X) = P(s, X) Gamma(s) = X^s e^-X M(s, X) / s; below X = a + 1
+    # the ratio comes from the series sums M, since there ln P can be so large
+    # that a difference of two loses eps * |ln P| to cancellation
     x = 1.0 / (4.0 * variance)
-    log_ratio = (
-        specfun.log_reg_lower_inc_gamma(0.5 * (k + 1), x)
-        - specfun.log_reg_lower_inc_gamma(0.5 * k, x)
-        + specfun.ln_gamma(0.5 * (k + 1))
-        - specfun.ln_gamma(0.5 * k)
-    )
+    a, b = 0.5 * (k + 1), 0.5 * k
+    if x < a + 1.0:
+        log_m = specfun._log_m_series(a, x) - specfun._log_m_series(b, x)
+        log_ratio = 0.5 * math.log(x) + math.log(b / a) + log_m
+    else:
+        log_p = specfun.log_reg_lower_inc_gamma(a, x) - specfun.log_reg_lower_inc_gamma(b, x)
+        log_ratio = log_p + math.log(poch(b, 0.5))
     return 2.0 * math.sqrt(variance) * math.exp(log_ratio)
 
 
+def _knots(peak: float, width: float) -> list[float]:
+    # panel ends in u = (r - peak) / width over r in (0, 1]: the peak's panel
+    # spans one width either side, and the geometric spacing keeps every tail
+    # panel's nearest node within reach of the tail's mass
+    lo, hi = -peak / width, (1.0 - peak) / width
+    inner = {sign * d for d in _KNOT_WIDTHS for sign in (-1.0, 1.0)}
+    return sorted({lo, hi} | {u for u in inner if lo < u < hi})
+
+
+def _radial_rows(k: int, x: float):
+    # rows (w, u w) in u = (r - peak) / width of w = r^(k-1) exp(-x r^2) on
+    # (0, 1], 1 at the peak; peak and Laplace width in closed form, the slope
+    # setting the width of a peak against r = 1
+    peak = min(1.0, math.sqrt((k - 1) / (2.0 * x)))
+    width = 1.0 / max(k - 1 - 2.0 * x, 2.0 * math.sqrt(x))
+
+    def rows(u: np.ndarray) -> np.ndarray:
+        du = width * u
+        w = np.exp(-x * du * (2.0 * peak + du) + ((k - 1) * np.log1p(du / peak) if k > 1 else 0.0))
+        return np.array((w, u * w))
+
+    return rows, peak, width
+
+
 def _d_ai_infinity_quadrature(k: int, variance: float) -> float:
-    # direct ratio of integral_0^1 r^p exp(-X r^2) dr for p = k and k-1,
-    # each integral max-subtracted in log space before quadrature
-    x = 1.0 / (4.0 * variance)
-    r_cut = min(1.0, math.sqrt(2.0 * variance) * (math.sqrt(k) + 10.0))
-
-    def shifted_integral(p: int) -> tuple[float, float]:
-        if p == 0:
-            peak_log = 0.0
-        else:
-            r_star = min(r_cut, math.sqrt(p / (2.0 * x)))
-            peak_log = p * math.log(r_star) - x * r_star * r_star
-        value = integrate(lambda r: np.exp(p * np.log(r) - x * r * r - peak_log), 0.0, r_cut)
-        return peak_log, value
-
-    peak_num, q_num = shifted_integral(k)
-    peak_den, q_den = shifted_integral(k - 1)
-    if not q_den > 0.0:
-        raise NumericError(
-            f"d_ai_infinity quadrature denominator is {q_den!r} at k={k}, variance={variance}"
-        )
-    return math.exp(peak_num - peak_den) * q_num / q_den
+    # the ratio of integral_0^1 r^p exp(-X r^2) dr for p = k over p = k - 1,
+    # both in one adaptive pass per panel bracketing the kernel's peak
+    rows, peak, width = _radial_rows(k, 1.0 / (4.0 * variance))
+    knots = _knots(peak, width)
+    total, weighted = sum(integrate(rows, a, b) for a, b in zip(knots, knots[1:]))
+    return peak + width * float(weighted / total)
 
 
 def d_ai_infinity(k: int, noise_variance_per_clone: float) -> float:
@@ -148,8 +164,6 @@ def d_ai_infinity(k: int, noise_variance_per_clone: float) -> float:
     try:
         value = _d_ai_infinity_gamma(k, noise_variance_per_clone)
         check = _d_ai_infinity_quadrature(k, noise_variance_per_clone)
-    except NumericError:
-        raise
     except RuntimeError as exc:  # an incomplete-gamma series or the quadrature did not converge
         raise NumericError(
             f"d_ai_infinity did not converge at k={k}, variance={noise_variance_per_clone}: {exc}"

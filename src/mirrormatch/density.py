@@ -7,11 +7,12 @@ S / sqrt(nu) follows a noncentral chi law with dimension k and
 noncentrality r / sqrt(nu); the Bessel order is fixed to k/2 - 1
 throughout, the order required for that density to normalize.
 
-Everything is evaluated in log space, and the posterior integrals behind
-the conditional mean m(s) = E[R : S = s] subtract the scanned maximum of
-the log kernel before quadrature. For k >= 50 the integration variable
-is stretched by a tanh map that clusters nodes against r = 1, where the
-posterior mass collapses in high dimension.
+Everything is evaluated in log space. The posterior mean
+m(s) = E[R : S = s] is a ratio of two integrals over r in (0, 1] of one
+kernel, taken in one adaptive pass in u = (r - peak) / width with the
+kernel divided by its peak value, over ``analytic._knots``'s panels (1, 8
+and 64 Laplace widths from the peak), so the same rule holds at any k,
+including k in the millions where the mass sits within ~1/k of r = 1.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
-from .quadrature import integrate
+from . import analytic, specfun
+from .quadrature import DEFAULT_ABS_TOL, integrate
 
-_STRETCH_MIN_DIM = 50
+_R_MIN = 1e-12  # left end of the peak search, clear of log(0)
 
 _log_bessel_vec = specfun.log_bessel_i
 
@@ -77,63 +78,29 @@ def joint_log_density(params: JointDensityParams, r: float, s: float) -> float:
     return value
 
 
-def _posterior_mean(params: JointDensityParams, log_kernel) -> float:
-    # m = int r w(r) dr / int w(r) dr with w = exp(log_kernel), max-subtracted;
-    # for large k integrate in a tanh-stretched variable clustering at r = 1
-    if params.k >= _STRETCH_MIN_DIM:
-        a = math.log(params.k)
-        tanh_a = math.tanh(a)
-
-        def to_r(v: np.ndarray) -> np.ndarray:
-            return np.tanh(a * v) / tanh_a
-
-        def log_jacobian(v: np.ndarray) -> np.ndarray:
-            return math.log(a / tanh_a) + 2.0 * _log_sech(a * v)
-
-    else:
-
-        def to_r(v: np.ndarray) -> np.ndarray:
-            return v
-
-        def log_jacobian(v: np.ndarray) -> np.ndarray:
-            return np.zeros_like(v)
-
-    v_scan = np.linspace(1e-9, 1.0 - 1e-12, 512)
-    scanned = log_kernel(to_r(v_scan)) + log_jacobian(v_scan)
-    peak_index = int(np.argmax(scanned))
-    shift = float(scanned[peak_index])
-
-    def weight(v: np.ndarray) -> np.ndarray:
-        return np.exp(log_kernel(to_r(v)) + log_jacobian(v) - shift)
-
-    # split at knots bracketing the scanned peak so a narrow spike always
-    # sits against a panel boundary and cannot be skipped by early panel
-    # agreement
-    spacing = float(v_scan[1] - v_scan[0])
-    v_peak = float(v_scan[peak_index])
-    knots = sorted(
-        {0.0, 1.0}
-        | {
-            min(1.0, max(0.0, v_peak + offset * spacing))
-            for offset in (-4.0, -1.0, 1.0, 4.0)
-        }
-    )
-    # max-subtraction leaves relative noise ~ eps * |shift| in the weights;
-    # demanding tolerances below that floor cannot converge
-    tol = max(1e-12, 8.0 * np.finfo(float).eps * (1.0 + abs(shift)))
-    total = 0.0
-    weighted = 0.0
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        if hi - lo <= 0.0:
-            continue
-        total += integrate(weight, lo, hi, abs_tol=tol)
-        weighted += integrate(lambda v: to_r(v) * weight(v), lo, hi, abs_tol=tol)
-    return weighted / total
+def _laplace_peak(log_kernel) -> tuple[float, float, float]:
+    # zoom a grid on (0, 1] onto the maximum of the unimodal log kernel g until
+    # the grid resolves it; returns the peak, the Laplace width 1/sqrt(-g'')
+    # (or 1/g' against r = 1, at most 1) and g at the peak
+    lo, hi, last = _R_MIN, 1.0, 16  # 17 grid points per zoom level
+    while True:
+        r = np.linspace(lo, hi, last + 1)
+        g = log_kernel(r)
+        i = int(np.argmax(g))
+        h = r[1] - r[0]
+        if g[i] - g[max(i - 1, 0) : i + 2].min() <= 2.0 or h <= 4.0 * np.spacing(r[i]):
+            j = min(max(i, 1), last - 1)
+            curvature = (2.0 * g[j] - g[j - 1] - g[j + 1]) / (h * h)
+            slope = (g[last] - g[last - 1]) / h if i == last else 0.0
+            return float(r[i]), 1.0 / math.sqrt(max(curvature, slope * slope, 1.0)), float(g[i])
+        lo, hi = r[max(i - 1, 0)], r[min(i + 1, last)]
 
 
-def _log_sech(y: np.ndarray) -> np.ndarray:
-    # log(2) - y - log1p(exp(-2y)), stable for y >= 0
-    return math.log(2.0) - y - np.log1p(np.exp(-2.0 * y))
+def _posterior_mean(rows, peak: float, width: float, tol: float = DEFAULT_ABS_TOL) -> float:
+    # peak + width * int u w / int w, both rows in one adaptive pass per panel
+    knots = analytic._knots(peak, width)
+    total, weighted = sum(integrate(rows, a, b, abs_tol=tol) for a, b in zip(knots, knots[1:]))
+    return peak + width * float(weighted / total)
 
 
 def conditional_mean_r_given_s(params: JointDensityParams, s: float) -> float:
@@ -147,16 +114,17 @@ def conditional_mean_r_given_s(params: JointDensityParams, s: float) -> float:
     if not s >= 0.0:
         raise ValueError(f"s must be nonnegative, got {s!r}")
     if s == 0.0:
+        return _posterior_mean(*analytic._radial_rows(params.k, 0.5 / params.nu))
+    peak, width, shift = _laplace_peak(lambda r: _joint_log_density_arr(params, r, s))
 
-        def log_kernel(r: np.ndarray) -> np.ndarray:
-            return (params.k - 1) * np.log(r) - r * r / (2.0 * params.nu)
+    def rows(u: np.ndarray) -> np.ndarray:
+        w = np.exp(_joint_log_density_arr(params, peak + width * u, s) - shift)
+        return np.array((w, u * w))
 
-    else:
-
-        def log_kernel(r: np.ndarray) -> np.ndarray:
-            return _joint_log_density_arr(params, r, s)
-
-    return _posterior_mean(params, log_kernel)
+    # the log density sums terms of size ~ k + s^2/nu, which leave that many eps
+    # of rounding noise in w; a tolerance below that floor cannot converge
+    noise = np.finfo(float).eps * (params.k + s * s / params.nu)
+    return _posterior_mean(rows, peak, width, max(DEFAULT_ABS_TOL, 8.0 * noise))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ range: the high-order modified Bessel function and the deep tails of the
 regularized incomplete gamma. ``scipy.special`` does the work where its
 results are representable; log-space power series cover the rest:
 
-* incomplete gamma: power series below the ``x < s + 1`` split, where
-  P(s, x) may underflow; ``log1p(-gammaincc(s, x))`` above it;
+* incomplete gamma: below the ``x < s + 1`` split, where P(s, x) may
+  underflow and ``gammainc`` loses digits once s is large, a power
+  series with a cancellation-free prefactor; ``log1p(-gammaincc(s, x))``
+  above it;
 * ``ln I_nu``: ``log(ive(nu, x)) + x``, with a log-sum-exp over a
   peak-windowed power series where the scaled ``ive`` underflows (x
   small against nu, or nu in the thousands).
@@ -23,7 +25,7 @@ from scipy.special import ive as _ive
 
 NEG_INF = float("-inf")
 
-_MAX_ITER = 800
+_MAX_TERMS = 2**20  # incomplete-gamma series terms: enough near x = s up to s ~ 1e10
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
 
 
@@ -34,18 +36,33 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _log_p_series(s: float, x: float) -> float:
-    # P(s,x) = x^s e^-x / Gamma(s+1) * sum_n prod_{j<=n} x/(s+j); valid x < s+1
-    total = 1.0
-    term = 1.0
-    for n in range(1, _MAX_ITER):
-        term *= x / (s + n)
-        total += term
-        if term < total * 1e-17:
-            break
-    else:
-        raise RuntimeError(f"incomplete gamma series did not converge at s={s}, x={x}")
-    return s * math.log(x) - x - math.lgamma(s + 1.0) + math.log(total)
+def _log_p_prefactor(s: float, x: float) -> float:
+    # ln(x^s e^-x / Gamma(s+1)); above s = 100 as -s (d - ln(1 + d)) - ln(2 pi s)/2
+    # - r(s), d = x/s - 1, r Stirling's remainder, without the cancellation
+    # between s ln x, x and ln Gamma(s+1) that costs eps * s ln s near x = s
+    if s < 100.0:
+        return s * math.log(x) - x - math.lgamma(s + 1.0)
+    d = (x - s) / s
+    log_ratio = math.log1p(d) if d > -0.5 else math.log(x) - math.log(s)
+    rest = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * s * s)) / (s * s)) / s
+    return -s * (d - log_ratio) - 0.5 * math.log(2.0 * math.pi * s) - rest
+
+
+def _log_m_series(s: float, x: float) -> float:
+    # ln M(s, x), M = sum_{n>=0} prod_{j<=n} x/(s+j), so that
+    # P(s, x) = x^s e^-x M(s, x) / Gamma(s+1); for x < s + 1 the terms fall
+    # from the start, yet at x = s they stay above 1e-17 for ~9 sqrt(s) terms,
+    # so they are summed in chunks of doubling length up to _MAX_TERMS
+    total, term, n = 1.0, 1.0, 0
+    while term >= total * 1e-17:
+        if n >= _MAX_TERMS:
+            raise RuntimeError(f"incomplete gamma series did not converge at s={s}, x={x}")
+        chunk = max(64, n)
+        terms = term * np.cumprod(x / (s + np.arange(n + 1.0, n + chunk + 1.0)))
+        total += float(terms.sum())
+        term = float(terms[-1])
+        n += chunk
+    return math.log(total)
 
 
 def log_reg_lower_inc_gamma(s: float, x: float) -> float:
@@ -57,7 +74,7 @@ def log_reg_lower_inc_gamma(s: float, x: float) -> float:
     if x == 0.0:
         return NEG_INF
     if x < s + 1.0:
-        return _log_p_series(s, x)
+        return _log_p_prefactor(s, x) + _log_m_series(s, x)
     return math.log1p(-float(_gammaincc(s, x)))
 
 

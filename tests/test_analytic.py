@@ -147,6 +147,23 @@ class TestDAiInfinity:
             for later in (k, 2 * k, 4 * k):
                 assert analytic.d_ai_infinity(later, variance) > analytic.d_ip2_identity(later)
 
+    @pytest.mark.parametrize(
+        "k, variance",
+        [(14693, v) for v in (1e-4, 0.0025, 0.01, 0.09)]
+        + [(20000, 0.005**2), (20000, 0.0025), (10**6, 0.0025), (10**6, 0.05)],
+    )
+    def test_large_k_against_mpmath(self, k, variance):
+        # the ratio of lower incomplete gammas in 35-digit arithmetic; both
+        # routes have to agree for d_ai_infinity to return
+        x = 1 / (4 * mp.mpf(variance))
+        ref = float(
+            2 * mp.sqrt(mp.mpf(variance))
+            * mp.gammainc(mp.mpf(k + 1) / 2, 0, x)
+            / mp.gammainc(mp.mpf(k) / 2, 0, x)
+        )
+        assert analytic.d_ai_infinity(k, variance) == pytest.approx(ref, rel=1e-10)
+        assert analytic._d_ai_infinity_quadrature(k, variance) == pytest.approx(ref, rel=1e-10)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             analytic.d_ai_infinity(1, 0.0)

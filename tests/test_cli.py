@@ -294,17 +294,24 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "command, overrides, cell",
         [
-            # both shifted quadrature integrals of d_ai_infinity underflow to 0.0
-            ("mstar", ["k_grid=100000000", "sigma_grid=0.05"], "k=100000000, variance=0.0025"),
+            # no sample size up to the 10^15 search limit beats the platform
+            ("mstar", ["k_grid=2", "sigma_grid=1e-12"], "k=2, variance=1e-24"),
             # the cost at the 10^4-period cap overflows, so the payoff SE is not finite
             ("seqsearch", ["seq_cost_ai_per_period=1e306", "reps=2"], "seq(k=5,regime=ai_platform"),
-            # the incomplete-gamma series of the gamma route runs out of terms near x = s
-            ("mstar", ["k_grid=100000000", "sigma_grid=0.0000708"], "k=100000000, variance=5.01264e-09"),
+            # near x = s the incomplete-gamma series of the gamma route needs more
+            # than its 2^20 terms once s is far above 1e10
+            ("mstar", ["k_grid=100000000000000", "sigma_grid=7.0711e-8"], "k=100000000000000, variance=5.0000455"),
             # the same series in the data-rich selection probability
             (
                 "groups",
-                ["k_grid=100000000", "group_sigma_r2=5e-9", "group_sigma_p2=5.0001e-9", "reps=2", "n=2"],
-                "k=100000000, nu_r=1e-08",
+                [
+                    "k_grid=100000000000000",
+                    "group_sigma_r2=5.00001e-15",
+                    "group_sigma_p2=5.00002e-15",
+                    "reps=2",
+                    "n=2",
+                ],
+                "k=100000000000000, nu_r=1.000002e-14",
             ),
         ],
         ids=["mstar", "seqsearch", "mstar-series", "groups-series"],
@@ -314,6 +321,16 @@ class TestMainEntry:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and cell in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [["k_grid=14693", "sigma_grid=0.05"], ["k_grid=1000000", "sigma_grid=0.05"]],
+        ids=["k14693", "k1e6"],
+    )
+    def test_large_k_mstar_succeeds(self, tmp_path, capsys, overrides):
+        # at large k the quadrature's mass sits within ~1/k of r = 1
+        assert cli.main(["mstar", "--out", str(tmp_path)] + set_args(overrides)) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unusable_out_fails_before_compute(self, tmp_path, capsys, monkeypatch):
         def no_compute(*args, **kwargs):

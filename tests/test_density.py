@@ -164,6 +164,26 @@ class TestConditionalMean:
             other = analytic.d_ai_infinity(k, nu / 2.0)
             assert abs(mine - other) <= 1e-6 * other, (k, nu)
 
+    @pytest.mark.parametrize("k", [10**4, 10**6])
+    def test_matches_saturated_platform_value_high_dim(self, k):
+        for nu in (0.005, 0.05, 0.5):
+            mine = conditional_mean_r_given_s(JointDensityParams(k, nu), 0.0)
+            assert mine == pytest.approx(analytic.d_ai_infinity(k, nu / 2.0), rel=1e-12), nu
+
+    @pytest.mark.parametrize("k", [10**6, 10**8])
+    def test_finite_bounded_monotone_high_dim(self, k):
+        for nu in (0.005, 0.05):
+            params = JointDensityParams(k, nu)
+            center = math.sqrt(k * nu)
+            grid = [0.0] + [f * center for f in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 3.0)]
+            values = [conditional_mean_r_given_s(params, s) for s in grid]
+            assert all(math.isfinite(v) and 0.0 < v <= 1.0 for v in values), (nu, values)
+            # the posterior mass sits within ~1/k of r = 1, so the steps are
+            # ~1e-15 at k = 1e8; allow a few ulps of 1
+            for a, b in zip(values, values[1:]):
+                assert b >= a - 1e-15, (nu, values)
+            assert values[-1] > values[0], (nu, values)
+
     def test_large_s_saturates(self):
         # oracle: boundary-layer (saddle) analysis of the posterior kernel at
         # r = 1: mass ~ exp(-lambda (1 - r)), so m(s) = 1 - 1/lambda + O(1/lambda^2)

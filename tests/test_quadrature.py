@@ -32,6 +32,19 @@ def test_boundary_layer():
     assert integrate(lambda r: r**k, 0.0, 1.0) == pytest.approx(1.0 / (k + 1), rel=1e-9)
 
 
+def test_stacked_rows_equal_scalar_integrals():
+    # the smooth row 0 converges at once; the spike in row 1 forces refinement,
+    # which both rows share, and every row must meet the tolerance
+    smooth = lambda r: r * np.cos(7 * r)
+    spike = lambda r: np.exp(-((r - 0.3) ** 2) / 2e-6)
+    both = integrate(lambda r: np.array((smooth(r), spike(r))), 0.0, 1.0)
+    assert both.shape == (2,)
+    assert both[0] == pytest.approx(integrate(smooth, 0.0, 1.0), abs=1e-12)
+    assert both[1] == pytest.approx(integrate(spike, 0.0, 1.0), abs=1e-12)
+    assert both[0] == pytest.approx(math.cos(7) / 49 + math.sin(7) / 7 - 1 / 49, abs=1e-13)
+    assert both[1] == pytest.approx(math.sqrt(2 * math.pi) * 1e-3, rel=1e-10)
+
+
 def test_invalid_bounds():
     with pytest.raises(ValueError):
         integrate(np.exp, 1.0, 0.0)
@@ -43,4 +56,4 @@ def test_nonconvergence_raises():
     # interior algebraic singularity defeats bisection at this tolerance
     f = lambda r: np.abs(r - 1 / math.pi) ** -0.95
     with pytest.raises(QuadratureError):
-        integrate(f, 0.0, 1.0, abs_tol=1e-12, max_depth=12)
+        integrate(f, 0.0, 1.0, abs_tol=1e-12)

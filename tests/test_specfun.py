@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
-from scipy.special import beta, ive
+from scipy.special import beta, gammainc, ive
 
 from mirrormatch import analytic, sampler, specfun
 
@@ -130,6 +130,14 @@ class TestRegLowerIncGamma:
                 assert specfun.log_reg_lower_inc_gamma(s, x) == pytest.approx(
                     ref, rel=1e-13, abs=1e-15
                 )
+
+    @pytest.mark.parametrize("s", [9093.0, 1e6, 5e7])
+    def test_series_near_the_mean(self, s):
+        # just below x = s + 1 the series needs ~9 sqrt(s) terms; P is near 1/2
+        # there, where scipy's gammainc is accurate
+        x = s - 0.5
+        ref = math.log(float(gammainc(s, x)))
+        assert specfun.log_reg_lower_inc_gamma(s, x) == pytest.approx(ref, rel=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
