@@ -127,10 +127,13 @@ def _knots(peak: float, width: float) -> list[float]:
     return sorted({lo, hi} | {u for u in inner if lo < u < hi})
 
 
-def _radial_rows(k: int, x: float):
-    # rows (w, u w) in u = (r - peak) / width of w = r^(k-1) exp(-x r^2) on
-    # (0, 1], 1 at the peak; peak and Laplace width in closed form, the slope
-    # setting the width of a peak against r = 1
+def _d_ai_infinity_quadrature(k: int, variance: float) -> float:
+    # the ratio of integral_0^1 r^p exp(-x r^2) dr for p = k over p = k - 1, as
+    # peak + width * int u w / int w in u = (r - peak) / width, w = r^(k-1)
+    # exp(-x r^2) divided by its peak value, both rows in one adaptive pass per
+    # panel bracketing the peak; peak and Laplace width in closed form, the
+    # slope setting the width of a peak against r = 1
+    x = 1.0 / (4.0 * variance)
     peak = min(1.0, math.sqrt((k - 1) / (2.0 * x)))
     width = 1.0 / max(k - 1 - 2.0 * x, 2.0 * math.sqrt(x))
 
@@ -139,13 +142,6 @@ def _radial_rows(k: int, x: float):
         w = np.exp(-x * du * (2.0 * peak + du) + ((k - 1) * np.log1p(du / peak) if k > 1 else 0.0))
         return np.array((w, u * w))
 
-    return rows, peak, width
-
-
-def _d_ai_infinity_quadrature(k: int, variance: float) -> float:
-    # the ratio of integral_0^1 r^p exp(-X r^2) dr for p = k over p = k - 1,
-    # both in one adaptive pass per panel bracketing the kernel's peak
-    rows, peak, width = _radial_rows(k, 1.0 / (4.0 * variance))
     knots = _knots(peak, width)
     total, weighted = sum(integrate(rows, a, b) for a, b in zip(knots, knots[1:]))
     return peak + width * float(weighted / total)

@@ -73,35 +73,9 @@ def _optional(parse):
     return lambda raw: None if raw.lower() in ("none", "") else parse(raw)
 
 
-def _choice(*choices: str):
-    def parse(raw: str) -> str:
-        if raw not in choices:
-            raise ValueError(f"expected one of {choices}")
-        return raw
-
-    return parse
-
-
-_FIELD_PARSERS = {
-    "k": ("positive integer", _int),
-    "noise_param": ("positive real", float),
-    "noise_convention": (f"one of {STD_DEV}|{VARIANCE}", _choice(STD_DEV, VARIANCE)),
-    "n": ("positive integer", _int),
-    "reps": ("integer >= 2", _int),
-    "master_seed": ("unsigned 64-bit integer", _int),
-    "clone_mode": (
-        f"one of {simulate.PER_INTERACTION}|{simulate.FIXED_SUBJECT_CLONE}",
-        _choice(simulate.PER_INTERACTION, simulate.FIXED_SUBJECT_CLONE),
-    ),
-    "group_sigma_r2": ("positive real", float),
-    "group_sigma_p2": ("positive real", float),
-    "k_grid": ("comma list of positive integers or none", _optional(_tuple(_int))),
-    "sigma_grid": ("comma list of positive reals or none", _optional(_tuple(float))),
-    "seq_kappa": ("nonnegative real or none", _optional(float)),
-    "seq_cost_ip_per_period": ("nonnegative real", float),
-    "seq_cost_ai_per_period": ("nonnegative real", float),
-    "seq_cap": ("positive integer", _int),
-}
+def _grid(rule):
+    # none, or a nonempty tuple whose every entry obeys the rule
+    return lambda value: value is None or (value != () and all(map(rule, value)))
 
 
 def noise_variance(noise: float, convention: str) -> float:
@@ -113,34 +87,64 @@ def noise_variance(noise: float, convention: str) -> float:
 # and nonzero, and a noise value squared neither overflows nor flushes to 0
 _MIN_VARIANCE = 1e-300
 _MAX_VARIANCE = 1e300
+_VARIANCE_TEXT = f"a real in [{_MIN_VARIANCE:g}, {_MAX_VARIANCE:g}]"
+_MAX_DIM = 2**53  # a dimension is exact as a double up to here
+# one clone batch peaks at about 448 bytes a draw, so a batch of n draws stays
+# under 0.5 GB; that is 100 times the paper's pool of 10^4
+_MAX_POOL = 10**6
+_CLONE_MODES = (simulate.PER_INTERACTION, simulate.FIXED_SUBJECT_CLONE)
+
+
+def _is_dim(k: int) -> bool:
+    return 1 <= k <= _MAX_DIM
+
+
+def _is_variance(variance: float) -> bool:
+    return _MIN_VARIANCE <= variance <= _MAX_VARIANCE
 
 
 def _variance_in_range(noise: float, convention: str) -> bool:
     try:
-        return _MIN_VARIANCE <= noise_variance(noise, convention) <= _MAX_VARIANCE
+        return _is_variance(noise_variance(noise, convention))
     except OverflowError:
         return False
+
+
+def _key(default, parse, text: str, rule):
+    # one config key: its default, the parser of its text, and the rule every
+    # value obeys, with the rule's text for the error
+    return dataclasses.field(default=default, metadata={"parse": parse, "text": text, "rule": rule})
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Full deterministic identity of an experiment run."""
 
-    k: int = 5
-    noise_param: float = 0.05
-    noise_convention: str = STD_DEV
-    n: int = 2000
-    reps: int = 200
-    master_seed: int = 0
-    clone_mode: str = simulate.PER_INTERACTION
-    group_sigma_r2: float = 0.01
-    group_sigma_p2: float = 0.04
-    k_grid: tuple[int, ...] | None = None
-    sigma_grid: tuple[float, ...] | None = None
-    seq_kappa: float | None = None
-    seq_cost_ip_per_period: float = 0.005
-    seq_cost_ai_per_period: float = 0.0
-    seq_cap: int = 10_000
+    k: int = _key(5, _int, "an integer in [1, 2**53]", _is_dim)
+    noise_param: float = _key(0.05, float, "a positive real", lambda v: v > 0)
+    noise_convention: str = _key(STD_DEV, str, f"one of {STD_DEV}|{VARIANCE}", (STD_DEV, VARIANCE).__contains__)
+    n: int = _key(2000, _int, f"an integer in [1, {_MAX_POOL}]", lambda v: 1 <= v <= _MAX_POOL)
+    reps: int = _key(200, _int, "an integer >= 2", lambda v: v >= 2)
+    master_seed: int = _key(0, _int, "an unsigned 64-bit integer", lambda v: 0 <= v < 2**64)
+    clone_mode: str = _key(
+        simulate.PER_INTERACTION, str, f"one of {'|'.join(_CLONE_MODES)}", _CLONE_MODES.__contains__
+    )
+    group_sigma_r2: float = _key(0.01, float, _VARIANCE_TEXT, _is_variance)
+    group_sigma_p2: float = _key(0.04, float, _VARIANCE_TEXT, _is_variance)
+    k_grid: tuple[int, ...] | None = _key(
+        None, _optional(_tuple(_int)), "a nonempty comma list of integers in [1, 2**53], or none",
+        _grid(_is_dim),
+    )
+    sigma_grid: tuple[float, ...] | None = _key(
+        None, _optional(_tuple(float)), "a nonempty comma list of positive reals, or none",
+        _grid(lambda v: v > 0),
+    )
+    seq_kappa: float | None = _key(
+        None, _optional(float), "a nonnegative real, or none", lambda v: v is None or v >= 0
+    )
+    seq_cost_ip_per_period: float = _key(0.005, float, "a nonnegative real", lambda v: v >= 0)
+    seq_cost_ai_per_period: float = _key(0.0, float, "a nonnegative real", lambda v: v >= 0)
+    seq_cap: int = _key(10_000, _int, "a positive integer", lambda v: v >= 1)
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
@@ -148,11 +152,8 @@ class ModelConfig:
             values = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ConfigError(f"{field.name} must be finite, got {value!r}")
-        for name, least in (("k", 1), ("n", 1), ("seq_cap", 1), ("reps", 2)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
-        if self.master_seed < 0 or self.master_seed >= 2**64:
-            raise ConfigError(f"master_seed must fit in 64 unsigned bits, got {self.master_seed!r}")
+            if not field.metadata["rule"](value):
+                raise ConfigError(f"{field.name} must be {field.metadata['text']}, got {value!r}")
         # calibrate reads noise_param both ways, so every noise value must
         # give a variance in range under either convention
         for noise in (self.noise_param, *(self.sigma_grid or ())):
@@ -161,15 +162,8 @@ class ModelConfig:
                     f"noise value {noise!r} must give a per-clone variance in"
                     f" [{_MIN_VARIANCE:g}, {_MAX_VARIANCE:g}] under both conventions"
                 )
-        if not _MIN_VARIANCE <= self.group_sigma_r2 < self.group_sigma_p2 <= _MAX_VARIANCE:
-            raise ConfigError(
-                f"group variances must satisfy {_MIN_VARIANCE:g} <= group_sigma_r2"
-                f" < group_sigma_p2 <= {_MAX_VARIANCE:g}"
-            )
-        if self.k_grid is not None and any(k < 1 for k in self.k_grid):
-            raise ConfigError("k_grid entries must be positive")
-        if min(self.seq_kappa or 0, self.seq_cost_ip_per_period, self.seq_cost_ai_per_period) < 0:
-            raise ConfigError("seq_kappa and the per-period costs must be nonnegative")
+        if not self.group_sigma_r2 < self.group_sigma_p2:
+            raise ConfigError("group_sigma_r2 must be below group_sigma_p2")
 
     def noise_variance_per_clone(self) -> float:
         return noise_variance(self.noise_param, self.noise_convention)
@@ -224,19 +218,20 @@ def parse_config(path: str | Path | None = None, overrides=()) -> ModelConfig:
             if text:
                 items.append((f"{path}:{lineno}", text))
     items += [("override", item) for item in overrides]
+    fields = {field.name: field for field in dataclasses.fields(ModelConfig)}
     values: dict = {}
     for where, item in items:
         key, sep, raw = item.partition("=")
         key = key.strip()
         if not sep:
             raise ConfigError(f"{where}: expected key=value, got {item!r}")
-        if key not in _FIELD_PARSERS:
+        if key not in fields:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        expected, parse = _FIELD_PARSERS[key]
+        spec = fields[key].metadata
         try:
-            values[key] = parse(raw.strip())
+            values[key] = spec["parse"](raw.strip())
         except ValueError as exc:
-            raise ConfigError(f"{where}: key {key!r} expects {expected}: {exc}") from exc
+            raise ConfigError(f"{where}: key {key!r} expects {spec['text']}: {exc}") from exc
     return ModelConfig(**values)
 
 

@@ -96,25 +96,18 @@ def _laplace_peak(log_kernel) -> tuple[float, float, float]:
         lo, hi = r[max(i - 1, 0)], r[min(i + 1, last)]
 
 
-def _posterior_mean(rows, peak: float, width: float, tol: float = DEFAULT_ABS_TOL) -> float:
-    # peak + width * int u w / int w, both rows in one adaptive pass per panel
-    knots = analytic._knots(peak, width)
-    total, weighted = sum(integrate(rows, a, b, abs_tol=tol) for a, b in zip(knots, knots[1:]))
-    return peak + width * float(weighted / total)
-
-
 def conditional_mean_r_given_s(params: JointDensityParams, s: float) -> float:
     """Posterior mean of the true norm given the observed clone distance.
 
-    At s = 0 the noncentral-chi kernel degenerates; the limiting
-    posterior weight r^(k-1) exp(-r^2 / (2 nu)) is integrated directly,
-    giving an evaluation of the saturated-platform distance independent
-    of the incomplete-gamma route.
+    At s = 0 the noncentral-chi kernel degenerates to the posterior
+    weight r^(k-1) exp(-r^2 / (2 nu)), whose mean is the quadrature route
+    of the saturated-platform distance at per-clone variance nu / 2,
+    independent of its incomplete-gamma route.
     """
     if not s >= 0.0:
         raise ValueError(f"s must be nonnegative, got {s!r}")
     if s == 0.0:
-        return _posterior_mean(*analytic._radial_rows(params.k, 0.5 / params.nu))
+        return analytic._d_ai_infinity_quadrature(params.k, 0.5 * params.nu)
     peak, width, shift = _laplace_peak(lambda r: _joint_log_density_arr(params, r, s))
 
     def rows(u: np.ndarray) -> np.ndarray:
@@ -124,7 +117,11 @@ def conditional_mean_r_given_s(params: JointDensityParams, s: float) -> float:
     # the log density sums terms of size ~ k + s^2/nu, which leave that many eps
     # of rounding noise in w; a tolerance below that floor cannot converge
     noise = np.finfo(float).eps * (params.k + s * s / params.nu)
-    return _posterior_mean(rows, peak, width, max(DEFAULT_ABS_TOL, 8.0 * noise))
+    tol = max(DEFAULT_ABS_TOL, 8.0 * noise)
+    # peak + width * int u w / int w, both rows in one adaptive pass per panel
+    knots = analytic._knots(peak, width)
+    total, weighted = sum(integrate(rows, a, b, abs_tol=tol) for a, b in zip(knots, knots[1:]))
+    return peak + width * float(weighted / total)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,27 @@ HEADERS = {
 }
 
 
+# a value other than the default for every config key, at the upper bound of
+# each bounded integer key
+EVERY_KEY = {
+    "k": 2**53,
+    "noise_param": 0.07,
+    "noise_convention": "variance",
+    "n": 10**6,
+    "reps": 30,
+    "master_seed": 2**64 - 1,
+    "clone_mode": "fixed-subject-clone",
+    "group_sigma_r2": 0.02,
+    "group_sigma_p2": 0.08,
+    "k_grid": f"1,{2**53}",
+    "sigma_grid": "0.05,0.3",
+    "seq_kappa": 0.25,
+    "seq_cost_ip_per_period": 0.001,
+    "seq_cost_ai_per_period": 0.002,
+    "seq_cap": 77,
+}
+
+
 def set_args(overrides):
     return [arg for pair in overrides for arg in ("--set", pair)]
 
@@ -249,6 +270,22 @@ class TestOutputContract:
         assert summary["config_hash"] == result.config.config_hash()
         assert "table1.csv" in summary["files"]
 
+    @pytest.mark.parametrize("overrides", [[], [f"{key}={value}" for key, value in EVERY_KEY.items()]],
+                             ids=["defaults", "every-key"])
+    def test_config_echo_round_trip(self, tmp_path, overrides):
+        # config.txt parses back to the run's config, whose hash names the run directory
+        assert cli.main(["mstar", "--out", str(tmp_path)] + set_args(overrides)) == 0
+        (run_dir,) = tmp_path.iterdir()
+        cfg = parse_config(run_dir / "config.txt")
+        assert cfg == parse_config(None, overrides)
+        assert cfg.config_hash() == run_dir.name
+
+    def test_every_key_differs_from_its_default(self):
+        cfg = parse_config(None, [f"{key}={value}" for key, value in EVERY_KEY.items()])
+        fields = dataclasses.fields(ModelConfig)
+        assert list(EVERY_KEY) == [field.name for field in fields]
+        assert all(getattr(cfg, field.name) != field.default for field in fields)
+
     def test_summary_schema_rejects_garbage(self):
         schema = json.loads(SCHEMA_PATH.read_text())
         with pytest.raises(jsonschema.ValidationError):
@@ -369,13 +406,20 @@ class TestUpFrontValidation:
             ("figure2", "noise_param=inf"),
             ("table1", "noise_param=1e300"),  # the std-dev reading squares past the double range
             ("groups", "group_sigma_p2=0.005"),  # below group_sigma_r2
+            # integer keys past their bounds: at these values compute would end
+            # in an allocation or float-conversion failure, or in inexact dimensions
+            pytest.param("table1", "n=1000000000000", id="table1-n=1e12"),
+            pytest.param("table1", "n=1000001", id="table1-n=1000001"),
+            pytest.param("table1", f"k_grid={10**400}", id="table1-k_grid=1e400"),
+            pytest.param("groups", f"k={10**400}", id="groups-k=1e400"),
+            pytest.param("seqsearch", "k=9007199254740993", id="seqsearch-k=2**53+1"),
         ],
     )
     def test_rejected_before_any_compute(self, tmp_path, capsys, monkeypatch, command, override):
         def no_compute(*args, **kwargs):
             raise AssertionError("compute started before the config was rejected")
 
-        for name in ("estimate_d_ip", "estimate_d_ai", "estimate_group_win_rate"):
+        for name in ("estimate_d_ip", "estimate_d_ai", "estimate_group_win_rate", "evaluate_seq_policy"):
             monkeypatch.setattr(simulate, name, no_compute)
         monkeypatch.setattr(analytic, "d_ai_infinity", no_compute)
         code = cli.main([command, "--out", str(tmp_path)] + set_args(TINY + [override]))
@@ -397,7 +441,7 @@ class TestUpFrontValidation:
     @pytest.mark.parametrize(
         "override",
         ["noise_param=1e-300", "sigma_grid=0.05,nan", "sigma_grid=-0.1", "seq_kappa=inf",
-         "group_sigma_r2=5e-324", "group_sigma_p2=1e301"],
+         "group_sigma_r2=5e-324", "group_sigma_p2=1e301", "k_grid=,", "sigma_grid=,"],
     )
     def test_out_of_range_values(self, override):
         with pytest.raises(ConfigError):
@@ -436,20 +480,45 @@ def test_float_keys_fuzz(command, values):
     assert code in (0, 2, 3)
 
 
+# the documented range of each integer key; reps and seq_cap cost only time,
+# so their fuzzed values stay small
+INT_BOUNDS = {
+    "k": (1, 2**53), "k_grid": (1, 2**53), "n": (1, 10**6), "reps": (2, math.inf), "seq_cap": (1, math.inf),
+}
+DIMS = st.one_of(st.integers(min_value=1, max_value=2**53), st.sampled_from([-1, 0, 2**53 + 1, 10**400]))
+
+
 @given(
-    k_grid=st.lists(st.integers(min_value=1, max_value=10**12), min_size=1, max_size=3),
-    sigma_grid=st.lists(EDGE_FLOATS, min_size=1, max_size=3),
+    command=st.sampled_from(sorted(HEADERS)),
+    values=st.fixed_dictionaries(
+        {},
+        optional={
+            "k": DIMS,
+            "k_grid": st.lists(DIMS, min_size=1, max_size=3),
+            "n": st.one_of(st.integers(min_value=-1, max_value=64), st.sampled_from([10**6 + 1, 10**12])),
+            "reps": st.integers(min_value=-1, max_value=4),
+            "seq_cap": st.integers(min_value=-1, max_value=8),
+        },
+    ),
+    # noise values whose variance is in range under both conventions
+    sigma_grid=st.lists(st.floats(min_value=1e-150, max_value=1e150), min_size=1, max_size=3),
 )
-@settings(deadline=None, max_examples=60)
-def test_int_keys_fuzz(k_grid, sigma_grid):
-    # any dimension up to 10^12 at any noise ends in success, a config error or a numeric failure
-    overrides = [
-        "k_grid=" + ",".join(map(str, k_grid)),
-        "sigma_grid=" + ",".join(map(repr, sigma_grid)),
-    ]
+@settings(deadline=None, max_examples=200)
+def test_int_keys_fuzz(command, values, sigma_grid):
+    # an integer key out of its range is a config error on every command; in
+    # range the run succeeds or ends in a numeric failure
+    overrides = ["k_grid=1", "reps=2", "n=2", "seq_cap=4"]
+    for key, value in values.items():
+        overrides.append(f"{key}={','.join(map(str, value)) if isinstance(value, list) else value}")
+    overrides.append("sigma_grid=" + ",".join(map(repr, sigma_grid)))
+    in_range = all(
+        INT_BOUNDS[key][0] <= v <= INT_BOUNDS[key][1]
+        for key, value in values.items()
+        for v in (value if isinstance(value, list) else [value])
+    )
     with tempfile.TemporaryDirectory() as out:
-        code = cli.main(["mstar", "--out", out] + set_args(overrides))
-    assert code in (0, 2, 3)
+        code = cli.main([command, "--out", out] + set_args(overrides))
+    assert code in (0, 3) if in_range else code == 2
 
 
 class TestModelConfigType:
