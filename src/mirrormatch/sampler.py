@@ -1,19 +1,21 @@
 """Population and clone-interaction sampling.
 
-Every operation is a pure function of its :class:`~mirrormatch.streams.StreamKey`:
-calling it twice with the same key returns identical values. Each call
-draws through :meth:`~mirrormatch.streams.StreamKey.draw`, so the
-generator it sees never leaves the call. The draw algorithms are frozen
-so that golden outputs stay stable, and none of them uses a numpy
-``Generator`` distribution method (those algorithms are not stable across
-numpy versions); everything is an inverse CDF of the key's uniform
-stream:
+Each public function takes one :class:`~mirrormatch.streams.StreamKey` or a
+sequence of them and returns one row per key. Row i is a pure function of
+key i: the same key gives the same row alone or beside any other keys. A
+call fills a ``(len(keys), width)`` matrix from
+:func:`~mirrormatch.streams.uniform_rows` (row i holds the first ``width``
+uniforms of key i's stream) and turns it into draws with one transform per
+law. The draw algorithms are frozen so that golden outputs stay stable,
+and none of them uses a numpy ``Generator`` distribution method (those
+algorithms are not stable across numpy versions); everything is an inverse
+CDF of the uniforms:
 
 * standard normals: inverse normal CDF (zero-guarded at 2**-54);
-* chi-square with ``df`` degrees of freedom: for ``df <= 24`` the row sums
-  of one row-major ``(count, df)`` block of squared standard normals,
-  above that ``2 * gammaincinv(df / 2, U)`` with one uniform per draw;
-  ``df = 0`` is exactly zero and draws nothing;
+* chi-square with ``df`` degrees of freedom: for ``df <= 24`` the sums of
+  squared standard normals over ``df`` consecutive uniforms, above that
+  ``2 * gammaincinv(df / 2, U)`` with one uniform per draw; ``df = 0`` is
+  exactly zero and takes no uniforms;
 * ball radii: ``U**(1/k)``, one uniform per point.
 
 Clone draws cost O(1) in k. Only the candidate's norm R and the clone
@@ -29,19 +31,33 @@ clone difference onto the first coordinate gives::
     S**2  = (W + sqrt(v) g)**2 + v chi2[k-1]
 
 The subject-noise norm is drawn on its own stream as
-``rho = sqrt(variance * chi2[k])``, one chi-square draw. Batch draw order:
-the radii, then (rho > 0 only) ``g1`` and its chi-square, then ``g`` and
-its chi-square; each block holds ``count`` draws.
+``rho = sqrt(variance * chi2[k])``, one chi-square draw.
+
+Row layout. A row is cut, left to right, into column blocks of ``count``
+draws each; a chi-square block takes ``count * chi_square_width(df)``
+uniforms (``df`` of them per draw, row-major, for ``df <= 24``):
+
+* ball radii: the radii;
+* noise norm: one chi-square block with ``df = k`` and ``count = 1``;
+* clone batch: the radii, then (rho > 0 only) ``g1`` and its chi-square,
+  then ``g`` and its chi-square, each chi-square with ``df = k - 1``. A row
+  whose subject-noise norm is 0 has the shorter per-interaction layout.
+
+Block rule: every column block is copied to a contiguous array before it
+is transformed, so each transform sees the same memory layout whether one
+key or many are drawn together. A strided slice may take another numpy
+loop (a vectorized ``pow``, say) whose results differ in the last bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
-from .streams import StreamKey
+from .streams import StreamKey, uniform_rows
 
 _MIN_UNIFORM = 2.0**-54  # ndtri(0) is -inf; clamp the (prob 2**-53) exact zero
 # largest df drawn as a sum of squared normals; above it one gammaincinv
@@ -60,55 +76,76 @@ def _check_count(count: int) -> None:
         raise ValueError(f"count must be a positive integer, got {count!r}")
 
 
-def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    u = rng.random(shape)
-    np.maximum(u, _MIN_UNIFORM, out=u)
-    return ndtri(u)
+def _keys(stream: StreamKey | Sequence[StreamKey]) -> list:
+    return [stream] if isinstance(stream, StreamKey) else list(stream)
 
 
-def _chi_square(rng: np.random.Generator, df: int, count: int) -> np.ndarray:
+def chi_square_width(df: int) -> int:
+    """Uniforms one chi-square draw with ``df`` degrees of freedom takes."""
+    return 0 if df == 0 else df if df <= _CHI2_SUM_MAX_DF else 1
+
+
+def clone_row_width(k: int, count: int, subject_noise: bool) -> int:
+    """Uniforms in one key's row of :func:`draw_clone_batch`, with or without a subject noise."""
+    chi = chi_square_width(k - 1)
+    return count * (3 + 2 * chi if subject_noise else 2 + chi)
+
+
+def _column_blocks(uniforms: np.ndarray, widths: list[int]) -> list[np.ndarray]:
+    # the row layout, left to right, as contiguous blocks (the block rule)
+    return [np.ascontiguousarray(block) for block in np.hsplit(uniforms, np.cumsum(widths)[:-1])]
+
+
+def _standard_normals(uniforms: np.ndarray) -> np.ndarray:
+    np.maximum(uniforms, _MIN_UNIFORM, out=uniforms)
+    return ndtri(uniforms)
+
+
+def _chi_square(uniforms: np.ndarray, df: int, count: int) -> np.ndarray:
+    rows = uniforms.shape[0]
     if df == 0:
-        return np.zeros(count)
+        return np.zeros((rows, count))
     if df <= _CHI2_SUM_MAX_DF:
-        normals = _standard_normals(rng, (count, df))
-        return np.einsum("ij,ij->i", normals, normals)
-    return 2.0 * gammaincinv(0.5 * df, rng.random(count))
-
-
-def _ball_radii(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
-    return rng.random(count) ** (1.0 / k)
+        normals = _standard_normals(uniforms).reshape(rows * count, df)
+        return np.einsum("ij,ij->i", normals, normals).reshape(rows, count)
+    return 2.0 * gammaincinv(0.5 * df, uniforms)
 
 
 def _clone_batch(
-    rng: np.random.Generator, k: int, count: int, rho: float, variance: float
+    uniforms: np.ndarray, k: int, count: int, rho: np.ndarray | None, variance: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    radii = _ball_radii(rng, k, count)
-    if rho > 0.0:
-        g1 = _standard_normals(rng, count)
-        axis_norm = np.sqrt(g1 * g1 + _chi_square(rng, k - 1, count))
+    # rho: None, or a column of positive subject-noise norms, one per row
+    chi = count * chi_square_width(k - 1)
+    widths = [count] + ([count, chi] if rho is not None else []) + [count, chi]
+    blocks = iter(_column_blocks(uniforms, widths))
+    radii = next(blocks) ** (1.0 / k)
+    if rho is not None:
+        g1 = _standard_normals(next(blocks))
+        axis_norm = np.sqrt(g1 * g1 + _chi_square(next(blocks), k - 1, count))
         # g1 = chi2 = 0 (probability 2**-53 at k = 1) has no direction; cosine 0
         cosine = g1 / np.maximum(axis_norm, np.finfo(float).tiny)
         offset2 = (radii - rho) ** 2 + 2.0 * rho * radii * (1.0 - cosine)
         offset = np.sqrt(np.maximum(offset2, 0.0))
     else:
         offset = radii
-    along = offset + math.sqrt(variance) * _standard_normals(rng, count)
-    return radii, np.sqrt(along * along + variance * _chi_square(rng, k - 1, count))
+    along = offset + math.sqrt(variance) * _standard_normals(next(blocks))
+    return radii, np.sqrt(along * along + variance * _chi_square(next(blocks), k - 1, count))
 
 
-def sample_ball_radii(k: int, count: int, stream: StreamKey) -> np.ndarray:
-    """Draw the norms of ``count`` points uniform in the k-dimensional unit ball."""
+def sample_ball_radii(k: int, count: int, stream: StreamKey | Sequence[StreamKey]) -> np.ndarray:
+    """Norms of ``count`` points uniform in the k-dimensional unit ball, one row per key."""
     _check_dim(k)
     _check_count(count)
-    return stream.draw(_ball_radii, k, count)
+    return uniform_rows(_keys(stream), count) ** (1.0 / k)
 
 
-def sample_noise_norm(k: int, variance: float, stream: StreamKey) -> float:
-    """Draw the norm of one isotropic k-dimensional Gaussian vector, sqrt(variance * chi2[k])."""
+def sample_noise_norm(k: int, variance: float, stream: StreamKey | Sequence[StreamKey]) -> np.ndarray:
+    """Norm of one isotropic k-dimensional Gaussian vector, sqrt(variance * chi2[k]), per key."""
     _check_dim(k)
     if not variance > 0:
         raise ValueError(f"variance must be positive, got {variance!r}")
-    return math.sqrt(variance * float(stream.draw(_chi_square, k, 1)[0]))
+    chi2 = _chi_square(uniform_rows(_keys(stream), chi_square_width(k)), k, 1)
+    return np.sqrt(variance * chi2[:, 0])
 
 
 def draw_clone_batch(
@@ -116,29 +153,40 @@ def draw_clone_batch(
     count: int,
     sigma_subject2: float,
     sigma_other2: float,
-    subject_noise_norm: float | None = None,
+    subject_noise_norm: float | Sequence[float] | None = None,
     *,
-    stream: StreamKey,
+    stream: StreamKey | Sequence[StreamKey],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` full clone interactions; returns (true_norms, clone_dists).
+    """Draw ``count`` clone interactions per key; returns (true_norms, clone_dists), one row per key.
 
     With ``subject_noise_norm`` None (per-interaction) the subject's proxy
     is regenerated for every interaction, so the combined noise on the
     clone difference is a single Gaussian with per-coordinate variance
-    ``sigma_subject2 + sigma_other2``. A float reuses one subject noise
-    vector of that norm across the batch (fixed subject clone), and only
-    ``sigma_other2`` is fresh per interaction. Time and memory are
-    O(count) in any dimension k.
+    ``sigma_subject2 + sigma_other2``. Otherwise it gives each row's
+    subject-noise norm (a float serves every row): that row reuses one
+    subject noise vector of this norm across its interactions (fixed
+    subject clone), and only ``sigma_other2`` is fresh per interaction.
+    Time and memory are O(count) per key in any dimension k.
     """
     _check_dim(k)
     _check_count(count)
     if not (sigma_subject2 > 0 and sigma_other2 > 0):
         raise ValueError("noise variances must be positive")
+    keys = _keys(stream)
     if subject_noise_norm is None:
-        rho, variance = 0.0, sigma_subject2 + sigma_other2
-    elif 0.0 <= subject_noise_norm < math.inf:
-        rho, variance = float(subject_noise_norm), sigma_other2
-    else:
+        uniforms = uniform_rows(keys, clone_row_width(k, count, False))
+        return _clone_batch(uniforms, k, count, None, sigma_subject2 + sigma_other2)
+    rho = np.broadcast_to(np.asarray(subject_noise_norm, dtype=float), (len(keys),))
+    if not np.all((rho >= 0.0) & (rho < math.inf)):
         raise ValueError(f"subject_noise_norm must be finite and nonnegative, got {subject_noise_norm!r}")
 
-    return stream.draw(_clone_batch, k, count, rho, variance)
+    # a row whose norm is 0 has the per-interaction layout
+    norms = np.empty((len(keys), count))
+    dists = np.empty((len(keys), count))
+    for noisy in (False, True):
+        rows = np.flatnonzero((rho > 0.0) == noisy)
+        if rows.size:
+            uniforms = uniform_rows([keys[i] for i in rows], clone_row_width(k, count, noisy))
+            column = rho[rows, None] if noisy else None
+            norms[rows], dists[rows] = _clone_batch(uniforms, k, count, column, sigma_other2)
+    return norms, dists

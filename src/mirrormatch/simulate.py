@@ -6,6 +6,13 @@ count or completion order. Results are written into a
 replication-indexed array and reduced with numpy's pairwise mean over
 that fixed-shape array; repeated runs with one seed are bit-identical
 for any worker count.
+
+The replications are cut into chunks, one task each for the process's
+one worker pool, and a chunk into blocks of at most ``_BLOCK_KEYS``
+replications and ``_BLOCK_UNIFORMS`` uniforms. A block draws the streams
+of all its replications in one sampler call and reduces them to one value
+each before the next block, so memory stays bounded and a row's bits
+never depend on the block size.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,16 @@ PER_INTERACTION = "per-interaction"
 FIXED_SUBJECT_CLONE = "fixed-subject-clone"
 
 _SEQ_BLOCK = 512  # sequential-search draws per indexed sub-stream block
+# uniforms and keys drawn at once per block of replications: enough to
+# spread each sampler call's fixed cost over many replications, few enough
+# that a block's arrays (a few of 128 KB) and its keys (about 0.4 KB each,
+# mostly hash state) barely move the peak RSS
+_BLOCK_UNIFORMS = 2**14
+_BLOCK_KEYS = 2**8
+# a fan-out forks every worker at once, so an outsized MIRRORMATCH_WORKERS
+# would ask the system for that many processes in one go; far past the
+# core counts this runs on
+_MAX_WORKERS = 256
 
 
 @dataclass(frozen=True)
@@ -110,9 +128,12 @@ class PolicyReport:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Worker count: the argument, else ``MIRRORMATCH_WORKERS``, else 1."""
+    """Worker count: the argument, else ``MIRRORMATCH_WORKERS``, else 1; at most ``_MAX_WORKERS``."""
     if workers is not None:
-        return max(1, int(workers))
+        count = max(1, int(workers))
+        if count > _MAX_WORKERS:
+            raise ValueError(f"workers must be at most {_MAX_WORKERS}, got {workers!r}")
+        return count
     env = os.environ.get("MIRRORMATCH_WORKERS")
     if not env:
         return 1
@@ -120,8 +141,8 @@ def resolve_workers(workers: int | None) -> int:
         count = int(env)
     except ValueError:
         count = 0
-    if count < 1:
-        raise ValueError(f"MIRRORMATCH_WORKERS must be a positive integer, got {env!r}")
+    if not 1 <= count <= _MAX_WORKERS:
+        raise ValueError(f"MIRRORMATCH_WORKERS must be an integer in [1, {_MAX_WORKERS}], got {env!r}")
     return count
 
 
@@ -135,30 +156,96 @@ def _estimate(values: np.ndarray, label: str) -> Estimate:
     return Estimate(mean=mean, std_error=std_error, reps=reps)
 
 
-def _chunk(rep_fn, args: tuple, label: str, master_seed: int, start: int, stop: int) -> np.ndarray:
-    base = StreamKey(master_seed).child(label)
-    return np.array([rep_fn(base.child("rep", rep), *args) for rep in range(start, stop)])
+def _blocks(items, width: int) -> list:
+    """Consecutive slices of ``items``, rows of ``width`` uniforms each, that fit in one block.
+
+    A block holds at most ``_BLOCK_KEYS`` rows and ``_BLOCK_UNIFORMS``
+    uniforms, but one row at least, however wide.
+    """
+    step = max(1, min(_BLOCK_KEYS, _BLOCK_UNIFORMS // width))
+    return [items[i : i + step] for i in range(0, len(items), step)]
+
+
+def _winners(norms: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    # each row's true norm at its clone-distance argmin (the lowest index on ties)
+    return norms[np.arange(norms.shape[0]), np.argmin(dists, axis=1)]
+
+
+class _RepKeys:
+    """The keys (master_seed, label, "rep", i) of a chunk, derived as they are read.
+
+    A key holds its hash state (about 0.4 KB in all), so a chunk never
+    holds all of its keys at once and ``reps`` costs time, not memory.
+    """
+
+    def __init__(self, base: StreamKey, reps: range) -> None:
+        self.base, self.reps = base, reps
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __iter__(self):
+        return (self.base.child("rep", rep) for rep in self.reps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _RepKeys(self.base, self.reps[i])
+        return self.base.child("rep", self.reps[i])
+
+
+def _chunk(chunk_fn, args: tuple, label: str, master_seed: int, start: int, stop: int) -> np.ndarray:
+    return chunk_fn(_RepKeys(StreamKey(master_seed).child(label), range(start, stop)), *args)
+
+
+_pool: ProcessPoolExecutor | None = None  # the process's worker pool, made by the first fan-out
+_pool_workers = 0
+
+
+def _drop_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool.shutdown(cancel_futures=True)
+        _pool = None
+
+
+def _worker_pool(count: int) -> ProcessPoolExecutor:
+    """The process's pool with ``count`` workers, replacing one of another size.
+
+    A live pool is shut down by the exit hook of ``concurrent.futures``.
+    """
+    global _pool, _pool_workers
+    if _pool is None or _pool_workers != count:
+        _drop_pool()
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=count), count
+    return _pool
 
 
 def _replicate(
-    rep_fn, args: tuple, label: str, reps: int, master_seed: int, workers: int | None
+    chunk_fn, args: tuple, label: str, reps: int, master_seed: int, workers: int | None
 ) -> np.ndarray:
-    """Stack rep_fn(key, *args) for every replication in [0, reps), any worker count.
+    """Stack chunk_fn(keys, *args) over chunks of the replications [0, reps), any worker count.
 
     Replication ``rep`` always draws from the key (master_seed, label,
     rep), and chunks land in a replication-indexed array, so the result
-    is identical to a serial run.
+    is identical to a serial run. A pool that lost a worker is replaced
+    and the chunks run once more on the new one.
     """
     count = resolve_workers(workers)
     if count == 1 or reps < 2 * count:
-        return _chunk(rep_fn, args, label, master_seed, 0, reps)
+        return _chunk(chunk_fn, args, label, master_seed, 0, reps)
     bounds = np.unique(np.linspace(0, reps, 4 * count + 1).astype(int))
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        futures = [
-            pool.submit(_chunk, rep_fn, args, label, master_seed, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-        return np.concatenate([future.result() for future in futures], axis=0)
+    for retry in (False, True):
+        try:
+            pool = _worker_pool(count)
+            futures = [
+                pool.submit(_chunk, chunk_fn, args, label, master_seed, int(a), int(b))
+                for a, b in zip(bounds[:-1], bounds[1:])
+            ]
+            return np.concatenate([future.result() for future in futures], axis=0)
+        except BrokenProcessPool:
+            _drop_pool()
+            if retry:
+                raise
 
 
 def _check_common(reps: int, m_or_n: int, name: str) -> None:
@@ -168,23 +255,28 @@ def _check_common(reps: int, m_or_n: int, name: str) -> None:
         raise ValueError(f"{name} must be a positive integer, got {m_or_n!r}")
 
 
-def _rep_d_ip(key: StreamKey, k: int, m: int) -> float:
-    return sampler.sample_ball_radii(k, m, key).min()
+def _d_ip_chunk(keys, k: int, m: int) -> np.ndarray:
+    return np.concatenate([sampler.sample_ball_radii(k, m, block).min(axis=1) for block in _blocks(keys, m)])
 
 
 def estimate_d_ip(k: int, m: int, reps: int, master_seed: int, *, workers: int | None = None) -> Estimate:
     """Mean of the min-norm over m fresh ball draws per replication."""
     _check_common(reps, m, "m")
     label = f"d_ip(k={k},m={m})"
-    return _estimate(_replicate(_rep_d_ip, (k, m), label, reps, master_seed, workers), label)
+    return _estimate(_replicate(_d_ip_chunk, (k, m), label, reps, master_seed, workers), label)
 
 
-def _rep_d_ai(key: StreamKey, k: int, n: int, variance: float, clone_mode: str) -> float:
-    rho = None
-    if clone_mode == FIXED_SUBJECT_CLONE:
-        rho = sampler.sample_noise_norm(k, variance, key.child("subject-clone"))
-    norms, dists = sampler.draw_clone_batch(k, n, variance, variance, rho, stream=key.child("pool"))
-    return norms[int(np.argmin(dists))]  # argmin takes the lowest index on ties
+def _d_ai_chunk(keys, k: int, n: int, variance: float, clone_mode: str) -> np.ndarray:
+    fixed = clone_mode == FIXED_SUBJECT_CLONE
+    width = sampler.clone_row_width(k, n, fixed) + (sampler.chi_square_width(k) if fixed else 0)
+    winners = []
+    for block in _blocks(keys, width):
+        rho = None
+        if fixed:
+            rho = sampler.sample_noise_norm(k, variance, [key.child("subject-clone") for key in block])
+        pools = [key.child("pool") for key in block]
+        winners.append(_winners(*sampler.draw_clone_batch(k, n, variance, variance, rho, stream=pools)))
+    return np.concatenate(winners)
 
 
 def estimate_d_ai(
@@ -211,7 +303,7 @@ def estimate_d_ai(
         raise ValueError(f"unknown clone mode {clone_mode!r}")
     label = f"d_ai(k={k},n={n},mode={clone_mode})"
     args = (k, n, noise_variance_per_clone, clone_mode)
-    return _estimate(_replicate(_rep_d_ai, args, label, reps, master_seed, workers), label)
+    return _estimate(_replicate(_d_ai_chunk, args, label, reps, master_seed, workers), label)
 
 
 def monotonicity_grid(n_max: int) -> list[int]:
@@ -226,9 +318,13 @@ def monotonicity_grid(n_max: int) -> list[int]:
     return grid
 
 
-def _rep_coupled(key: StreamKey, k: int, variance: float, n_max: int, grid: list[int]) -> list[float]:
-    norms, dists = sampler.draw_clone_batch(k, n_max, variance, variance, stream=key.child("pool"))
-    return [norms[int(np.argmin(dists[:n]))] for n in grid]
+def _coupled_chunk(keys, k: int, variance: float, n_max: int, grid: list[int]) -> np.ndarray:
+    winners = []
+    for block in _blocks(keys, sampler.clone_row_width(k, n_max, False)):
+        pools = [key.child("pool") for key in block]
+        norms, dists = sampler.draw_clone_batch(k, n_max, variance, variance, stream=pools)
+        winners.append(np.stack([_winners(norms[:, :n], dists[:, :n]) for n in grid], axis=1))
+    return np.concatenate(winners)
 
 
 def coupled_monotonicity_test(
@@ -251,15 +347,20 @@ def coupled_monotonicity_test(
     grid = monotonicity_grid(n_max)
     label = f"coupled(k={k},n_max={n_max})"
     args = (k, noise_variance_per_clone, n_max, grid)
-    values = _replicate(_rep_coupled, args, label, reps, master_seed, workers)
+    values = _replicate(_coupled_chunk, args, label, reps, master_seed, workers)
     return {n: _estimate(values[:, j], label) for j, n in enumerate(grid)}
 
 
-def _rep_group(key: StreamKey, k: int, n: int, sigma_r2: float, sigma_p2: float) -> float:
-    _, dists_r = sampler.draw_clone_batch(k, n, sigma_r2, sigma_r2, stream=key.child("pool-rich"))
-    _, dists_p = sampler.draw_clone_batch(k, n, sigma_r2, sigma_p2, stream=key.child("pool-poor"))
-    # global argmin with the deterministic tie rule: rich pool wins ties
-    return 1.0 if dists_r.min() <= dists_p.min() else 0.0
+def _group_chunk(keys, k: int, n: int, sigma_r2: float, sigma_p2: float) -> np.ndarray:
+    wins = []
+    for block in _blocks(keys, 2 * sampler.clone_row_width(k, n, False)):
+        rich = [key.child("pool-rich") for key in block]
+        poor = [key.child("pool-poor") for key in block]
+        _, dists_r = sampler.draw_clone_batch(k, n, sigma_r2, sigma_r2, stream=rich)
+        _, dists_p = sampler.draw_clone_batch(k, n, sigma_r2, sigma_p2, stream=poor)
+        # global argmin with the deterministic tie rule: rich pool wins ties
+        wins.append(dists_r.min(axis=1) <= dists_p.min(axis=1))
+    return np.concatenate(wins).astype(float)
 
 
 def estimate_group_win_rate(
@@ -281,17 +382,17 @@ def estimate_group_win_rate(
     _check_common(reps, n, "n")
     label = f"groups(k={k},n={n})"
     args = (k, n, group.sigma_r2, group.sigma_p2)
-    return _estimate(_replicate(_rep_group, args, label, reps, master_seed, workers), label)
+    return _estimate(_replicate(_group_chunk, args, label, reps, master_seed, workers), label)
 
 
-def _rep_seq_payoff(
-    key: StreamKey, k: int, variance: float, policy: SeqSearchPolicy
-) -> tuple[float, float]:
+def _seq_payoff_chunk(keys, k: int, variance: float, policy: SeqSearchPolicy) -> np.ndarray:
     # Draws arrive in blocks from the sub-streams ("block", 0), ("block", 1),
     # ...: 512 draws for a threshold rule, one t-draw block with no threshold
     # for StopAtFixedT(t). The search observes one value per draw (in person
     # the ball radius, on the platform the clone distance) and is paid the
     # true norm of the draw it stops on, or of the best observation at the cap.
+    # Round j draws block j for the replications still searching; the rows
+    # are (payoff, truncated).
     rule = policy.rule
     if isinstance(rule, StopAtFixedT):
         block, cap, threshold, truncated = rule.t, rule.t, -math.inf, 0.0
@@ -299,21 +400,41 @@ def _rep_seq_payoff(
         block, cap, threshold, truncated = _SEQ_BLOCK, rule.cap, rule.threshold, 1.0
     in_person = policy.regime == IN_PERSON
     cost, fee = (policy.cost_ip, 0.0) if in_person else (policy.cost_ai, policy.kappa)
-    best_obs = best_norm = math.inf
-    for seen in range(0, cap, block):
-        count = min(block, cap - seen)
-        stream = key.child("block", seen // block)
-        if in_person:
-            norms = observed = sampler.sample_ball_radii(k, count, stream)
-        else:
-            norms, observed = sampler.draw_clone_batch(k, count, variance, variance, stream=stream)
-        i = int(np.argmin(observed))
-        if observed[i] <= threshold:
-            first = int(np.argmax(observed <= threshold))  # the first draw at or below it
-            return -float(norms[first]) - cost(seen + first + 1) - fee, 0.0
-        if observed[i] < best_obs:
-            best_obs, best_norm = float(observed[i]), float(norms[i])
-    return -best_norm - cost(cap) - fee, truncated
+    values = np.empty((len(keys), 2))
+    values[:, 1] = truncated
+    best_obs = np.full(len(keys), math.inf)
+    best_norm = np.full(len(keys), math.inf)
+    searching = np.arange(len(keys))
+    with np.errstate(over="ignore"):  # a huge per-period cost is caught as a non-finite mean
+        for seen in range(0, cap, block):
+            count = min(block, cap - seen)
+            width = count if in_person else sampler.clone_row_width(k, count, False)
+            still = [searching[:0]]
+            for part in _blocks(searching, width):
+                streams = [keys[i].child("block", seen // block) for i in part]
+                if in_person:
+                    norms = observed = sampler.sample_ball_radii(k, count, streams)
+                else:
+                    norms, observed = sampler.draw_clone_batch(k, count, variance, variance, stream=streams)
+                rows = np.arange(part.size)
+                i = np.argmin(observed, axis=1)
+                low = observed[rows, i]
+                fired = low <= threshold
+                if fired.any():
+                    first = np.argmax(observed[fired] <= threshold, axis=1)  # the first draw at or below it
+                    stopped = part[fired]
+                    values[stopped, 0] = -norms[fired, first] - cost(seen + first + 1) - fee
+                    values[stopped, 1] = 0.0
+                # a stopped search is not read again, so its best may move too
+                better = low < best_obs[part]
+                best_obs[part[better]] = low[better]
+                best_norm[part[better]] = norms[rows[better], i[better]]
+                still.append(part[~fired])
+            searching = np.concatenate(still)
+            if not searching.size:
+                break
+        values[searching, 0] = -best_norm[searching] - cost(cap) - fee
+    return values
 
 
 def evaluate_seq_policy(
@@ -336,7 +457,7 @@ def evaluate_seq_policy(
         raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
     label = f"seq(k={k},regime={policy.regime},rule={policy.rule})"
     args = (k, noise_variance_per_clone, policy)
-    values = _replicate(_rep_seq_payoff, args, label, reps, master_seed, workers)
+    values = _replicate(_seq_payoff_chunk, args, label, reps, master_seed, workers)
     return PolicyReport(
         payoff=_estimate(values[:, 0], label),
         truncated_reps=int(values[:, 1].sum()),

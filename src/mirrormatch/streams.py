@@ -10,13 +10,15 @@ paths give statistically independent streams.
 Deriving a key is cheap. Each key keeps the SHA-256 state of its own
 address, so :meth:`StreamKey.child` copies that prefix and hashes only the
 new ``(label, index)`` element. A Philox stream's whole state is its
-(counter, key) pair, so :meth:`StreamKey.draw` does not build a generator
-per key: it resets one generator per process to ``{counter: 0, key}`` and
-runs ``fn(rng, *args)`` on it, which yields the same bits as
-:meth:`StreamKey.generator`. The rng handed to ``fn`` must not escape
-it, since the next ``draw`` resets it. A ``draw`` made while the shared
-generator is in use (nested inside another ``fn``, or from another
-thread) runs on a fresh :meth:`StreamKey.generator` instead.
+(counter, key) pair, so :func:`uniform_rows` does not build a generator
+per key: it fills a ``(len(keys), width)`` matrix whose row i holds the
+first ``width`` uniforms of ``keys[i]``'s stream, resetting one generator
+per process to ``{counter: 0, key}`` before each row. Row i is therefore
+bit for bit ``keys[i].generator().random(width)``, whatever the other rows
+and however many keys are drawn together. Only numpy runs while the shared
+generator is held; a call that finds it busy (another thread, or a child
+forked while the parent held it) fills its rows from fresh
+:meth:`StreamKey.generator` objects instead.
 """
 
 from __future__ import annotations
@@ -102,21 +104,25 @@ class StreamKey:
         """Fresh generator positioned at the start of this key's stream."""
         return np.random.Generator(np.random.Philox(key=self.philox_key()))
 
-    def draw(self, fn, *args):
-        """Return ``fn(rng, *args)`` with ``rng`` at the start of this key's stream.
 
-        ``rng`` is the process's shared generator, reset to this key; it
-        must not be kept or returned by ``fn``.
-        """
-        global _shared
-        if not _shared_lock.acquire(blocking=False):
-            return fn(self.generator(), *args)
-        try:
+def uniform_rows(keys, width: int) -> np.ndarray:
+    """A ``(len(keys), width)`` matrix; row i is the first ``width`` uniforms of ``keys[i]``."""
+    global _shared
+    out = np.empty((len(keys), width))
+    shared = _shared_lock.acquire(blocking=False)
+    try:
+        if shared:
             if _shared is None:
                 _shared = _new_shared()
             bits, rng, state = _shared
-            state["state"]["key"] = self._words()
-            bits.state = state
-            return fn(rng, *args)
-        finally:
+        for row, key in zip(out, keys):
+            if shared:
+                state["state"]["key"] = key._words()
+                bits.state = state
+            else:
+                rng = key.generator()
+            rng.random(out=row)
+    finally:
+        if shared:
             _shared_lock.release()
+    return out

@@ -427,7 +427,9 @@ class TestUpFrontValidation:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not any(tmp_path.iterdir())  # no run directory was started
 
-    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+    # 257 and 100000 are past simulate._MAX_WORKERS: a fan-out would fork
+    # that many processes at once
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", "257", "100000"])
     def test_malformed_workers_variable(self, tmp_path, capsys, monkeypatch, value):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")

@@ -20,7 +20,23 @@ def key(*path, seed=1234):
 
 
 def noise_norms(k, variance, label, count):
-    return np.array([sampler.sample_noise_norm(k, variance, key(label, ("i", i))) for i in range(count)])
+    return sampler.sample_noise_norm(k, variance, [key(label, ("i", i)) for i in range(count)])
+
+
+def clone_row(*args, stream, **kwargs):
+    """(true_norms, clone_dists) of one key's row of ``draw_clone_batch``."""
+    (norms,), (dists,) = sampler.draw_clone_batch(*args, stream=[stream], **kwargs)
+    return norms, dists
+
+
+def ball_row(k, count, stream):
+    (radii,) = sampler.sample_ball_radii(k, count, [stream])
+    return radii
+
+
+def fresh_rows(keys, width):
+    """The reference for ``uniform_rows``: a fresh generator per key."""
+    return np.array([k.generator().random(width) for k in keys]).reshape(len(keys), width)
 
 
 def direct_clone_draws(k, count, variance, subject_noise, seed):
@@ -129,84 +145,86 @@ def pool_keys(count=40):
 
 
 class TestSharedDraw:
-    # StreamKey.draw resets one generator per process instead of building one
+    # uniform_rows resets one generator per process instead of building one
+    # per key; a batch of keys gives each key the row it gets alone
     @pytest.mark.parametrize(
         "entry",
         [
             lambda s: sampler.sample_ball_radii(3, 17, s),
-            lambda s: np.array([sampler.sample_noise_norm(30, 0.2, s)]),
-            lambda s: np.concatenate(sampler.draw_clone_batch(4, 9, 0.01, 0.02, stream=s)),
-            lambda s: np.concatenate(sampler.draw_clone_batch(40, 9, 0.01, 0.02, 0.3, stream=s)),
+            lambda s: sampler.sample_noise_norm(30, 0.2, s)[:, None],
+            lambda s: np.hstack(sampler.draw_clone_batch(4, 9, 0.01, 0.02, stream=s)),
+            lambda s: np.hstack(sampler.draw_clone_batch(40, 9, 0.01, 0.02, 0.3, stream=s)),
         ],
         ids=["ball", "noise-norm", "clone-per-interaction", "clone-fixed-subject"],
     )
     def test_draw_matches_fresh_generator(self, entry, monkeypatch):
-        shared = [entry(s) for s in pool_keys()]
+        keys = pool_keys()
+        batch = entry(keys)
+        assert batch.shape[0] == len(keys)
+        single = [entry(s) for s in keys]  # one key a call, a bare key
         # the same entry point on a fresh generator per key
-        monkeypatch.setattr(StreamKey, "draw", lambda self, fn, *args: fn(self.generator(), *args))
-        fresh = [entry(s) for s in pool_keys()]
-        for a, b in zip(shared, fresh):
-            assert a.tobytes() == b.tobytes()
+        monkeypatch.setattr(sampler, "uniform_rows", fresh_rows)
+        fresh = [entry([s]) for s in keys]
+        for row, alone, reference in zip(batch, single, fresh):
+            assert alone.shape == reference.shape == (1, batch.shape[1])
+            assert row.tobytes() == alone[0].tobytes() == reference[0].tobytes()
 
     def test_golden_uniforms(self):
-        for stream, _, uniforms in TestStreamKey.GOLDEN:
-            expected = [float.fromhex(u) for u in uniforms]
-            assert stream.draw(lambda rng: rng.random(4)).tolist() == expected, stream
+        golden = TestStreamKey.GOLDEN
+        rows = streams.uniform_rows([stream for stream, _, _ in golden], 4)
+        assert rows.shape == (len(golden), 4)
+        for row, (stream, _, uniforms) in zip(rows, golden):
+            assert row.tolist() == [float.fromhex(u) for u in uniforms], stream
 
     def test_reset_after_partial_use(self):
         # a dirty generator (buffered 32-bit half, advanced counter) resets cleanly
         first, second = pool_keys(2)
-
-        def dirty(rng):
-            rng.integers(0, 2**32, size=3, dtype=np.uint32)
-            return rng.random(5)
-
-        first.draw(dirty)
-        expected = second.generator().random(5000)
-        assert second.draw(lambda rng: rng.random(5000)).tobytes() == expected.tobytes()
+        streams.uniform_rows([first], 5)
+        streams._shared[1].integers(0, 2**32, size=3, dtype=np.uint32)
+        assert streams.uniform_rows([second], 5000).tobytes() == fresh_rows([second], 5000).tobytes()
 
     def test_one_shared_generator(self):
         first, second = pool_keys(2)
-        # identity only; draw's callers never let the generator escape
-        assert first.draw(lambda rng: rng) is second.draw(lambda rng: rng)
+        streams.uniform_rows([first], 3)
+        shared = streams._shared
+        streams.uniform_rows([second, first], 3)
+        assert streams._shared is shared
 
     def test_nested_draw_does_not_alias(self):
-        outer, inner = pool_keys(2)
-
-        def nested(rng):
-            head = rng.random(3)
-            middle = inner.draw(lambda r: r.random(4))
-            return head, middle, rng.random(3)
-
-        head, middle, tail = outer.draw(nested)
-        assert np.concatenate([head, tail]).tobytes() == outer.generator().random(6).tobytes()
-        assert middle.tobytes() == inner.generator().random(4).tobytes()
+        # while the shared generator is held (by another thread, or in a child
+        # forked under the lock) a call fills its rows from fresh generators
+        # and leaves the shared one where it was
+        first, second = pool_keys(2)
+        streams.uniform_rows([first], 3)
+        bits = streams._shared[0]
+        before = bits.state
+        with streams._shared_lock:
+            rows = streams.uniform_rows([second, first], 7)
+        assert rows.tobytes() == fresh_rows([second, first], 7).tobytes()
+        after = bits.state
+        assert after["state"]["key"].tolist() == before["state"]["key"].tolist()
+        assert after["state"]["counter"].tolist() == before["state"]["counter"].tolist()
 
     def test_exception_releases_shared_generator(self):
         first, second = pool_keys(2)
-
-        def fail(rng):
-            raise RuntimeError("inside fn")
-
-        with pytest.raises(RuntimeError):
-            first.draw(fail)
+        with pytest.raises(AttributeError):
+            streams.uniform_rows([first, "not a key", second], 3)
         assert not streams._shared_lock.locked()
-        shared = first.draw(lambda rng: rng)
-        assert second.draw(lambda rng: rng) is shared  # still the shared path
+        shared = streams._shared
+        assert streams.uniform_rows([second], 3).tobytes() == fresh_rows([second], 3).tobytes()
+        assert streams._shared is shared  # still the shared path
 
     def test_concurrent_draws(self):
-        # more threads than cores, switching often: a draw that reset the
-        # generator under another thread's fn would change that thread's bits
-        def piecewise(rng):
-            return np.concatenate([rng.random(3) for _ in range(40)]).tobytes()
-
+        # more threads than cores, switching often: a row filled after another
+        # thread reset the generator would carry that thread's key
         keys = pool_keys(200)
-        expected = [piecewise(k.generator()) for k in keys]
+        batches = [keys[i : i + 5] for i in range(0, len(keys), 5)] * 4
+        expected = [fresh_rows(batch, 120).tobytes() for batch in batches]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(lambda k: k.draw(piecewise), keys, timeout=60))
+                got = list(pool.map(lambda b: streams.uniform_rows(b, 120).tobytes(), batches, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
@@ -217,27 +235,27 @@ class TestUnitBall:
     def test_support(self):
         for k in (1, 2, 7, 40):
             radii = sampler.sample_ball_radii(k, 200, key("support", ("k", k)))
-            assert radii.shape == (200,)
+            assert radii.shape == (1, 200)
             assert radii.min() >= 0.0 and radii.max() <= 1.0
 
     def test_single_draw_shape(self):
-        radii = sampler.sample_ball_radii(7, 1, key("one"))
-        assert radii.shape == (1,)
-        assert 0.0 <= radii[0] <= 1.0
+        radii = sampler.sample_ball_radii(7, 1, [key("one"), key("two")])
+        assert radii.shape == (2, 1)
+        assert np.all((0.0 <= radii) & (radii <= 1.0))
 
     @pytest.mark.parametrize("k", [1, 2, 10, 150])
     def test_radius_power_uniform(self, k):
         # ||X||^k is uniform on [0, 1]; KS test at the 0.1% level
-        radii = sampler.sample_ball_radii(k, 100_000, key("ks", ("k", k)))
+        radii = ball_row(k, 100_000, key("ks", ("k", k)))
         assert stats.kstest(radii**k, "uniform").pvalue > 0.001
 
     def test_ball_cdf_at_half(self):
         # P(||X|| <= 0.5) = 0.5^k at k = 3
-        radii = sampler.sample_ball_radii(3, 100_000, key("cdf"))
+        radii = ball_row(3, 100_000, key("cdf"))
         assert float((radii <= 0.5).mean()) == pytest.approx(0.125, abs=0.004)
 
     def test_mean_norm_one_dim(self):
-        radii = sampler.sample_ball_radii(1, 100_000, key("mean1"))
+        radii = ball_row(1, 100_000, key("mean1"))
         assert float(radii.mean()) == pytest.approx(0.5, abs=0.005)
 
     def test_rejects_bad_dimension(self):
@@ -281,7 +299,7 @@ class TestCloneDraws:
     def test_combined_variance_moment(self):
         # E S^2 = E ||X||^2 + k (sigma_s^2 + sigma_o^2), with E ||X||^2 = k/(k+2)
         k, count, s2 = 6, 200_000, 0.02
-        _, dists = sampler.draw_clone_batch(k, count, s2, s2, stream=key("mom"))
+        _, dists = clone_row(k, count, s2, s2, stream=key("mom"))
         expected = k / (k + 2) + k * (2 * s2)
         assert float((dists**2).mean()) == pytest.approx(expected, rel=0.01)
 
@@ -289,19 +307,19 @@ class TestCloneDraws:
         # subject rich, candidate poor: combined variance sigma_r2 + sigma_p2
         k, count = 5, 200_000
         sigma_r2, sigma_p2 = 0.01, 0.04
-        _, dists = sampler.draw_clone_batch(k, count, sigma_r2, sigma_p2, stream=key("grp"))
+        _, dists = clone_row(k, count, sigma_r2, sigma_p2, stream=key("grp"))
         expected = k / (k + 2) + k * (sigma_r2 + sigma_p2)
         assert float((dists**2).mean()) == pytest.approx(expected, rel=0.01)
 
     def test_no_noise_limit(self):
-        norms, dists = sampler.draw_clone_batch(4, 2000, 1e-12, 1e-12, stream=key("tiny"))
+        norms, dists = clone_row(4, 2000, 1e-12, 1e-12, stream=key("tiny"))
         assert np.abs(dists - norms).max() <= 1e-4
 
     def test_scalar_draw(self):
         norms, dists = sampler.draw_clone_batch(3, 1, 0.01, 0.01, stream=key("scalar"))
-        assert norms.shape == dists.shape == (1,)
-        assert norms[0] <= 1.0
-        assert dists[0] >= 0.0
+        assert norms.shape == dists.shape == (1, 1)
+        assert norms[0, 0] <= 1.0
+        assert dists[0, 0] >= 0.0
 
     @pytest.mark.parametrize("rho", [-0.1, math.inf, math.nan])
     def test_rejects_bad_noise_norm(self, rho):
@@ -312,8 +330,8 @@ class TestCloneDraws:
         # conditional on the fixed subject noise, distances must be i.i.d.:
         # chi-square independence of consecutive above/below-median signs
         k, count = 3, 40_000
-        rho = sampler.sample_noise_norm(k, 0.01, key("fixed-eps"))
-        _, dists = sampler.draw_clone_batch(k, count, 0.01, 0.01, rho, stream=key("fixed-pool"))
+        (rho,) = sampler.sample_noise_norm(k, 0.01, key("fixed-eps"))
+        _, dists = clone_row(k, count, 0.01, 0.01, rho, stream=key("fixed-pool"))
         signs = dists > np.median(dists)
         first, second = signs[0::2], signs[1::2]
         table = np.array(
@@ -328,8 +346,8 @@ class TestCloneDraws:
         # law of (R, S) against ||X + eps_other - eps_fixed|| built from full
         # k-vectors with an independent generator: two-sample KS on R, S, S - R
         k, count, s_other2 = 4, 20_000, 0.03
-        rho = sampler.sample_noise_norm(k, 0.02, key("check-eps"))
-        norms, dists = sampler.draw_clone_batch(k, count, 0.02, s_other2, rho, stream=key("check-pool"))
+        (rho,) = sampler.sample_noise_norm(k, 0.02, key("check-eps"))
+        norms, dists = clone_row(k, count, 0.02, s_other2, rho, stream=key("check-pool"))
         fixed = np.full(k, rho / math.sqrt(k))
         ref_norms, ref_dists = direct_clone_draws(k, count, s_other2, fixed, seed=4)
         for ours, ref in ((norms, ref_norms), (dists, ref_dists), (dists - norms, ref_dists - ref_norms)):
@@ -339,7 +357,7 @@ class TestCloneDraws:
         # E S^2 = k/(k+2) + rho^2 + k s_o2 and E[S^2 | R] = R^2 + rho^2 + k s_o2:
         # the mean, and an OLS fit of S^2 on R^2 (slope 1, that intercept)
         k, count, s_other2 = 6, 400_000, 0.02
-        norms, dists = sampler.draw_clone_batch(k, count, 0.01, s_other2, 0.5, stream=key("fixed-mom"))
+        norms, dists = clone_row(k, count, 0.01, s_other2, 0.5, stream=key("fixed-mom"))
         shift = 0.25 + k * s_other2
         s2 = dists**2
         se = s2.std(ddof=1) / math.sqrt(count)
@@ -362,9 +380,7 @@ class TestCloneDraws:
             ref_noise, variance = np.full(k, rho / math.sqrt(k)), s_other2
         else:
             ref_noise, variance = np.zeros(k), s_subject2 + s_other2
-        norms, dists = sampler.draw_clone_batch(
-            k, count, s_subject2, s_other2, rho, stream=key("edge", mode, ("k", k))
-        )
+        norms, dists = clone_row(k, count, s_subject2, s_other2, rho, stream=key("edge", mode, ("k", k)))
         ref_norms, ref_dists = direct_clone_draws(k, count, variance, ref_noise, seed=k)
         for ours, ref in ((norms, ref_norms), (dists, ref_dists), (dists - norms, ref_dists - ref_norms)):
             assert stats.ks_2samp(ours, ref).pvalue > 0.001
@@ -389,17 +405,23 @@ class TestChiSquare:
         "df", [1, 3, sampler._CHI2_SUM_MAX_DF, sampler._CHI2_SUM_MAX_DF + 1, 999]
     )
     def test_law(self, df):
-        draws = sampler._chi_square(key("chi2", ("df", df)).generator(), df, 50_000)
-        assert stats.kstest(draws, stats.chi2(df).cdf).pvalue > 0.001
+        # 50,000 draws as 500 rows of 100, the shape a block of keys gives
+        keys = [key("chi2", ("df", df), ("row", i)) for i in range(500)]
+        uniforms = streams.uniform_rows(keys, 100 * sampler.chi_square_width(df))
+        draws = sampler._chi_square(uniforms, df, 100)
+        assert draws.shape == (500, 100)
+        assert stats.kstest(draws.ravel(), stats.chi2(df).cdf).pvalue > 0.001
 
     def test_zero_df_is_zero_and_draws_nothing(self):
-        rng = key("chi2-zero").generator()
-        assert np.array_equal(sampler._chi_square(rng, 0, 5), np.zeros(5))
-        assert np.array_equal(rng.random(3), key("chi2-zero").generator().random(3))
+        assert sampler.chi_square_width(0) == 0
+        assert np.array_equal(sampler._chi_square(np.empty((2, 0)), 0, 5), np.zeros((2, 5)))
+        # at k = 1 a clone row is the radii and g alone
+        assert sampler.clone_row_width(1, 7, False) == 2 * 7
+        assert sampler.clone_row_width(1, 7, True) == 3 * 7
 
 
 def test_ball_radii_law():
     # R^k is uniform on [0, 1]
     for k in (1, 7, 1000):
-        radii = sampler.sample_ball_radii(k, 50_000, key("radii", ("k", k)))
+        radii = ball_row(k, 50_000, key("radii", ("k", k)))
         assert stats.kstest(radii**k, "uniform").pvalue > 0.001

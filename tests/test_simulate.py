@@ -1,10 +1,13 @@
 import math
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mirrormatch import analytic, sampler, simulate
+from mirrormatch import analytic, cli, sampler, simulate, streams
 from mirrormatch.analytic import GroupSpec
 from mirrormatch.simulate import (
     AffineCost,
@@ -108,20 +111,151 @@ def every_estimator(workers):
     ]
 
 
+@pytest.fixture
+def fresh_pool():
+    """No live worker pool before the test, and none left behind by it."""
+    simulate._drop_pool()
+    yield
+    simulate._drop_pool()
+
+
+@pytest.mark.usefixtures("fresh_pool")
 class TestSharedGeneratorAcrossWorkers:
-    # StreamKey.draw resets one generator per process; forked workers
-    # inherit whatever state the parent left in it
+    # streams.uniform_rows resets one generator per process; workers forked
+    # by the first fan-out inherit whatever state the parent left in it
     def test_workers_agree_after_parent_drew(self):
-        StreamKey(1).draw(lambda rng: rng.random(3))  # parent's shared generator mid-stream
         serial = every_estimator(1)
-        StreamKey(2).draw(lambda rng: rng.integers(0, 2**32, size=3, dtype=np.uint32))
+        streams._shared[1].random(3)  # parent's shared generator mid-stream
+        streams._shared[1].integers(0, 2**32, size=3, dtype=np.uint32)
         assert every_estimator(2) == serial
 
     def test_workers_forked_inside_a_draw(self):
         # the parent holds the shared generator while the pool forks, so
-        # every draw in parent and workers takes the fresh-generator path
+        # every draw in parent and workers takes the fresh-generator path,
+        # and no worker waits on the lock it inherited
         serial = every_estimator(1)
-        assert StreamKey(1).draw(lambda rng: every_estimator(2)) == serial
+        with streams._shared_lock:
+            assert every_estimator(2) == serial
+            assert every_estimator(1) == serial
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def counted(self, monkeypatch, fresh_pool):
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(pool := executor(*args, **kwargs))
+            return pool
+
+        executor = simulate.ProcessPoolExecutor
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", counting)
+        return made
+
+    def test_one_pool_per_process(self, tmp_path, counted):
+        overrides = ["k_grid=1,5", "reps=16", "n=64", "master_seed=7"]
+        csv = {}
+        for workers in (2, 1):
+            cfg = cli.parse_config(None, overrides)
+            result = cli.cmd_table1(cfg, tmp_path / f"w{workers}", workers=workers)
+            csv[workers] = result.files[0].read_bytes()
+        assert len(counted) == 1  # four fan-outs, one pool
+        assert csv[2] == csv[1]
+
+    def test_resized_and_broken_pools_are_replaced(self, counted):
+        serial = simulate.estimate_d_ip(3, 2, 64, SEED, workers=1)
+        assert simulate.estimate_d_ip(3, 2, 64, SEED, workers=2) == serial
+        assert simulate.estimate_d_ip(3, 2, 64, SEED, workers=3) == serial
+        assert len(counted) == 2
+        pool = counted[-1]
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken
+        assert simulate.estimate_d_ip(3, 2, 64, SEED, workers=3) == serial
+        assert len(counted) == 3 and simulate._pool is counted[-1]
+
+    def test_worker_bound(self, monkeypatch):
+        assert simulate.resolve_workers(simulate._MAX_WORKERS) == simulate._MAX_WORKERS
+        with pytest.raises(ValueError):
+            simulate.resolve_workers(simulate._MAX_WORKERS + 1)
+        monkeypatch.setenv("MIRRORMATCH_WORKERS", str(simulate._MAX_WORKERS + 1))
+        with pytest.raises(ValueError):
+            simulate.resolve_workers(None)
+
+
+def rep_keys(reps=40):
+    return [StreamKey(SEED).child("blocking").child("rep", rep) for rep in range(reps)]
+
+
+class TestBlocking:
+    # a chunk drawn as one block, as blocks of the default size and as one
+    # row per block must give the same bytes: a row is a function of its key
+    CASES = [
+        *[
+            pytest.param(simulate._d_ai_chunk, (k, 20, 0.0025, mode), id=f"d_ai-k{k}-{mode}")
+            for k in (1, sampler._CHI2_SUM_MAX_DF, 25, 26, 300)
+            for mode in (simulate.PER_INTERACTION, simulate.FIXED_SUBJECT_CLONE)
+        ],
+        pytest.param(simulate._d_ip_chunk, (26, 3), id="d_ip"),
+        pytest.param(simulate._coupled_chunk, (5, 0.01, 16, simulate.monotonicity_grid(16)), id="coupled"),
+        pytest.param(simulate._group_chunk, (26, 16, 0.01, 0.04), id="groups"),
+        # at k = 1 one draw in 800 is at most 0.00125: many searches stop in
+        # a later 512-draw block, and some hit the cap
+        pytest.param(
+            simulate._seq_payoff_chunk,
+            (1, 0.0025, SeqSearchPolicy(simulate.IN_PERSON, StopWhenBestBelow(0.00125, 1300), AffineCost(1))),
+            id="seq-in-person-later-block",
+        ),
+        pytest.param(
+            simulate._seq_payoff_chunk,
+            (2, 0.0025, SeqSearchPolicy(simulate.AI_PLATFORM, StopWhenBestBelow(0.0, 1100), kappa=0.1)),
+            id="seq-platform-cap",
+        ),
+    ]
+
+    @pytest.mark.parametrize("chunk_fn, args", CASES)
+    def test_block_size_does_not_change_bits(self, chunk_fn, args, monkeypatch):
+        default = chunk_fn(rep_keys(), *args).tobytes()
+        monkeypatch.setattr(simulate, "_BLOCK_UNIFORMS", 2**40)
+        monkeypatch.setattr(simulate, "_BLOCK_KEYS", 2**40)
+        assert chunk_fn(rep_keys(), *args).tobytes() == default  # one block
+        monkeypatch.setattr(simulate, "_BLOCK_UNIFORMS", 1)
+        assert chunk_fn(rep_keys(), *args).tobytes() == default  # one row per block
+
+    def test_search_rounds_cover_later_blocks_and_the_cap(self):
+        # the seq case above: payoff = -norm - tau with norm < 1 gives tau
+        _, args = self.CASES[-2].values
+        values = simulate._seq_payoff_chunk(rep_keys(), *args)
+        taus = np.floor(-values[:, 0]).astype(int)
+        stopped = values[:, 1] == 0.0
+        assert (taus[stopped] > 512).any() and (taus[stopped] <= 1300).all()
+        assert (taus[~stopped] == 1300).all() and (~stopped).any()
+
+    def test_memory_per_replication_is_a_few_floats(self):
+        # a chunk derives its keys block by block; holding all of them at once
+        # would take a few hundred bytes a replication for their hash state
+        reps = 50_000
+        tracemalloc.start()
+        try:
+            simulate.estimate_d_ip(3, 2, reps, SEED, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * reps
+
+    def test_zero_subject_noise_keeps_the_short_layout(self):
+        # a norm of exactly 0 draws no g1 and no chi-square for it, beside
+        # rows that do, so it equals a per-interaction row of the same variance
+        keys = [StreamKey(SEED).child("zero-norm", i) for i in range(3)]
+        for k in (1, 5, 30):
+            norms, dists = sampler.draw_clone_batch(k, 9, 0.01, 0.02, [0.3, 0.0, 0.5], stream=keys)
+            ref_norms, ref_dists = sampler.draw_clone_batch(k, 9, 0.01, 0.01, stream=keys[1])
+            assert norms[1].tobytes() == ref_norms[0].tobytes()
+            assert dists[1].tobytes() == ref_dists[0].tobytes()
+            alone = sampler.draw_clone_batch(k, 9, 0.01, 0.02, 0.5, stream=keys[2])
+            assert dists[2].tobytes() == alone[1][0].tobytes()
 
 
 class TestCoupledMonotonicity:
@@ -148,7 +282,7 @@ class TestCoupledMonotonicity:
         # improves the clone distance
         for rep in range(100):
             key = StreamKey(SEED).child("prefix", rep)
-            _, dists = sampler.draw_clone_batch(3, 16, 0.01, 0.01, stream=key)
+            _, (dists,) = sampler.draw_clone_batch(3, 16, 0.01, 0.01, stream=key)
             for n in range(1, 16):
                 before = int(np.argmin(dists[:n]))
                 after = int(np.argmin(dists[: n + 1]))
@@ -215,11 +349,11 @@ class TestSeqPolicies:
         policy = SeqSearchPolicy(simulate.AI_PLATFORM, StopAtFixedT(600), kappa=0.1)
         for rep in range(3):
             key = StreamKey(SEED).child("one-block", rep)
-            norms, dists = sampler.draw_clone_batch(
+            (norms,), (dists,) = sampler.draw_clone_batch(
                 3, 600, 0.0025, 0.0025, stream=key.child("block", 0)
             )
             winner = -float(norms[int(np.argmin(dists))]) - 0.0 - 0.1
-            assert simulate._rep_seq_payoff(key, 3, 0.0025, policy) == (winner, 0.0)
+            assert simulate._seq_payoff_chunk([key], 3, 0.0025, policy).tolist() == [[winner, 0.0]]
 
     def test_in_person_threshold_stops_at_first_hit(self):
         policy = SeqSearchPolicy(simulate.IN_PERSON, StopWhenBestBelow(0.9, 4096))

@@ -18,20 +18,9 @@ def reg_lower_inc_gamma(s, x):
     return math.exp(specfun.log_reg_lower_inc_gamma(s, x))
 
 
-class FixedUniforms:
-    """Stands in for a generator whose uniform stream is given."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
-
-    def random(self, shape):
-        return self.values.copy().reshape(shape)
-
-
 def normal_quantile(u):
     """The sampler's standard normal for a given uniform: the inverse normal CDF."""
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    return sampler._standard_normals(FixedUniforms(u), u.shape)
+    return sampler._standard_normals(np.atleast_1d(np.array(u, dtype=np.float64)))
 
 
 def ref_log_bessel_i(nu, x):
