@@ -176,8 +176,8 @@ class ModelConfig:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if isinstance(value, tuple):
-                value = ",".join(_fmt(v) for v in value)
-            lines.append(f"{field.name} = {'none' if value is None else _fmt(value)}")
+                value = ",".join(_canonical(v) for v in value)
+            lines.append(f"{field.name} = {'none' if value is None else _canonical(value)}")
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
@@ -202,6 +202,13 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
+
+
+def _canonical(value) -> str:
+    # the CSV format where it reads back exactly; else repr, so that configs
+    # differing past the 12th digit never share a hash or a run directory
+    text = _fmt(value)
+    return repr(value) if isinstance(value, float) and float(text) != value else text
 
 
 def parse_config(path: str | Path | None = None, overrides=()) -> ModelConfig:

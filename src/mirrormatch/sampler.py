@@ -39,9 +39,9 @@ uniforms (``df`` of them per draw, row-major, for ``df <= 24``):
 
 * ball radii: the radii;
 * noise norm: one chi-square block with ``df = k`` and ``count = 1``;
-* clone batch: the radii, then (rho > 0 only) ``g1`` and its chi-square,
-  then ``g`` and its chi-square, each chi-square with ``df = k - 1``. A row
-  whose subject-noise norm is 0 has the shorter per-interaction layout.
+* clone batch: the radii, then (fixed subject only) ``g1`` and its
+  chi-square, then ``g`` and its chi-square, each chi-square with
+  ``df = k - 1``.
 
 Block rule: every column block is copied to a contiguous array before it
 is transformed, so each transform sees the same memory layout whether one
@@ -114,7 +114,7 @@ def _chi_square(uniforms: np.ndarray, df: int, count: int) -> np.ndarray:
 def _clone_batch(
     uniforms: np.ndarray, k: int, count: int, rho: np.ndarray | None, variance: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    # rho: None, or a column of positive subject-noise norms, one per row
+    # rho: None, or a column of nonnegative subject-noise norms, one per row
     chi = count * chi_square_width(k - 1)
     widths = [count] + ([count, chi] if rho is not None else []) + [count, chi]
     blocks = iter(_column_blocks(uniforms, widths))
@@ -179,14 +179,5 @@ def draw_clone_batch(
     rho = np.broadcast_to(np.asarray(subject_noise_norm, dtype=float), (len(keys),))
     if not np.all((rho >= 0.0) & (rho < math.inf)):
         raise ValueError(f"subject_noise_norm must be finite and nonnegative, got {subject_noise_norm!r}")
-
-    # a row whose norm is 0 has the per-interaction layout
-    norms = np.empty((len(keys), count))
-    dists = np.empty((len(keys), count))
-    for noisy in (False, True):
-        rows = np.flatnonzero((rho > 0.0) == noisy)
-        if rows.size:
-            uniforms = uniform_rows([keys[i] for i in rows], clone_row_width(k, count, noisy))
-            column = rho[rows, None] if noisy else None
-            norms[rows], dists[rows] = _clone_batch(uniforms, k, count, column, sigma_other2)
-    return norms, dists
+    uniforms = uniform_rows(keys, clone_row_width(k, count, True))
+    return _clone_batch(uniforms, k, count, rho[:, None], sigma_other2)

@@ -7,12 +7,14 @@ replication-indexed array and reduced with numpy's pairwise mean over
 that fixed-shape array; repeated runs with one seed are bit-identical
 for any worker count.
 
-The replications are cut into chunks, one task each for the process's
-one worker pool, and a chunk into blocks of at most ``_BLOCK_KEYS``
-replications and ``_BLOCK_UNIFORMS`` uniforms. A block draws the streams
-of all its replications in one sampler call and reduces them to one value
-each before the next block, so memory stays bounded and a row's bits
-never depend on the block size.
+The runner cuts the replications into chunks, one task each for the
+process's one worker pool, and a chunk into blocks of at most
+``_BLOCK_KEYS`` replications and ``_BLOCK_UNIFORMS`` uniforms, given the
+row width its estimator declares. Each estimator is one function of one
+block: it draws the streams of all the block's replications in one
+sampler call (a sequential search in one call a round) and reduces them
+to one value each before the next block, so memory stays bounded and a
+row's bits never depend on the block size.
 """
 
 from __future__ import annotations
@@ -156,45 +158,27 @@ def _estimate(values: np.ndarray, label: str) -> Estimate:
     return Estimate(mean=mean, std_error=std_error, reps=reps)
 
 
-def _blocks(items, width: int) -> list:
-    """Consecutive slices of ``items``, rows of ``width`` uniforms each, that fit in one block.
-
-    A block holds at most ``_BLOCK_KEYS`` rows and ``_BLOCK_UNIFORMS``
-    uniforms, but one row at least, however wide.
-    """
-    step = max(1, min(_BLOCK_KEYS, _BLOCK_UNIFORMS // width))
-    return [items[i : i + step] for i in range(0, len(items), step)]
-
-
 def _winners(norms: np.ndarray, dists: np.ndarray) -> np.ndarray:
     # each row's true norm at its clone-distance argmin (the lowest index on ties)
     return norms[np.arange(norms.shape[0]), np.argmin(dists, axis=1)]
 
 
-class _RepKeys:
-    """The keys (master_seed, label, "rep", i) of a chunk, derived as they are read.
+def _chunk(
+    block_fn, width: int, args: tuple, label: str, master_seed: int, start: int, stop: int
+) -> np.ndarray:
+    """Stack block_fn(keys, *args) over blocks of the replications [start, stop).
 
-    A key holds its hash state (about 0.4 KB in all), so a chunk never
-    holds all of its keys at once and ``reps`` costs time, not memory.
+    A block holds at most ``_BLOCK_KEYS`` replications and
+    ``_BLOCK_UNIFORMS`` uniforms, rows of ``width`` each, but one row at
+    least, however wide. Its keys (master_seed, label, "rep", i) are derived
+    when it is drawn: a key holds its hash state (about 0.4 KB in all), so a
+    chunk never holds all of its keys at once and ``reps`` costs time, not
+    memory.
     """
-
-    def __init__(self, base: StreamKey, reps: range) -> None:
-        self.base, self.reps = base, reps
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    def __iter__(self):
-        return (self.base.child("rep", rep) for rep in self.reps)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _RepKeys(self.base, self.reps[i])
-        return self.base.child("rep", self.reps[i])
-
-
-def _chunk(chunk_fn, args: tuple, label: str, master_seed: int, start: int, stop: int) -> np.ndarray:
-    return chunk_fn(_RepKeys(StreamKey(master_seed).child(label), range(start, stop)), *args)
+    base = StreamKey(master_seed).child(label)
+    step = max(1, min(_BLOCK_KEYS, _BLOCK_UNIFORMS // width))
+    blocks = (range(a, min(a + step, stop)) for a in range(start, stop, step))
+    return np.concatenate([block_fn([base.child("rep", rep) for rep in block], *args) for block in blocks])
 
 
 _pool: ProcessPoolExecutor | None = None  # the process's worker pool, made by the first fan-out
@@ -221,9 +205,9 @@ def _worker_pool(count: int) -> ProcessPoolExecutor:
 
 
 def _replicate(
-    chunk_fn, args: tuple, label: str, reps: int, master_seed: int, workers: int | None
+    block_fn, width: int, args: tuple, label: str, reps: int, master_seed: int, workers: int | None
 ) -> np.ndarray:
-    """Stack chunk_fn(keys, *args) over chunks of the replications [0, reps), any worker count.
+    """Stack block_fn(keys, *args) over the replications [0, reps), any worker count.
 
     Replication ``rep`` always draws from the key (master_seed, label,
     rep), and chunks land in a replication-indexed array, so the result
@@ -232,13 +216,13 @@ def _replicate(
     """
     count = resolve_workers(workers)
     if count == 1 or reps < 2 * count:
-        return _chunk(chunk_fn, args, label, master_seed, 0, reps)
+        return _chunk(block_fn, width, args, label, master_seed, 0, reps)
     bounds = np.unique(np.linspace(0, reps, 4 * count + 1).astype(int))
     for retry in (False, True):
         try:
             pool = _worker_pool(count)
             futures = [
-                pool.submit(_chunk, chunk_fn, args, label, master_seed, int(a), int(b))
+                pool.submit(_chunk, block_fn, width, args, label, master_seed, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:])
             ]
             return np.concatenate([future.result() for future in futures], axis=0)
@@ -255,28 +239,23 @@ def _check_common(reps: int, m_or_n: int, name: str) -> None:
         raise ValueError(f"{name} must be a positive integer, got {m_or_n!r}")
 
 
-def _d_ip_chunk(keys, k: int, m: int) -> np.ndarray:
-    return np.concatenate([sampler.sample_ball_radii(k, m, block).min(axis=1) for block in _blocks(keys, m)])
+def _d_ip_block(keys, k: int, m: int) -> np.ndarray:
+    return sampler.sample_ball_radii(k, m, keys).min(axis=1)
 
 
 def estimate_d_ip(k: int, m: int, reps: int, master_seed: int, *, workers: int | None = None) -> Estimate:
     """Mean of the min-norm over m fresh ball draws per replication."""
     _check_common(reps, m, "m")
     label = f"d_ip(k={k},m={m})"
-    return _estimate(_replicate(_d_ip_chunk, (k, m), label, reps, master_seed, workers), label)
+    return _estimate(_replicate(_d_ip_block, m, (k, m), label, reps, master_seed, workers), label)
 
 
-def _d_ai_chunk(keys, k: int, n: int, variance: float, clone_mode: str) -> np.ndarray:
-    fixed = clone_mode == FIXED_SUBJECT_CLONE
-    width = sampler.clone_row_width(k, n, fixed) + (sampler.chi_square_width(k) if fixed else 0)
-    winners = []
-    for block in _blocks(keys, width):
-        rho = None
-        if fixed:
-            rho = sampler.sample_noise_norm(k, variance, [key.child("subject-clone") for key in block])
-        pools = [key.child("pool") for key in block]
-        winners.append(_winners(*sampler.draw_clone_batch(k, n, variance, variance, rho, stream=pools)))
-    return np.concatenate(winners)
+def _d_ai_block(keys, k: int, n: int, variance: float, clone_mode: str) -> np.ndarray:
+    rho = None
+    if clone_mode == FIXED_SUBJECT_CLONE:
+        rho = sampler.sample_noise_norm(k, variance, [key.child("subject-clone") for key in keys])
+    pools = [key.child("pool") for key in keys]
+    return _winners(*sampler.draw_clone_batch(k, n, variance, variance, rho, stream=pools))
 
 
 def estimate_d_ai(
@@ -302,8 +281,10 @@ def estimate_d_ai(
     if clone_mode not in (PER_INTERACTION, FIXED_SUBJECT_CLONE):
         raise ValueError(f"unknown clone mode {clone_mode!r}")
     label = f"d_ai(k={k},n={n},mode={clone_mode})"
+    fixed = clone_mode == FIXED_SUBJECT_CLONE
+    width = sampler.clone_row_width(k, n, fixed) + (sampler.chi_square_width(k) if fixed else 0)
     args = (k, n, noise_variance_per_clone, clone_mode)
-    return _estimate(_replicate(_d_ai_chunk, args, label, reps, master_seed, workers), label)
+    return _estimate(_replicate(_d_ai_block, width, args, label, reps, master_seed, workers), label)
 
 
 def monotonicity_grid(n_max: int) -> list[int]:
@@ -318,13 +299,10 @@ def monotonicity_grid(n_max: int) -> list[int]:
     return grid
 
 
-def _coupled_chunk(keys, k: int, variance: float, n_max: int, grid: list[int]) -> np.ndarray:
-    winners = []
-    for block in _blocks(keys, sampler.clone_row_width(k, n_max, False)):
-        pools = [key.child("pool") for key in block]
-        norms, dists = sampler.draw_clone_batch(k, n_max, variance, variance, stream=pools)
-        winners.append(np.stack([_winners(norms[:, :n], dists[:, :n]) for n in grid], axis=1))
-    return np.concatenate(winners)
+def _coupled_block(keys, k: int, variance: float, n_max: int, grid: list[int]) -> np.ndarray:
+    pools = [key.child("pool") for key in keys]
+    norms, dists = sampler.draw_clone_batch(k, n_max, variance, variance, stream=pools)
+    return np.stack([_winners(norms[:, :n], dists[:, :n]) for n in grid], axis=1)
 
 
 def coupled_monotonicity_test(
@@ -347,20 +325,18 @@ def coupled_monotonicity_test(
     grid = monotonicity_grid(n_max)
     label = f"coupled(k={k},n_max={n_max})"
     args = (k, noise_variance_per_clone, n_max, grid)
-    values = _replicate(_coupled_chunk, args, label, reps, master_seed, workers)
+    width = sampler.clone_row_width(k, n_max, False)
+    values = _replicate(_coupled_block, width, args, label, reps, master_seed, workers)
     return {n: _estimate(values[:, j], label) for j, n in enumerate(grid)}
 
 
-def _group_chunk(keys, k: int, n: int, sigma_r2: float, sigma_p2: float) -> np.ndarray:
-    wins = []
-    for block in _blocks(keys, 2 * sampler.clone_row_width(k, n, False)):
-        rich = [key.child("pool-rich") for key in block]
-        poor = [key.child("pool-poor") for key in block]
-        _, dists_r = sampler.draw_clone_batch(k, n, sigma_r2, sigma_r2, stream=rich)
-        _, dists_p = sampler.draw_clone_batch(k, n, sigma_r2, sigma_p2, stream=poor)
-        # global argmin with the deterministic tie rule: rich pool wins ties
-        wins.append(dists_r.min(axis=1) <= dists_p.min(axis=1))
-    return np.concatenate(wins).astype(float)
+def _group_block(keys, k: int, n: int, sigma_r2: float, sigma_p2: float) -> np.ndarray:
+    rich = [key.child("pool-rich") for key in keys]
+    poor = [key.child("pool-poor") for key in keys]
+    _, dists_r = sampler.draw_clone_batch(k, n, sigma_r2, sigma_r2, stream=rich)
+    _, dists_p = sampler.draw_clone_batch(k, n, sigma_r2, sigma_p2, stream=poor)
+    # global argmin with the deterministic tie rule: rich pool wins ties
+    return (dists_r.min(axis=1) <= dists_p.min(axis=1)).astype(float)
 
 
 def estimate_group_win_rate(
@@ -382,10 +358,11 @@ def estimate_group_win_rate(
     _check_common(reps, n, "n")
     label = f"groups(k={k},n={n})"
     args = (k, n, group.sigma_r2, group.sigma_p2)
-    return _estimate(_replicate(_group_chunk, args, label, reps, master_seed, workers), label)
+    width = 2 * sampler.clone_row_width(k, n, False)
+    return _estimate(_replicate(_group_block, width, args, label, reps, master_seed, workers), label)
 
 
-def _seq_payoff_chunk(keys, k: int, variance: float, policy: SeqSearchPolicy) -> np.ndarray:
+def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) -> np.ndarray:
     # Draws arrive in blocks from the sub-streams ("block", 0), ("block", 1),
     # ...: 512 draws for a threshold rule, one t-draw block with no threshold
     # for StopAtFixedT(t). The search observes one value per draw (in person
@@ -408,29 +385,25 @@ def _seq_payoff_chunk(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
     with np.errstate(over="ignore"):  # a huge per-period cost is caught as a non-finite mean
         for seen in range(0, cap, block):
             count = min(block, cap - seen)
-            width = count if in_person else sampler.clone_row_width(k, count, False)
-            still = [searching[:0]]
-            for part in _blocks(searching, width):
-                streams = [keys[i].child("block", seen // block) for i in part]
-                if in_person:
-                    norms = observed = sampler.sample_ball_radii(k, count, streams)
-                else:
-                    norms, observed = sampler.draw_clone_batch(k, count, variance, variance, stream=streams)
-                rows = np.arange(part.size)
-                i = np.argmin(observed, axis=1)
-                low = observed[rows, i]
-                fired = low <= threshold
-                if fired.any():
-                    first = np.argmax(observed[fired] <= threshold, axis=1)  # the first draw at or below it
-                    stopped = part[fired]
-                    values[stopped, 0] = -norms[fired, first] - cost(seen + first + 1) - fee
-                    values[stopped, 1] = 0.0
-                # a stopped search is not read again, so its best may move too
-                better = low < best_obs[part]
-                best_obs[part[better]] = low[better]
-                best_norm[part[better]] = norms[rows[better], i[better]]
-                still.append(part[~fired])
-            searching = np.concatenate(still)
+            streams = [keys[i].child("block", seen // block) for i in searching]
+            if in_person:
+                norms = observed = sampler.sample_ball_radii(k, count, streams)
+            else:
+                norms, observed = sampler.draw_clone_batch(k, count, variance, variance, stream=streams)
+            rows = np.arange(searching.size)
+            i = np.argmin(observed, axis=1)
+            low = observed[rows, i]
+            fired = low <= threshold
+            if fired.any():
+                first = np.argmax(observed[fired] <= threshold, axis=1)  # the first draw at or below it
+                stopped = searching[fired]
+                values[stopped, 0] = -norms[fired, first] - cost(seen + first + 1) - fee
+                values[stopped, 1] = 0.0
+            # a stopped search is not read again, so its best may move too
+            better = low < best_obs[searching]
+            best_obs[searching[better]] = low[better]
+            best_norm[searching[better]] = norms[rows[better], i[better]]
+            searching = searching[~fired]
             if not searching.size:
                 break
         values[searching, 0] = -best_norm[searching] - cost(cap) - fee
@@ -456,8 +429,11 @@ def evaluate_seq_policy(
     if not isinstance(reps, int) or reps < 2:
         raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
     label = f"seq(k={k},regime={policy.regime},rule={policy.rule})"
+    rule = policy.rule  # the first round draws the most, so its width bounds every round
+    first = rule.t if isinstance(rule, StopAtFixedT) else min(_SEQ_BLOCK, rule.cap)
+    width = first if policy.regime == IN_PERSON else sampler.clone_row_width(k, first, False)
     args = (k, noise_variance_per_clone, policy)
-    values = _replicate(_seq_payoff_chunk, args, label, reps, master_seed, workers)
+    values = _replicate(_seq_payoff_block, width, args, label, reps, master_seed, workers)
     return PolicyReport(
         payoff=_estimate(values[:, 0], label),
         truncated_reps=int(values[:, 1].sum()),

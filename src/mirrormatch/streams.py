@@ -12,13 +12,12 @@ address, so :meth:`StreamKey.child` copies that prefix and hashes only the
 new ``(label, index)`` element. A Philox stream's whole state is its
 (counter, key) pair, so :func:`uniform_rows` does not build a generator
 per key: it fills a ``(len(keys), width)`` matrix whose row i holds the
-first ``width`` uniforms of ``keys[i]``'s stream, resetting one generator
-per process to ``{counter: 0, key}`` before each row. Row i is therefore
+first ``width`` uniforms of ``keys[i]``'s stream, resetting its thread's
+one generator to ``{counter: 0, key}`` before each row. Row i is therefore
 bit for bit ``keys[i].generator().random(width)``, whatever the other rows
-and however many keys are drawn together. Only numpy runs while the shared
-generator is held; a call that finds it busy (another thread, or a child
-forked while the parent held it) fills its rows from fresh
-:meth:`StreamKey.generator` objects instead.
+and however many keys are drawn together. Each thread has its own
+generator, built by its first draw, so no two draws share one; a forked
+child inherits the forking thread's, which the next reset overwrites.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ def _element(label: str, index: int) -> bytes:
     return len(raw).to_bytes(2, "little") + raw + index.to_bytes(8, "little")
 
 
-def _new_shared() -> tuple:
+def _new_generator() -> tuple:
     # a Philox, its Generator, and the state of a newly keyed Philox with its
     # arrays as lists of ints (cheaper to assign); a reset fills in "key"
     bits = np.random.Philox(key=0)
@@ -59,8 +58,7 @@ def _new_shared() -> tuple:
     return bits, np.random.Generator(bits), reset
 
 
-_shared_lock = threading.Lock()
-_shared: tuple | None = None  # built by the first draw of the process
+_thread = threading.local()  # .generator: the thread's _new_generator(), built by its first draw
 
 
 @dataclass(frozen=True)
@@ -107,22 +105,12 @@ class StreamKey:
 
 def uniform_rows(keys, width: int) -> np.ndarray:
     """A ``(len(keys), width)`` matrix; row i is the first ``width`` uniforms of ``keys[i]``."""
-    global _shared
     out = np.empty((len(keys), width))
-    shared = _shared_lock.acquire(blocking=False)
-    try:
-        if shared:
-            if _shared is None:
-                _shared = _new_shared()
-            bits, rng, state = _shared
-        for row, key in zip(out, keys):
-            if shared:
-                state["state"]["key"] = key._words()
-                bits.state = state
-            else:
-                rng = key.generator()
-            rng.random(out=row)
-    finally:
-        if shared:
-            _shared_lock.release()
+    if not hasattr(_thread, "generator"):
+        _thread.generator = _new_generator()
+    bits, rng, state = _thread.generator
+    for row, key in zip(out, keys):
+        state["state"]["key"] = key._words()
+        bits.state = state
+        rng.random(out=row)
     return out

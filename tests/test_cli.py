@@ -59,6 +59,8 @@ EVERY_KEY = {
     "seq_cost_ai_per_period": 0.002,
     "seq_cap": 77,
 }
+# the default noise_param, moved past the 12th significant digit
+UNROUNDED = "noise_param=0.0500000000000001"
 
 
 def set_args(overrides):
@@ -270,8 +272,11 @@ class TestOutputContract:
         assert summary["config_hash"] == result.config.config_hash()
         assert "table1.csv" in summary["files"]
 
-    @pytest.mark.parametrize("overrides", [[], [f"{key}={value}" for key, value in EVERY_KEY.items()]],
-                             ids=["defaults", "every-key"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [[], [f"{key}={value}" for key, value in EVERY_KEY.items()], [UNROUNDED]],
+        ids=["defaults", "every-key", "past-12-digits"],
+    )
     def test_config_echo_round_trip(self, tmp_path, overrides):
         # config.txt parses back to the run's config, whose hash names the run directory
         assert cli.main(["mstar", "--out", str(tmp_path)] + set_args(overrides)) == 0
@@ -279,6 +284,11 @@ class TestOutputContract:
         cfg = parse_config(run_dir / "config.txt")
         assert cfg == parse_config(None, overrides)
         assert cfg.config_hash() == run_dir.name
+
+    def test_configs_differing_past_12_digits_differ_in_hash(self):
+        rounded = parse_config(None, ["noise_param=0.05"])
+        assert rounded.config_hash() == "2c1abbf97d96d5d2"  # a float that reads back keeps its hash
+        assert parse_config(None, [UNROUNDED]).config_hash() != rounded.config_hash()
 
     def test_every_key_differs_from_its_default(self):
         cfg = parse_config(None, [f"{key}={value}" for key, value in EVERY_KEY.items()])

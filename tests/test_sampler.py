@@ -145,7 +145,7 @@ def pool_keys(count=40):
 
 
 class TestSharedDraw:
-    # uniform_rows resets one generator per process instead of building one
+    # uniform_rows resets one generator per thread instead of building one
     # per key; a batch of keys gives each key the row it gets alone
     @pytest.mark.parametrize(
         "entry",
@@ -180,43 +180,39 @@ class TestSharedDraw:
         # a dirty generator (buffered 32-bit half, advanced counter) resets cleanly
         first, second = pool_keys(2)
         streams.uniform_rows([first], 5)
-        streams._shared[1].integers(0, 2**32, size=3, dtype=np.uint32)
+        streams._thread.generator[1].integers(0, 2**32, size=3, dtype=np.uint32)
         assert streams.uniform_rows([second], 5000).tobytes() == fresh_rows([second], 5000).tobytes()
 
     def test_one_shared_generator(self):
+        # a thread's draws share its one generator
         first, second = pool_keys(2)
         streams.uniform_rows([first], 3)
-        shared = streams._shared
+        shared = streams._thread.generator
         streams.uniform_rows([second, first], 3)
-        assert streams._shared is shared
+        assert streams._thread.generator is shared
 
-    def test_nested_draw_does_not_alias(self):
-        # while the shared generator is held (by another thread, or in a child
-        # forked under the lock) a call fills its rows from fresh generators
-        # and leaves the shared one where it was
+    def test_other_threads_generator_is_untouched(self):
+        # each thread draws on its own generator and leaves this one where it was
         first, second = pool_keys(2)
         streams.uniform_rows([first], 3)
-        bits = streams._shared[0]
+        bits = streams._thread.generator[0]
         before = bits.state
-        with streams._shared_lock:
-            rows = streams.uniform_rows([second, first], 7)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            rows = pool.submit(streams.uniform_rows, [second, first], 7).result(timeout=60)
         assert rows.tobytes() == fresh_rows([second, first], 7).tobytes()
         after = bits.state
         assert after["state"]["key"].tolist() == before["state"]["key"].tolist()
         assert after["state"]["counter"].tolist() == before["state"]["counter"].tolist()
 
-    def test_exception_releases_shared_generator(self):
+    def test_draw_after_an_exception(self):
         first, second = pool_keys(2)
         with pytest.raises(AttributeError):
             streams.uniform_rows([first, "not a key", second], 3)
-        assert not streams._shared_lock.locked()
-        shared = streams._shared
         assert streams.uniform_rows([second], 3).tobytes() == fresh_rows([second], 3).tobytes()
-        assert streams._shared is shared  # still the shared path
 
     def test_concurrent_draws(self):
         # more threads than cores, switching often: a row filled after another
-        # thread reset the generator would carry that thread's key
+        # thread reset its generator must still carry its own key
         keys = pool_keys(200)
         batches = [keys[i : i + 5] for i in range(0, len(keys), 5)] * 4
         expected = [fresh_rows(batch, 120).tobytes() for batch in batches]

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import threading
 import time
 import tracemalloc
 
@@ -121,22 +122,40 @@ def fresh_pool():
 
 @pytest.mark.usefixtures("fresh_pool")
 class TestSharedGeneratorAcrossWorkers:
-    # streams.uniform_rows resets one generator per process; workers forked
-    # by the first fan-out inherit whatever state the parent left in it
+    # streams.uniform_rows resets one generator per thread; workers forked
+    # by the first fan-out inherit whatever state the forking thread left in it
     def test_workers_agree_after_parent_drew(self):
         serial = every_estimator(1)
-        streams._shared[1].random(3)  # parent's shared generator mid-stream
-        streams._shared[1].integers(0, 2**32, size=3, dtype=np.uint32)
+        streams._thread.generator[1].random(3)  # parent's generator mid-stream
+        streams._thread.generator[1].integers(0, 2**32, size=3, dtype=np.uint32)
         assert every_estimator(2) == serial
 
     def test_workers_forked_inside_a_draw(self):
-        # the parent holds the shared generator while the pool forks, so
-        # every draw in parent and workers takes the fresh-generator path,
-        # and no worker waits on the lock it inherited
+        # a background thread draws without pause while another thread forks
+        # a fresh pool: workers inherit only the forking thread's generator,
+        # and neither thread's rows see the other's keys
         serial = every_estimator(1)
-        with streams._shared_lock:
-            assert every_estimator(2) == serial
-            assert every_estimator(1) == serial
+        keys = [StreamKey(SEED).child("meanwhile", i) for i in range(8)]
+        expected = streams.uniform_rows(keys, 64).tobytes()
+        stop, drawn = threading.Event(), []
+
+        def draw():
+            while not stop.is_set():
+                drawn.append(streams.uniform_rows(keys, 64).tobytes() == expected)
+
+        got = []
+        threads = [
+            threading.Thread(target=draw, daemon=True),
+            threading.Thread(target=lambda: got.append(every_estimator(2)), daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        threads[1].join(timeout=120)
+        stop.set()
+        threads[0].join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [serial]
+        assert drawn and all(drawn)
 
 
 class TestWorkerPool:
@@ -189,45 +208,65 @@ def rep_keys(reps=40):
     return [StreamKey(SEED).child("blocking").child("rep", rep) for rep in range(reps)]
 
 
+def chunk(block_fn, width, args):
+    """Replications 0..39 of the label "blocking", as the runner draws them."""
+    return simulate._chunk(block_fn, width, args, "blocking", SEED, 0, 40)
+
+
 class TestBlocking:
     # a chunk drawn as one block, as blocks of the default size and as one
     # row per block must give the same bytes: a row is a function of its key
     CASES = [
         *[
-            pytest.param(simulate._d_ai_chunk, (k, 20, 0.0025, mode), id=f"d_ai-k{k}-{mode}")
+            pytest.param(
+                simulate._d_ai_block,
+                sampler.clone_row_width(k, 20, fixed) + (sampler.chi_square_width(k) if fixed else 0),
+                (k, 20, 0.0025, mode),
+                id=f"d_ai-k{k}-{mode}",
+            )
             for k in (1, sampler._CHI2_SUM_MAX_DF, 25, 26, 300)
-            for mode in (simulate.PER_INTERACTION, simulate.FIXED_SUBJECT_CLONE)
+            for mode, fixed in ((simulate.PER_INTERACTION, False), (simulate.FIXED_SUBJECT_CLONE, True))
         ],
-        pytest.param(simulate._d_ip_chunk, (26, 3), id="d_ip"),
-        pytest.param(simulate._coupled_chunk, (5, 0.01, 16, simulate.monotonicity_grid(16)), id="coupled"),
-        pytest.param(simulate._group_chunk, (26, 16, 0.01, 0.04), id="groups"),
+        pytest.param(simulate._d_ip_block, 3, (26, 3), id="d_ip"),
+        pytest.param(
+            simulate._coupled_block,
+            sampler.clone_row_width(5, 16, False),
+            (5, 0.01, 16, simulate.monotonicity_grid(16)),
+            id="coupled",
+        ),
+        pytest.param(
+            simulate._group_block, 2 * sampler.clone_row_width(26, 16, False), (26, 16, 0.01, 0.04), id="groups"
+        ),
         # at k = 1 one draw in 800 is at most 0.00125: many searches stop in
         # a later 512-draw block, and some hit the cap
         pytest.param(
-            simulate._seq_payoff_chunk,
+            simulate._seq_payoff_block,
+            512,
             (1, 0.0025, SeqSearchPolicy(simulate.IN_PERSON, StopWhenBestBelow(0.00125, 1300), AffineCost(1))),
             id="seq-in-person-later-block",
         ),
         pytest.param(
-            simulate._seq_payoff_chunk,
+            simulate._seq_payoff_block,
+            sampler.clone_row_width(2, 512, False),
             (2, 0.0025, SeqSearchPolicy(simulate.AI_PLATFORM, StopWhenBestBelow(0.0, 1100), kappa=0.1)),
             id="seq-platform-cap",
         ),
     ]
 
-    @pytest.mark.parametrize("chunk_fn, args", CASES)
-    def test_block_size_does_not_change_bits(self, chunk_fn, args, monkeypatch):
-        default = chunk_fn(rep_keys(), *args).tobytes()
+    @pytest.mark.parametrize("block_fn, width, args", CASES)
+    def test_block_size_does_not_change_bits(self, block_fn, width, args, monkeypatch):
+        default = chunk(block_fn, width, args).tobytes()
         monkeypatch.setattr(simulate, "_BLOCK_UNIFORMS", 2**40)
         monkeypatch.setattr(simulate, "_BLOCK_KEYS", 2**40)
-        assert chunk_fn(rep_keys(), *args).tobytes() == default  # one block
+        assert chunk(block_fn, width, args).tobytes() == default  # one block
+        assert block_fn(rep_keys(), *args).tobytes() == default
         monkeypatch.setattr(simulate, "_BLOCK_UNIFORMS", 1)
-        assert chunk_fn(rep_keys(), *args).tobytes() == default  # one row per block
+        assert chunk(block_fn, width, args).tobytes() == default  # one row per block
 
     def test_search_rounds_cover_later_blocks_and_the_cap(self):
         # the seq case above: payoff = -norm - tau with norm < 1 gives tau
-        _, args = self.CASES[-2].values
-        values = simulate._seq_payoff_chunk(rep_keys(), *args)
+        _, _, args = self.CASES[-2].values
+        values = simulate._seq_payoff_block(rep_keys(), *args)
         taus = np.floor(-values[:, 0]).astype(int)
         stopped = values[:, 1] == 0.0
         assert (taus[stopped] > 512).any() and (taus[stopped] <= 1300).all()
@@ -245,17 +284,18 @@ class TestBlocking:
             tracemalloc.stop()
         assert peak <= 32 * reps
 
-    def test_zero_subject_noise_keeps_the_short_layout(self):
-        # a norm of exactly 0 draws no g1 and no chi-square for it, beside
-        # rows that do, so it equals a per-interaction row of the same variance
+    def test_zero_subject_noise_draws_a_full_row(self):
+        # a norm of exactly 0 takes the fixed-subject layout like any other
+        # norm: its row is finite and the same beside other rows as alone
         keys = [StreamKey(SEED).child("zero-norm", i) for i in range(3)]
+        rhos = [0.3, 0.0, 0.5]
         for k in (1, 5, 30):
-            norms, dists = sampler.draw_clone_batch(k, 9, 0.01, 0.02, [0.3, 0.0, 0.5], stream=keys)
-            ref_norms, ref_dists = sampler.draw_clone_batch(k, 9, 0.01, 0.01, stream=keys[1])
-            assert norms[1].tobytes() == ref_norms[0].tobytes()
-            assert dists[1].tobytes() == ref_dists[0].tobytes()
-            alone = sampler.draw_clone_batch(k, 9, 0.01, 0.02, 0.5, stream=keys[2])
-            assert dists[2].tobytes() == alone[1][0].tobytes()
+            norms, dists = sampler.draw_clone_batch(k, 9, 0.01, 0.02, rhos, stream=keys)
+            assert np.isfinite(norms).all() and np.isfinite(dists).all()
+            for i, rho in enumerate(rhos):
+                (alone_norms,), (alone_dists,) = sampler.draw_clone_batch(k, 9, 0.01, 0.02, rho, stream=keys[i])
+                assert norms[i].tobytes() == alone_norms.tobytes()
+                assert dists[i].tobytes() == alone_dists.tobytes()
 
 
 class TestCoupledMonotonicity:
@@ -353,7 +393,7 @@ class TestSeqPolicies:
                 3, 600, 0.0025, 0.0025, stream=key.child("block", 0)
             )
             winner = -float(norms[int(np.argmin(dists))]) - 0.0 - 0.1
-            assert simulate._seq_payoff_chunk([key], 3, 0.0025, policy).tolist() == [[winner, 0.0]]
+            assert simulate._seq_payoff_block([key], 3, 0.0025, policy).tolist() == [[winner, 0.0]]
 
     def test_in_person_threshold_stops_at_first_hit(self):
         policy = SeqSearchPolicy(simulate.IN_PERSON, StopWhenBestBelow(0.9, 4096))
