@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -559,6 +560,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # What exists now is import-time state that lives until exit. Frozen, it
+    # is skipped by every later collection: the full ones at interpreter
+    # shutdown, and a forked pool worker's, which would write to the pages
+    # it shares with this process and so copy them.
+    gc.freeze()
     args = build_arg_parser().parse_args(argv)
     try:
         overrides = list(args.overrides)

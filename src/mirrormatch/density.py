@@ -70,8 +70,8 @@ def joint_log_density(params: JointDensityParams, r: float, s: float) -> float:
     """Log of the joint density of (R, S) at (r, s)."""
     if not 0.0 < r <= 1.0:
         raise ValueError(f"r must lie in (0, 1], got {r!r}")
-    if not s > 0.0:
-        raise ValueError(f"s must be positive, got {s!r}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s!r}")
     value = float(_joint_log_density_arr(params, r, s))
     if not math.isfinite(value):
         raise ValueError(f"joint log density is not finite at (r={r!r}, s={s!r})")
@@ -104,8 +104,8 @@ def conditional_mean_r_given_s(params: JointDensityParams, s: float) -> float:
     of the saturated-platform distance at per-clone variance nu / 2,
     independent of its incomplete-gamma route.
     """
-    if not s >= 0.0:
-        raise ValueError(f"s must be nonnegative, got {s!r}")
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"s must be nonnegative and finite, got {s!r}")
     if s == 0.0:
         return analytic._d_ai_infinity_quadrature(params.k, 0.5 * params.nu)
     peak, width, shift = _laplace_peak(lambda r: _joint_log_density_arr(params, r, s))
@@ -157,8 +157,8 @@ def mlrp_grid_check(
             raise ValueError(f"{name} must be strictly increasing")
     if not (r[0] > 0.0 and r[-1] <= 1.0):
         raise ValueError("r_grid must lie in (0, 1]")
-    if not s[0] > 0.0:
-        raise ValueError("s_grid must be positive")
+    if not (s[0] > 0.0 and s[-1] < math.inf):
+        raise ValueError("s_grid must be positive and finite")
 
     fn = joint_log_density if log_density is None else log_density
     m = np.array([[fn(params, ri, sj) for sj in s] for ri in r])

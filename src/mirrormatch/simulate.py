@@ -7,14 +7,14 @@ replication-indexed array and reduced with numpy's pairwise mean over
 that fixed-shape array; repeated runs with one seed are bit-identical
 for any worker count.
 
-The runner cuts the replications into chunks, one task each for the
-process's one worker pool, and a chunk into blocks of at most
-``_BLOCK_KEYS`` replications and ``_BLOCK_UNIFORMS`` uniforms, given the
-row width its estimator declares. Each estimator is one function of one
-block: it draws the streams of all the block's replications in one
-sampler call (a sequential search in one call a round) and reduces them
-to one value each before the next block, so memory stays bounded and a
-row's bits never depend on the block size.
+The runner cuts the replications into blocks of at most ``_BLOCK_KEYS``
+replications and ``_BLOCK_UNIFORMS`` uniforms, given the row width its
+estimator declares. A fan-out hands the process's one worker pool runs of
+whole blocks as chunks, at most four a worker, one task each. Each
+estimator is one function of one block: it draws the streams of all the
+block's replications in one sampler call (a sequential search in one call
+a round) and reduces them to one value each before the next block, so
+memory stays bounded and a row's bits never depend on the block size.
 """
 
 from __future__ import annotations
@@ -130,12 +130,11 @@ class PolicyReport:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Worker count: the argument, else ``MIRRORMATCH_WORKERS``, else 1; at most ``_MAX_WORKERS``."""
+    """Worker count: the argument, else ``MIRRORMATCH_WORKERS``, else 1; an integer in [1, ``_MAX_WORKERS``]."""
     if workers is not None:
-        count = max(1, int(workers))
-        if count > _MAX_WORKERS:
-            raise ValueError(f"workers must be at most {_MAX_WORKERS}, got {workers!r}")
-        return count
+        if not (isinstance(workers, int) and 1 <= workers <= _MAX_WORKERS):
+            raise ValueError(f"workers must be an integer in [1, {_MAX_WORKERS}], got {workers!r}")
+        return workers
     env = os.environ.get("MIRRORMATCH_WORKERS")
     if not env:
         return 1
@@ -163,6 +162,11 @@ def _winners(norms: np.ndarray, dists: np.ndarray) -> np.ndarray:
     return norms[np.arange(norms.shape[0]), np.argmin(dists, axis=1)]
 
 
+def _block_step(width: int) -> int:
+    """Replications in a full block of rows ``width`` uniforms wide."""
+    return max(1, min(_BLOCK_KEYS, _BLOCK_UNIFORMS // width))
+
+
 def _chunk(
     block_fn, width: int, args: tuple, label: str, master_seed: int, start: int, stop: int
 ) -> np.ndarray:
@@ -170,13 +174,13 @@ def _chunk(
 
     A block holds at most ``_BLOCK_KEYS`` replications and
     ``_BLOCK_UNIFORMS`` uniforms, rows of ``width`` each, but one row at
-    least, however wide. Its keys (master_seed, label, "rep", i) are derived
-    when it is drawn: a key holds its hash state (about 0.4 KB in all), so a
-    chunk never holds all of its keys at once and ``reps`` costs time, not
-    memory.
+    least, however wide; the first starts at ``start``. Its keys
+    (master_seed, label, "rep", i) are derived when it is drawn: a key holds
+    its hash state (about 0.4 KB in all), so a chunk never holds all of its
+    keys at once and ``reps`` costs time, not memory.
     """
     base = StreamKey(master_seed).child(label)
-    step = max(1, min(_BLOCK_KEYS, _BLOCK_UNIFORMS // width))
+    step = _block_step(width)
     blocks = (range(a, min(a + step, stop)) for a in range(start, stop, step))
     return np.concatenate([block_fn([base.child("rep", rep) for rep in block], *args) for block in blocks])
 
@@ -211,18 +215,23 @@ def _replicate(
 
     Replication ``rep`` always draws from the key (master_seed, label,
     rep), and chunks land in a replication-indexed array, so the result
-    is identical to a serial run. A pool that lost a worker is replaced
-    and the chunks run once more on the new one.
+    is identical to a serial run. A chunk is a run of whole blocks, the
+    ones a serial run draws, and there are at most four a worker. A pool
+    that lost a worker is replaced and the chunks run once more on the new
+    one.
     """
     count = resolve_workers(workers)
     if count == 1 or reps < 2 * count:
         return _chunk(block_fn, width, args, label, master_seed, 0, reps)
-    bounds = np.unique(np.linspace(0, reps, 4 * count + 1).astype(int))
+    step = _block_step(width)
+    blocks = -(-reps // step)
+    chunks = min(blocks, 4 * count)
+    bounds = [min(reps, step * (blocks * i // chunks)) for i in range(chunks + 1)]
     for retry in (False, True):
         try:
             pool = _worker_pool(count)
             futures = [
-                pool.submit(_chunk, block_fn, width, args, label, master_seed, int(a), int(b))
+                pool.submit(_chunk, block_fn, width, args, label, master_seed, a, b)
                 for a, b in zip(bounds[:-1], bounds[1:])
             ]
             return np.concatenate([future.result() for future in futures], axis=0)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -61,6 +62,13 @@ EVERY_KEY = {
 }
 # the default noise_param, moved past the 12th significant digit
 UNROUNDED = "noise_param=0.0500000000000001"
+
+
+@pytest.fixture(autouse=True)
+def thawed_heap():
+    """Hand the heap that cli.main froze back to the cyclic collector."""
+    yield
+    gc.unfreeze()
 
 
 def set_args(overrides):
@@ -311,6 +319,12 @@ class TestMainEntry:
         assert code == 0
         printed = capsys.readouterr().out.strip().splitlines()
         assert printed and printed[0].endswith("table1.csv")
+
+    def test_freezes_the_heap_it_starts_with(self, tmp_path):
+        gc.unfreeze()
+        assert gc.get_freeze_count() == 0
+        assert cli.main(["mstar", "--out", str(tmp_path), "--set", "k_grid=1"]) == 0
+        assert gc.get_freeze_count() > 0  # thawed_heap unfreezes it again
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg_default = parse_config(None, TINY)

@@ -97,6 +97,11 @@ class TestConditionalDensity:
         with pytest.raises(ValueError):
             joint_log_density(params, 0.5, 0.0)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_rejects_infinite_and_nan_s(self, s):
+        with pytest.raises(ValueError, match="positive and finite"):
+            joint_log_density(JointDensityParams(3, 0.1), 0.5, s)
+
 
 class TestJointDensity:
     def test_composition(self):
@@ -242,6 +247,11 @@ class TestConditionalMean:
         with pytest.raises(ValueError):
             conditional_mean_r_given_s(JointDensityParams(3, 0.1), -0.5)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_rejects_infinite_and_nan_s(self, s):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            conditional_mean_r_given_s(JointDensityParams(5, 0.01), s)
+
 
 class TestMlrpGridCheck:
     @staticmethod
@@ -315,6 +325,13 @@ class TestMlrpGridCheck:
             mlrp_grid_check(params, [0.5, 0.4], [0.1, 0.2])
         with pytest.raises(ValueError):
             mlrp_grid_check(params, [0.5, 0.9], [0.2, 0.1])
+
+    def test_infinite_s_point_rejected(self):
+        # by the grid check itself, also for a log density defined there
+        params = JointDensityParams(2, 0.1)
+        for log_density in (None, lambda params, r, s: 0.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                mlrp_grid_check(params, [0.5, 0.9], [0.1, math.inf], log_density=log_density)
 
 
 class TestParams:

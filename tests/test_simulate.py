@@ -197,11 +197,44 @@ class TestWorkerPool:
 
     def test_worker_bound(self, monkeypatch):
         assert simulate.resolve_workers(simulate._MAX_WORKERS) == simulate._MAX_WORKERS
-        with pytest.raises(ValueError):
-            simulate.resolve_workers(simulate._MAX_WORKERS + 1)
+        assert simulate.resolve_workers(1) == 1
+        # the argument follows the rule of MIRRORMATCH_WORKERS, nothing is rounded or clamped
+        for bad in (simulate._MAX_WORKERS + 1, 0, -3, 2.7, 2.0, "2"):
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                simulate.resolve_workers(bad)
         monkeypatch.setenv("MIRRORMATCH_WORKERS", str(simulate._MAX_WORKERS + 1))
         with pytest.raises(ValueError):
             simulate.resolve_workers(None)
+
+
+@pytest.mark.usefixtures("fresh_pool")
+def test_whole_block_chunks(monkeypatch):
+    # with 3 replications a block every estimator's 40 replications are 13
+    # blocks and a ragged one, so 2 and 3 workers split them into chunks of
+    # one or two blocks; the workers, forked after the patch, cut the same blocks
+    monkeypatch.setattr(simulate, "_BLOCK_KEYS", 3)
+    tasks = []
+
+    class RecordingPool(simulate.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            tasks.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    serial = every_estimator(1)
+    for workers in (2, 3):
+        tasks.clear()
+        assert every_estimator(workers) == serial
+        by_call = {}
+        for block_fn, width, _, label, _, start, stop in tasks:
+            step = simulate._block_step(width)
+            assert step == 3 and start % step == 0 and (stop % step == 0 or stop == 40)
+            by_call.setdefault(label, []).append((start, stop))
+        assert len(by_call) == 5
+        for bounds in by_call.values():
+            assert len(bounds) == 4 * workers
+            assert [a for a, _ in bounds[1:]] == [b for _, b in bounds[:-1]]
+            assert bounds[0][0] == 0 and bounds[-1][1] == 40
 
 
 def rep_keys(reps=40):
