@@ -253,7 +253,7 @@ def _write_atomic(path: Path, data: str) -> None:
 class Command:
     """One experiment: a row source and the ordered CSV columns read from it.
 
-    ``rows(cfg, workers)`` yields one dict of fields per CSV row. Each
+    ``rows(cfg)`` yields one dict of fields per CSV row. Each
     column is ``(name, meaning, value)``: ``value(row)`` reads the fields
     and the columns to its left as attributes, and ``None`` keeps the
     field of that name. ``{cfg...}`` in a meaning is filled from the
@@ -266,9 +266,9 @@ class Command:
     metrics: Callable = lambda rows: {}
     provenance: Callable = lambda metrics: {}
 
-    def __call__(self, cfg: ModelConfig, out_root: Path, workers: int | None = None) -> ExperimentResult:
+    def __call__(self, cfg: ModelConfig, out_root: Path) -> ExperimentResult:
         try:
-            worker_count = simulate.resolve_workers(workers)
+            worker_count = simulate.resolve_workers()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         config_hash = cfg.config_hash()
@@ -283,7 +283,7 @@ class Command:
         header = [(name, meaning.format(cfg=cfg)) for name, meaning, _ in self.columns]
         header.append(("config_hash", "hash of the canonical config"))
         rows = []
-        for fields in self.rows(cfg, workers):
+        for fields in self.rows(cfg):
             row = SimpleNamespace(**fields, config_hash=config_hash)
             for name, _, value in self.columns:
                 if value is not None:
@@ -323,13 +323,11 @@ def _yes(flag: bool) -> str:
 
 def _duel_rows(default_grid):
     # two in-person draws and the platform at each k, both by Monte Carlo
-    def rows(cfg: ModelConfig, workers):
+    def rows(cfg: ModelConfig):
         variance = cfg.noise_variance_per_clone()
         for k in cfg.k_grid or default_grid:
-            ip = simulate.estimate_d_ip(k, 2, cfg.reps, cfg.master_seed, workers=workers)
-            ai = simulate.estimate_d_ai(
-                k, cfg.n, variance, cfg.reps, cfg.clone_mode, cfg.master_seed, workers=workers
-            )
+            ip = simulate.estimate_d_ip(k, 2, cfg.reps, cfg.master_seed)
+            ai = simulate.estimate_d_ai(k, cfg.n, variance, cfg.reps, cfg.clone_mode, cfg.master_seed)
             yield dict(k=k, variance=variance, ip=ip, ai=ai)
 
     return rows
@@ -374,7 +372,7 @@ cmd_figure2 = Command(
 )
 
 
-def _mstar_rows(cfg: ModelConfig, workers):
+def _mstar_rows(cfg: ModelConfig):
     for k in cfg.k_grid or MSTAR_K_GRID:
         for noise in cfg.sigma_grid or MSTAR_SIGMA_GRID:
             variance = noise_variance(noise, cfg.noise_convention)
@@ -398,13 +396,13 @@ cmd_mstar = Command(
 )
 
 
-def _group_rows(cfg: ModelConfig, workers):
+def _group_rows(cfg: ModelConfig):
     r2 = cfg.group_sigma_r2
     cells = [("control", cfg.k, GroupSpec.unchecked(r2, r2))]
     cells += [("dimension-sweep", k, cfg.group()) for k in cfg.k_grid or GROUPS_K_GRID]
     cells += [("disparity-sweep", cfg.k, GroupSpec(r2, r2 * ratio)) for ratio in GROUPS_RATIO_GRID]
     for section, k, spec in cells:
-        mc = simulate.estimate_group_win_rate(k, spec, cfg.n, cfg.reps, cfg.master_seed, workers=workers)
+        mc = simulate.estimate_group_win_rate(k, spec, cfg.n, cfg.reps, cfg.master_seed)
         yield dict(section=section, k=k, spec=spec, mc=mc)
 
 
@@ -429,7 +427,7 @@ cmd_groups = Command(
 )
 
 
-def _seq_rows(cfg: ModelConfig, workers):
+def _seq_rows(cfg: ModelConfig):
     variance = cfg.noise_variance_per_clone()
     cost_ip = AffineCost(per_period=cfg.seq_cost_ip_per_period)
     cost_ai = AffineCost(per_period=cfg.seq_cost_ai_per_period)
@@ -444,9 +442,7 @@ def _seq_rows(cfg: ModelConfig, workers):
     rules.append(("ai_exhaust_cap", simulate.AI_PLATFORM, StopWhenBestBelow(0.0, cfg.seq_cap)))
     for name, regime, rule in rules:
         policy = SeqSearchPolicy(regime, rule, cost_ip, cost_ai, kappa)
-        report = simulate.evaluate_seq_policy(
-            cfg.k, variance, policy, cfg.reps, cfg.master_seed, workers=workers
-        )
+        report = simulate.evaluate_seq_policy(cfg.k, variance, policy, cfg.reps, cfg.master_seed)
         yield dict(policy=name, regime=regime, rule=rule, report=report)
 
 
@@ -487,13 +483,11 @@ cmd_seqsearch = Command(
 )
 
 
-def _calibration_rows(cfg: ModelConfig, workers):
+def _calibration_rows(cfg: ModelConfig):
     for convention in (STD_DEV, VARIANCE):
         variance = noise_variance(cfg.noise_param, convention)
         for k in REFERENCE_D_AI:
-            est = simulate.estimate_d_ai(
-                k, cfg.n, variance, cfg.reps, cfg.clone_mode, cfg.master_seed, workers=workers
-            )
+            est = simulate.estimate_d_ai(k, cfg.n, variance, cfg.reps, cfg.clone_mode, cfg.master_seed)
             yield dict(convention=convention, k=k, variance_per_clone=variance, est=est)
 
 

@@ -7,18 +7,20 @@ replication-indexed array and reduced with numpy's pairwise mean over
 that fixed-shape array; repeated runs with one seed are bit-identical
 for any worker count.
 
-The runner cuts the replications into blocks of at most ``_BLOCK_KEYS``
-replications and ``_BLOCK_UNIFORMS`` uniforms, given the row width its
-estimator declares. A fan-out hands the process's one worker pool runs of
-whole blocks as chunks, at most four a worker, one task each. Each
-estimator is one function of one block: it draws the streams of all the
-block's replications in one sampler call (a sequential search in one call
-a round) and reduces them to one value each before the next block, so
-memory stays bounded and a row's bits never depend on the block size.
-"""
+The runner cuts the replications into blocks once, in the calling
+process: a block holds at most ``_BLOCK_KEYS`` replications and
+``_BLOCK_UNIFORMS`` uniforms, given the row width its estimator declares.
+``MIRRORMATCH_WORKERS`` sets the worker count. A fan-out maps the blocks
+over the process's one worker pool in runs of whole blocks, at most four
+a worker. Each estimator is one function of one block: it draws the
+streams of all the block's replications in one sampler call (a sequential
+search in one call a round) and reduces them to one value each before the
+next block, so memory stays bounded and a row's bits never depend on the
+block size."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -129,12 +131,8 @@ class PolicyReport:
     policy: SeqSearchPolicy
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Worker count: the argument, else ``MIRRORMATCH_WORKERS``, else 1; an integer in [1, ``_MAX_WORKERS``]."""
-    if workers is not None:
-        if not (isinstance(workers, int) and 1 <= workers <= _MAX_WORKERS):
-            raise ValueError(f"workers must be an integer in [1, {_MAX_WORKERS}], got {workers!r}")
-        return workers
+def resolve_workers() -> int:
+    """Worker count: ``MIRRORMATCH_WORKERS``, else 1; an integer in [1, ``_MAX_WORKERS``]."""
     env = os.environ.get("MIRRORMATCH_WORKERS")
     if not env:
         return 1
@@ -162,27 +160,15 @@ def _winners(norms: np.ndarray, dists: np.ndarray) -> np.ndarray:
     return norms[np.arange(norms.shape[0]), np.argmin(dists, axis=1)]
 
 
-def _block_step(width: int) -> int:
-    """Replications in a full block of rows ``width`` uniforms wide."""
-    return max(1, min(_BLOCK_KEYS, _BLOCK_UNIFORMS // width))
+def _block(block_fn, args: tuple, label: str, master_seed: int, start: int, stop: int) -> np.ndarray:
+    """block_fn(keys, *args) for the replications [start, stop).
 
-
-def _chunk(
-    block_fn, width: int, args: tuple, label: str, master_seed: int, start: int, stop: int
-) -> np.ndarray:
-    """Stack block_fn(keys, *args) over blocks of the replications [start, stop).
-
-    A block holds at most ``_BLOCK_KEYS`` replications and
-    ``_BLOCK_UNIFORMS`` uniforms, rows of ``width`` each, but one row at
-    least, however wide; the first starts at ``start``. Its keys
-    (master_seed, label, "rep", i) are derived when it is drawn: a key holds
-    its hash state (about 0.4 KB in all), so a chunk never holds all of its
-    keys at once and ``reps`` costs time, not memory.
+    The keys (master_seed, label, "rep", i) are derived here, a block at a
+    time: a key holds its hash state (about 0.4 KB in all), so a call never
+    holds all of its keys at once and ``reps`` costs time, not memory.
     """
     base = StreamKey(master_seed).child(label)
-    step = _block_step(width)
-    blocks = (range(a, min(a + step, stop)) for a in range(start, stop, step))
-    return np.concatenate([block_fn([base.child("rep", rep) for rep in block], *args) for block in blocks])
+    return block_fn([base.child("rep", rep) for rep in range(start, stop)], *args)
 
 
 _pool: ProcessPoolExecutor | None = None  # the process's worker pool, made by the first fan-out
@@ -208,55 +194,52 @@ def _worker_pool(count: int) -> ProcessPoolExecutor:
     return _pool
 
 
-def _replicate(
-    block_fn, width: int, args: tuple, label: str, reps: int, master_seed: int, workers: int | None
-) -> np.ndarray:
+def _replicate(block_fn, width: int, args: tuple, label: str, reps: int, master_seed: int) -> np.ndarray:
     """Stack block_fn(keys, *args) over the replications [0, reps), any worker count.
 
-    Replication ``rep`` always draws from the key (master_seed, label,
-    rep), and chunks land in a replication-indexed array, so the result
-    is identical to a serial run. A chunk is a run of whole blocks, the
-    ones a serial run draws, and there are at most four a worker. A pool
-    that lost a worker is replaced and the chunks run once more on the new
-    one.
+    The replications are cut here, once, into blocks of at most
+    ``_BLOCK_KEYS`` rows and ``_BLOCK_UNIFORMS`` uniforms, rows of
+    ``width`` each, but one row at least, however wide. Replication ``rep``
+    always draws from the key (master_seed, label, rep), and the blocks'
+    rows are stacked in order, so the result is identical to a serial run.
+    A call of two blocks or more fans out: each pool task is a run of whole
+    blocks, at most four a worker. A pool that lost a worker is replaced
+    and the blocks run once more on the new one.
     """
-    count = resolve_workers(workers)
-    if count == 1 or reps < 2 * count:
-        return _chunk(block_fn, width, args, label, master_seed, 0, reps)
-    step = _block_step(width)
-    blocks = -(-reps // step)
-    chunks = min(blocks, 4 * count)
-    bounds = [min(reps, step * (blocks * i // chunks)) for i in range(chunks + 1)]
+    step = max(1, min(_BLOCK_KEYS, _BLOCK_UNIFORMS // width))
+    starts = range(0, reps, step)
+    stops = [min(start + step, reps) for start in starts]
+    run = functools.partial(_block, block_fn, args, label, master_seed)
+    count = resolve_workers()
+    if count == 1 or len(starts) < 2:
+        return np.concatenate(list(map(run, starts, stops)))
+    chunksize = -(-len(starts) // (4 * count))
     for retry in (False, True):
         try:
-            pool = _worker_pool(count)
-            futures = [
-                pool.submit(_chunk, block_fn, width, args, label, master_seed, a, b)
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-            return np.concatenate([future.result() for future in futures], axis=0)
+            return np.concatenate(list(_worker_pool(count).map(run, starts, stops, chunksize=chunksize)))
         except BrokenProcessPool:
             _drop_pool()
             if retry:
                 raise
 
 
-def _check_common(reps: int, m_or_n: int, name: str) -> None:
+def _check_common(reps: int, **sizes: int) -> None:
     if not isinstance(reps, int) or reps < 2:
         raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
-    if not isinstance(m_or_n, int) or m_or_n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {m_or_n!r}")
+    for name, size in sizes.items():
+        if not isinstance(size, int) or size < 1:
+            raise ValueError(f"{name} must be a positive integer, got {size!r}")
 
 
 def _d_ip_block(keys, k: int, m: int) -> np.ndarray:
     return sampler.sample_ball_radii(k, m, keys).min(axis=1)
 
 
-def estimate_d_ip(k: int, m: int, reps: int, master_seed: int, *, workers: int | None = None) -> Estimate:
+def estimate_d_ip(k: int, m: int, reps: int, master_seed: int) -> Estimate:
     """Mean of the min-norm over m fresh ball draws per replication."""
-    _check_common(reps, m, "m")
+    _check_common(reps, m=m)
     label = f"d_ip(k={k},m={m})"
-    return _estimate(_replicate(_d_ip_block, m, (k, m), label, reps, master_seed, workers), label)
+    return _estimate(_replicate(_d_ip_block, m, (k, m), label, reps, master_seed), label)
 
 
 def _d_ai_block(keys, k: int, n: int, variance: float, clone_mode: str) -> np.ndarray:
@@ -268,14 +251,8 @@ def _d_ai_block(keys, k: int, n: int, variance: float, clone_mode: str) -> np.nd
 
 
 def estimate_d_ai(
-    k: int,
-    n: int,
-    noise_variance_per_clone: float,
-    reps: int,
-    clone_mode: str = PER_INTERACTION,
-    master_seed: int = 0,
-    *,
-    workers: int | None = None,
+    k: int, n: int, noise_variance_per_clone: float, reps: int,
+    clone_mode: str = PER_INTERACTION, master_seed: int = 0,
 ) -> Estimate:
     """True distance to the candidate whose clone distance is minimal among n.
 
@@ -286,14 +263,14 @@ def estimate_d_ai(
     (``sampler.sample_noise_norm``), so a replication costs O(n) in any
     dimension k in either mode.
     """
-    _check_common(reps, n, "n")
+    _check_common(reps, n=n)
     if clone_mode not in (PER_INTERACTION, FIXED_SUBJECT_CLONE):
         raise ValueError(f"unknown clone mode {clone_mode!r}")
     label = f"d_ai(k={k},n={n},mode={clone_mode})"
     fixed = clone_mode == FIXED_SUBJECT_CLONE
     width = sampler.clone_row_width(k, n, fixed) + (sampler.chi_square_width(k) if fixed else 0)
     args = (k, n, noise_variance_per_clone, clone_mode)
-    return _estimate(_replicate(_d_ai_block, width, args, label, reps, master_seed, workers), label)
+    return _estimate(_replicate(_d_ai_block, width, args, label, reps, master_seed), label)
 
 
 def monotonicity_grid(n_max: int) -> list[int]:
@@ -315,13 +292,7 @@ def _coupled_block(keys, k: int, variance: float, n_max: int, grid: list[int]) -
 
 
 def coupled_monotonicity_test(
-    k: int,
-    noise_variance_per_clone: float,
-    n_max: int,
-    reps: int,
-    master_seed: int,
-    *,
-    workers: int | None = None,
+    k: int, noise_variance_per_clone: float, n_max: int, reps: int, master_seed: int
 ) -> dict[int, Estimate]:
     """Winner distance per pool size, evaluated prefix-by-prefix on one pool.
 
@@ -330,12 +301,12 @@ def coupled_monotonicity_test(
     probability space; the returned means should be weakly decreasing in
     n up to Monte Carlo noise.
     """
-    _check_common(reps, n_max, "n_max")
+    _check_common(reps, n_max=n_max)
     grid = monotonicity_grid(n_max)
     label = f"coupled(k={k},n_max={n_max})"
     args = (k, noise_variance_per_clone, n_max, grid)
     width = sampler.clone_row_width(k, n_max, False)
-    values = _replicate(_coupled_block, width, args, label, reps, master_seed, workers)
+    values = _replicate(_coupled_block, width, args, label, reps, master_seed)
     return {n: _estimate(values[:, j], label) for j, n in enumerate(grid)}
 
 
@@ -348,15 +319,7 @@ def _group_block(keys, k: int, n: int, sigma_r2: float, sigma_p2: float) -> np.n
     return (dists_r.min(axis=1) <= dists_p.min(axis=1)).astype(float)
 
 
-def estimate_group_win_rate(
-    k: int,
-    group: GroupSpec,
-    n: int,
-    reps: int,
-    master_seed: int,
-    *,
-    workers: int | None = None,
-) -> Estimate:
+def estimate_group_win_rate(k: int, group: GroupSpec, n: int, reps: int, master_seed: int) -> Estimate:
     """Probability that the overall best clone match is from the data-rich pool.
 
     Per replication: n interactions against data-rich candidates (both
@@ -364,11 +327,18 @@ def estimate_group_win_rate(
     (subject rich, candidate poor), winner = pool holding the global
     minimal clone distance.
     """
-    _check_common(reps, n, "n")
+    _check_common(reps, n=n)
     label = f"groups(k={k},n={n})"
     args = (k, n, group.sigma_r2, group.sigma_p2)
     width = 2 * sampler.clone_row_width(k, n, False)
-    return _estimate(_replicate(_group_block, width, args, label, reps, master_seed, workers), label)
+    return _estimate(_replicate(_group_block, width, args, label, reps, master_seed), label)
+
+
+def _seq_plan(rule: StopAtFixedT | StopWhenBestBelow) -> tuple[int, int, float, float]:
+    """A rule's (draws a round, cap, stopping threshold, truncated flag at the cap)."""
+    if isinstance(rule, StopAtFixedT):
+        return rule.t, rule.t, -math.inf, 0.0
+    return _SEQ_BLOCK, rule.cap, rule.threshold, 1.0
 
 
 def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) -> np.ndarray:
@@ -379,11 +349,7 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
     # true norm of the draw it stops on, or of the best observation at the cap.
     # Round j draws block j for the replications still searching; the rows
     # are (payoff, truncated).
-    rule = policy.rule
-    if isinstance(rule, StopAtFixedT):
-        block, cap, threshold, truncated = rule.t, rule.t, -math.inf, 0.0
-    else:
-        block, cap, threshold, truncated = _SEQ_BLOCK, rule.cap, rule.threshold, 1.0
+    block, cap, threshold, truncated = _seq_plan(policy.rule)
     in_person = policy.regime == IN_PERSON
     cost, fee = (policy.cost_ip, 0.0) if in_person else (policy.cost_ai, policy.kappa)
     values = np.empty((len(keys), 2))
@@ -420,13 +386,7 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
 
 
 def evaluate_seq_policy(
-    k: int,
-    noise_variance_per_clone: float,
-    policy: SeqSearchPolicy,
-    reps: int,
-    master_seed: int,
-    *,
-    workers: int | None = None,
+    k: int, noise_variance_per_clone: float, policy: SeqSearchPolicy, reps: int, master_seed: int
 ) -> PolicyReport:
     """Expected payoff of a stopping policy; truncated paths are flagged.
 
@@ -435,14 +395,13 @@ def evaluate_seq_policy(
     kappa. A threshold rule that never fires is truncated at its cap and
     counted in ``truncated_reps``.
     """
-    if not isinstance(reps, int) or reps < 2:
-        raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
+    _check_common(reps)
     label = f"seq(k={k},regime={policy.regime},rule={policy.rule})"
-    rule = policy.rule  # the first round draws the most, so its width bounds every round
-    first = rule.t if isinstance(rule, StopAtFixedT) else min(_SEQ_BLOCK, rule.cap)
+    block, cap, _, _ = _seq_plan(policy.rule)
+    first = min(block, cap)  # the first round draws the most, so its width bounds every round
     width = first if policy.regime == IN_PERSON else sampler.clone_row_width(k, first, False)
     args = (k, noise_variance_per_clone, policy)
-    values = _replicate(_seq_payoff_block, width, args, label, reps, master_seed, workers)
+    values = _replicate(_seq_payoff_block, width, args, label, reps, master_seed)
     return PolicyReport(
         payoff=_estimate(values[:, 0], label),
         truncated_reps=int(values[:, 1].sum()),

@@ -41,11 +41,12 @@ def test_criterion_01_closed_form_two_draw_identity():
     ok(1, "closed-form two-draw distance matches the identity and table entries")
 
 
-def test_criterion_02_reference_table_reproduction(tmp_path):
+def test_criterion_02_reference_table_reproduction(tmp_path, set_workers):
+    set_workers(WORKERS)
     cfg = parse_config(
         None, ["reps=1000", "n=10000", "master_seed=404", "noise_param=0.05"]
     )
-    result = cli.cmd_calibrate(cfg, tmp_path, workers=WORKERS)
+    result = cli.cmd_calibrate(cfg, tmp_path)
     resolved = result.provenance["noise_convention_resolved"]
     assert resolved == "std_dev"
     rows = {(r["convention"], r["k"]): r for r in result.rows}
@@ -68,12 +69,13 @@ def test_criterion_02_reference_table_reproduction(tmp_path):
     ok(2, "k=1 row reproduced under std_dev (binding); per-row deviations documented")
 
 
-def test_criterion_03_crossover_bracketed():
+def test_criterion_03_crossover_bracketed(set_workers):
+    set_workers(WORKERS)
     seed, reps, n = 101, 500, 10_000
     signs = {}
     for k in (100, 200):
-        ai = simulate.estimate_d_ai(k, n, TABLE_VARIANCE, reps, master_seed=seed, workers=WORKERS)
-        ip = simulate.estimate_d_ip(k, 2, reps, seed, workers=WORKERS)
+        ai = simulate.estimate_d_ai(k, n, TABLE_VARIANCE, reps, master_seed=seed)
+        ip = simulate.estimate_d_ip(k, 2, reps, seed)
         signs[k] = ai.mean - ip.mean
     assert signs[100] < 0.0, signs
     assert signs[200] > 0.0, signs
@@ -166,9 +168,10 @@ def test_criterion_08_conditional_mean_consistency():
     ok(8, "posterior mean matches the saturated bound and the binned simulator means")
 
 
-def test_criterion_09_monotone_in_pool_size():
+def test_criterion_09_monotone_in_pool_size(set_workers):
+    set_workers(WORKERS)
     # combined noise variance 0.05 -> per-clone variance 0.025
-    results = simulate.coupled_monotonicity_test(2, 0.025, 64, 10_000, 909, workers=WORKERS)
+    results = simulate.coupled_monotonicity_test(2, 0.025, 64, 10_000, 909)
     sizes = sorted(results)
     assert sizes == [1, 2, 4, 8, 16, 32, 64]
     for small, large in zip(sizes, sizes[1:]):
@@ -179,15 +182,14 @@ def test_criterion_09_monotone_in_pool_size():
     ok(9, "coupled winner distances weakly decrease in pool size; n=1 equals 2/3")
 
 
-def test_criterion_10_group_selection_rate():
+def test_criterion_10_group_selection_rate(set_workers):
+    set_workers(WORKERS)
     spec = GroupSpec(0.01, 0.04)
-    est = simulate.estimate_group_win_rate(5, spec, 10_000, 2000, 1010, workers=WORKERS)
+    est = simulate.estimate_group_win_rate(5, spec, 10_000, 2000, 1010)
     target = analytic.rich_win_probability(5, spec)
     assert abs(est.mean - target) <= 3 * est.std_error, (est, target)
 
-    control = simulate.estimate_group_win_rate(
-        5, GroupSpec.unchecked(0.01, 0.01), 10_000, 2000, 1011, workers=WORKERS
-    )
+    control = simulate.estimate_group_win_rate(5, GroupSpec.unchecked(0.01, 0.01), 10_000, 2000, 1011)
     assert abs(control.mean - 0.5) <= 3 * control.std_error, control
 
     for k in (1, 2, 5, 20, 80, 200):
@@ -213,14 +215,15 @@ def test_criterion_12_vanishing_noise_limit():
     ok(12, "saturated-platform distance vanishes as the noise goes to zero")
 
 
-def test_criterion_13_sequential_search_dominance():
+def test_criterion_13_sequential_search_dominance(set_workers):
+    set_workers(WORKERS)
     k, variance, cap, reps, seed = 300, TABLE_VARIANCE, 10_000, 128, 1313
     cost_ip = AffineCost(per_period=0.005)
     cost_ai = AffineCost(per_period=0.0)
     kappa = cost_ip(2) + 0.01
 
     ip_policy = SeqSearchPolicy(simulate.IN_PERSON, StopAtFixedT(2), cost_ip, cost_ai, kappa)
-    ip_report = simulate.evaluate_seq_policy(k, variance, ip_policy, reps, seed, workers=WORKERS)
+    ip_report = simulate.evaluate_seq_policy(k, variance, ip_policy, reps, seed)
 
     s_typ = math.sqrt(k / (k + 2.0) + 2.0 * k * variance)
     best = None
@@ -232,7 +235,7 @@ def test_criterion_13_sequential_search_dominance():
             cost_ai,
             kappa,
         )
-        report = simulate.evaluate_seq_policy(k, variance, policy, reps, seed, workers=WORKERS)
+        report = simulate.evaluate_seq_policy(k, variance, policy, reps, seed)
         if best is None or report.payoff.mean > best.payoff.mean:
             best = report
     spread = 2.0 * math.hypot(ip_report.payoff.std_error, best.payoff.std_error)
@@ -241,12 +244,13 @@ def test_criterion_13_sequential_search_dominance():
     ok(13, f"two in-person draws beat the best platform policy by {gap:+.4f} (2se={spread:.4f})")
 
 
-def test_criterion_14_byte_identical_csv_across_workers(tmp_path):
-    overrides = ["k_grid=1,5", "reps=16", "n=64", "master_seed=7"]
+def test_criterion_14_byte_identical_csv_across_workers(tmp_path, set_workers):
+    overrides = ["k_grid=1,5", "reps=600", "n=64", "master_seed=7"]
     outputs = []
     for workers, name in ((1, "w1"), (8, "w8"), (1, "w1-again")):
+        set_workers(workers)
         cfg = parse_config(None, overrides)
-        result = cli.cmd_table1(cfg, tmp_path / name, workers=workers)
+        result = cli.cmd_table1(cfg, tmp_path / name)
         outputs.append(result.files[0].read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
     ok(14, "table CSV bytes identical across reruns with 1 and 8 workers")

@@ -75,9 +75,9 @@ def set_args(overrides):
     return [arg for pair in overrides for arg in ("--set", pair)]
 
 
-def run_command(name, out_dir, overrides, workers=None):
+def run_command(name, out_dir, overrides):
     cfg = parse_config(None, overrides)
-    return cli.COMMANDS[name](cfg, Path(out_dir), workers=workers)
+    return cli.COMMANDS[name](cfg, Path(out_dir))
 
 
 class TestParseConfig:
@@ -144,9 +144,11 @@ class TestTable1:
         assert len(rows) == 2
         assert "\r" not in csv_a
 
-    def test_worker_invariance(self, tmp_path):
-        one = run_command("table1", tmp_path / "w1", TINY, workers=1)
-        two = run_command("table1", tmp_path / "w2", TINY, workers=2)
+    def test_worker_invariance(self, tmp_path, set_workers):
+        # 600 replications are three blocks or more a call, so the pool takes part
+        one = run_command("table1", tmp_path / "w1", TINY + ["reps=600"])
+        set_workers(2)
+        two = run_command("table1", tmp_path / "w2", TINY + ["reps=600"])
         assert one.files[0].read_text() == two.files[0].read_text()
 
     def test_rows_carry_config_hash(self, tmp_path):
@@ -406,7 +408,7 @@ class TestMainEntry:
         assert err.startswith("config error: mstar: --out ") and "Traceback" not in err
 
     def test_unexpected_library_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        def out_of_memory(cfg, workers):
+        def out_of_memory(cfg):
             raise MemoryError("cannot allocate the pool")
             yield
 

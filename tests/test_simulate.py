@@ -45,10 +45,10 @@ class TestEstimateDIp:
         b = simulate.estimate_d_ip(3, 2, 500, SEED)
         assert a == b
 
-    def test_worker_count_invariance(self):
-        serial = simulate.estimate_d_ip(3, 2, 501, SEED, workers=1)
-        parallel = simulate.estimate_d_ip(3, 2, 501, SEED, workers=2)
-        assert serial == parallel
+    def test_worker_count_invariance(self, set_workers):
+        serial = simulate.estimate_d_ip(3, 2, 501, SEED)
+        set_workers(2)
+        assert simulate.estimate_d_ip(3, 2, 501, SEED) == serial
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -91,9 +91,7 @@ class TestEstimateDAi:
         # would take 8 MB per replication here
         tracemalloc.start()
         try:
-            est = simulate.estimate_d_ai(
-                10**6, 100, 0.0025, 4, simulate.FIXED_SUBJECT_CLONE, SEED, workers=1
-            )
+            est = simulate.estimate_d_ai(10**6, 100, 0.0025, 4, simulate.FIXED_SUBJECT_CLONE, SEED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -101,14 +99,15 @@ class TestEstimateDAi:
         assert 0.0 < est.mean <= 1.0
 
 
-def every_estimator(workers):
+def every_estimator():
+    # 40 replications each, at the worker count MIRRORMATCH_WORKERS sets
     policy = SeqSearchPolicy(simulate.AI_PLATFORM, StopWhenBestBelow(0.6, 700))
     return [
-        simulate.estimate_d_ip(3, 2, 40, SEED, workers=workers),
-        simulate.estimate_d_ai(30, 16, 0.01, 40, simulate.FIXED_SUBJECT_CLONE, SEED, workers=workers),
-        simulate.coupled_monotonicity_test(2, 0.01, 16, 40, SEED, workers=workers),
-        simulate.estimate_group_win_rate(2, GroupSpec(0.01, 0.04), 16, 40, SEED, workers=workers),
-        simulate.evaluate_seq_policy(3, 0.01, policy, 40, SEED, workers=workers),
+        simulate.estimate_d_ip(3, 2, 40, SEED),
+        simulate.estimate_d_ai(30, 16, 0.01, 40, simulate.FIXED_SUBJECT_CLONE, SEED),
+        simulate.coupled_monotonicity_test(2, 0.01, 16, 40, SEED),
+        simulate.estimate_group_win_rate(2, GroupSpec(0.01, 0.04), 16, 40, SEED),
+        simulate.evaluate_seq_policy(3, 0.01, policy, 40, SEED),
     ]
 
 
@@ -120,21 +119,30 @@ def fresh_pool():
     simulate._drop_pool()
 
 
-@pytest.mark.usefixtures("fresh_pool")
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 3 replications, so that every call of a few dozen fans out."""
+    monkeypatch.setattr(simulate, "_BLOCK_KEYS", 3)
+
+
+@pytest.mark.usefixtures("fresh_pool", "small_blocks")
 class TestSharedGeneratorAcrossWorkers:
     # streams.uniform_rows resets one generator per thread; workers forked
     # by the first fan-out inherit whatever state the forking thread left in it
-    def test_workers_agree_after_parent_drew(self):
-        serial = every_estimator(1)
+    def test_workers_agree_after_parent_drew(self, set_workers):
+        serial = every_estimator()
         streams._thread.generator[1].random(3)  # parent's generator mid-stream
         streams._thread.generator[1].integers(0, 2**32, size=3, dtype=np.uint32)
-        assert every_estimator(2) == serial
+        set_workers(2)
+        assert every_estimator() == serial
+        assert simulate._pool is not None
 
-    def test_workers_forked_inside_a_draw(self):
+    def test_workers_forked_inside_a_draw(self, set_workers):
         # a background thread draws without pause while another thread forks
         # a fresh pool: workers inherit only the forking thread's generator,
         # and neither thread's rows see the other's keys
-        serial = every_estimator(1)
+        serial = every_estimator()
+        set_workers(2)
         keys = [StreamKey(SEED).child("meanwhile", i) for i in range(8)]
         expected = streams.uniform_rows(keys, 64).tobytes()
         stop, drawn = threading.Event(), []
@@ -146,7 +154,7 @@ class TestSharedGeneratorAcrossWorkers:
         got = []
         threads = [
             threading.Thread(target=draw, daemon=True),
-            threading.Thread(target=lambda: got.append(every_estimator(2)), daemon=True),
+            threading.Thread(target=lambda: got.append(every_estimator()), daemon=True),
         ]
         for thread in threads:
             thread.start()
@@ -156,11 +164,12 @@ class TestSharedGeneratorAcrossWorkers:
         assert not any(thread.is_alive() for thread in threads)
         assert got == [serial]
         assert drawn and all(drawn)
+        assert simulate._pool is not None
 
 
 class TestWorkerPool:
     @pytest.fixture
-    def counted(self, monkeypatch, fresh_pool):
+    def counted(self, monkeypatch, fresh_pool, small_blocks):
         made = []
 
         def counting(*args, **kwargs):
@@ -171,20 +180,22 @@ class TestWorkerPool:
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", counting)
         return made
 
-    def test_one_pool_per_process(self, tmp_path, counted):
+    def test_one_pool_per_process(self, tmp_path, counted, set_workers):
         overrides = ["k_grid=1,5", "reps=16", "n=64", "master_seed=7"]
         csv = {}
         for workers in (2, 1):
+            set_workers(workers)
             cfg = cli.parse_config(None, overrides)
-            result = cli.cmd_table1(cfg, tmp_path / f"w{workers}", workers=workers)
+            result = cli.cmd_table1(cfg, tmp_path / f"w{workers}")
             csv[workers] = result.files[0].read_bytes()
         assert len(counted) == 1  # four fan-outs, one pool
         assert csv[2] == csv[1]
 
-    def test_resized_and_broken_pools_are_replaced(self, counted):
-        serial = simulate.estimate_d_ip(3, 2, 64, SEED, workers=1)
-        assert simulate.estimate_d_ip(3, 2, 64, SEED, workers=2) == serial
-        assert simulate.estimate_d_ip(3, 2, 64, SEED, workers=3) == serial
+    def test_resized_and_broken_pools_are_replaced(self, counted, set_workers):
+        serial = simulate.estimate_d_ip(3, 2, 64, SEED)
+        for workers in (2, 3):
+            set_workers(workers)
+            assert simulate.estimate_d_ip(3, 2, 64, SEED) == serial
         assert len(counted) == 2
         pool = counted[-1]
         os.kill(next(iter(pool._processes)), signal.SIGKILL)
@@ -192,49 +203,56 @@ class TestWorkerPool:
         while not pool._broken and time.monotonic() < deadline:
             time.sleep(0.01)
         assert pool._broken
-        assert simulate.estimate_d_ip(3, 2, 64, SEED, workers=3) == serial
+        assert simulate.estimate_d_ip(3, 2, 64, SEED) == serial
         assert len(counted) == 3 and simulate._pool is counted[-1]
 
-    def test_worker_bound(self, monkeypatch):
-        assert simulate.resolve_workers(simulate._MAX_WORKERS) == simulate._MAX_WORKERS
-        assert simulate.resolve_workers(1) == 1
-        # the argument follows the rule of MIRRORMATCH_WORKERS, nothing is rounded or clamped
-        for bad in (simulate._MAX_WORKERS + 1, 0, -3, 2.7, 2.0, "2"):
-            with pytest.raises(ValueError, match="workers must be an integer"):
-                simulate.resolve_workers(bad)
-        monkeypatch.setenv("MIRRORMATCH_WORKERS", str(simulate._MAX_WORKERS + 1))
-        with pytest.raises(ValueError):
-            simulate.resolve_workers(None)
+    def test_one_block_runs_in_the_caller(self, monkeypatch, fresh_pool, set_workers):
+        # 64 replications of d_ip are one block of the default size
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        serial = simulate.estimate_d_ip(3, 2, 64, SEED)
+        set_workers(2)
+        assert simulate.estimate_d_ip(3, 2, 64, SEED) == serial
+
+    def test_worker_bound(self, set_workers):
+        assert simulate.resolve_workers() == 1
+        set_workers(simulate._MAX_WORKERS)
+        assert simulate.resolve_workers() == simulate._MAX_WORKERS
+        set_workers(simulate._MAX_WORKERS + 1)
+        with pytest.raises(ValueError, match="MIRRORMATCH_WORKERS must be an integer"):
+            simulate.resolve_workers()
 
 
-@pytest.mark.usefixtures("fresh_pool")
-def test_whole_block_chunks(monkeypatch):
-    # with 3 replications a block every estimator's 40 replications are 13
-    # blocks and a ragged one, so 2 and 3 workers split them into chunks of
-    # one or two blocks; the workers, forked after the patch, cut the same blocks
-    monkeypatch.setattr(simulate, "_BLOCK_KEYS", 3)
-    tasks = []
+@pytest.mark.usefixtures("fresh_pool", "small_blocks")
+def test_whole_block_chunks(monkeypatch, set_workers):
+    # each estimator's 40 replications are 13 blocks of 3 and a ragged one;
+    # 2 and 3 workers take them in runs of two blocks (chunksize 2), 4
+    # workers one block a task
+    calls = []
 
     class RecordingPool(simulate.ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            tasks.append(args)
-            return super().submit(fn, *args)
+        def map(self, fn, *iterables, **kwargs):
+            calls.append([])
+            return super().map(fn, *iterables, **kwargs)
+
+        def submit(self, fn, *args, **kwargs):
+            calls[-1].append(args[0])  # one task: its run of (start, stop) blocks
+            return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-    serial = every_estimator(1)
-    for workers in (2, 3):
-        tasks.clear()
-        assert every_estimator(workers) == serial
-        by_call = {}
-        for block_fn, width, _, label, _, start, stop in tasks:
-            step = simulate._block_step(width)
-            assert step == 3 and start % step == 0 and (stop % step == 0 or stop == 40)
-            by_call.setdefault(label, []).append((start, stop))
-        assert len(by_call) == 5
-        for bounds in by_call.values():
-            assert len(bounds) == 4 * workers
-            assert [a for a, _ in bounds[1:]] == [b for _, b in bounds[:-1]]
-            assert bounds[0][0] == 0 and bounds[-1][1] == 40
+    serial = every_estimator()
+    blocks = [(start, min(start + 3, 40)) for start in range(0, 40, 3)]
+    for workers, per_task in ((2, 2), (3, 2), (4, 1)):
+        calls.clear()
+        set_workers(workers)
+        assert every_estimator() == serial
+        assert len(calls) == 5
+        for tasks in calls:
+            assert len(tasks) <= 4 * workers
+            assert [block for task in tasks for block in task] == blocks
+            assert max(map(len, tasks)) == per_task
 
 
 def rep_keys(reps=40):
@@ -242,12 +260,12 @@ def rep_keys(reps=40):
 
 
 def chunk(block_fn, width, args):
-    """Replications 0..39 of the label "blocking", as the runner draws them."""
-    return simulate._chunk(block_fn, width, args, "blocking", SEED, 0, 40)
+    """Replications 0..39 of the label "blocking", as the serial runner draws them."""
+    return simulate._replicate(block_fn, width, args, "blocking", 40, SEED)
 
 
 class TestBlocking:
-    # a chunk drawn as one block, as blocks of the default size and as one
+    # 40 replications drawn as one block, as blocks of the default size and as one
     # row per block must give the same bytes: a row is a function of its key
     CASES = [
         *[
@@ -306,12 +324,12 @@ class TestBlocking:
         assert (taus[~stopped] == 1300).all() and (~stopped).any()
 
     def test_memory_per_replication_is_a_few_floats(self):
-        # a chunk derives its keys block by block; holding all of them at once
+        # a call derives its keys block by block; holding all of them at once
         # would take a few hundred bytes a replication for their hash state
         reps = 50_000
         tracemalloc.start()
         try:
-            simulate.estimate_d_ip(3, 2, reps, SEED, workers=1)
+            simulate.estimate_d_ip(3, 2, reps, SEED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
