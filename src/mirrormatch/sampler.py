@@ -76,6 +76,12 @@ def _check_count(count: int) -> None:
         raise ValueError(f"count must be a positive integer, got {count!r}")
 
 
+def _check_variance(*variances: float) -> None:
+    for variance in variances:
+        if not (variance > 0 and math.isfinite(variance)):
+            raise ValueError(f"noise variance must be positive and finite, got {variance!r}")
+
+
 def _keys(stream: StreamKey | Sequence[StreamKey]) -> list:
     return [stream] if isinstance(stream, StreamKey) else list(stream)
 
@@ -142,8 +148,7 @@ def sample_ball_radii(k: int, count: int, stream: StreamKey | Sequence[StreamKey
 def sample_noise_norm(k: int, variance: float, stream: StreamKey | Sequence[StreamKey]) -> np.ndarray:
     """Norm of one isotropic k-dimensional Gaussian vector, sqrt(variance * chi2[k]), per key."""
     _check_dim(k)
-    if not variance > 0:
-        raise ValueError(f"variance must be positive, got {variance!r}")
+    _check_variance(variance)
     chi2 = _chi_square(uniform_rows(_keys(stream), chi_square_width(k)), k, 1)
     return np.sqrt(variance * chi2[:, 0])
 
@@ -170,8 +175,7 @@ def draw_clone_batch(
     """
     _check_dim(k)
     _check_count(count)
-    if not (sigma_subject2 > 0 and sigma_other2 > 0):
-        raise ValueError("noise variances must be positive")
+    _check_variance(sigma_subject2, sigma_other2)
     keys = _keys(stream)
     if subject_noise_norm is None:
         uniforms = uniform_rows(keys, clone_row_width(k, count, False))

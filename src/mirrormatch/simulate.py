@@ -1,30 +1,24 @@
 """Monte Carlo estimators for the two search regimes.
 
 Determinism contract: every replication owns a stream keyed by
-(experiment label, replication index), so draws do not depend on worker
-count or completion order. Results are written into a
+(experiment label, replication index), so draws do not depend on how the
+replications are cut into blocks. Results are written into a
 replication-indexed array and reduced with numpy's pairwise mean over
-that fixed-shape array; repeated runs with one seed are bit-identical
-for any worker count.
+that fixed-shape array; repeated runs with one seed are bit-identical.
 
-The runner cuts the replications into blocks once, in the calling
+The runner cuts the replications into blocks and maps them in the calling
 process: a block holds at most ``_BLOCK_KEYS`` replications and
 ``_BLOCK_UNIFORMS`` uniforms, given the row width its estimator declares.
-``MIRRORMATCH_WORKERS`` sets the worker count. A fan-out maps the blocks
-over the process's one worker pool in runs of whole blocks, at most four
-a worker. Each estimator is one function of one block: it draws the
-streams of all the block's replications in one sampler call (a sequential
-search in one call a round) and reduces them to one value each before the
-next block, so memory stays bounded and a row's bits never depend on the
-block size."""
+Each estimator is one function of one block: it draws the streams of all
+the block's replications in one sampler call (a sequential search in one
+call a round) and reduces them to one value each before the next block,
+so memory stays bounded and a row's bits never depend on the block size."""
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+# unused: perfbench/spans.py::count_pool_starts replaces it; goes with the next benchmark change (ROADMAP item 1)
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +39,6 @@ _SEQ_BLOCK = 512  # sequential-search draws per indexed sub-stream block
 # mostly hash state) barely move the peak RSS
 _BLOCK_UNIFORMS = 2**14
 _BLOCK_KEYS = 2**8
-# a fan-out forks every worker at once, so an outsized MIRRORMATCH_WORKERS
-# would ask the system for that many processes in one go; far past the
-# core counts this runs on
-_MAX_WORKERS = 256
 
 
 @dataclass(frozen=True)
@@ -73,8 +63,8 @@ class AffineCost:
     per_period: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.per_period < 0:
-            raise ValueError("the per-period cost must be nonnegative")
+        if not self.per_period >= 0:
+            raise ValueError(f"the per-period cost must be nonnegative, got {self.per_period!r}")
 
     def __call__(self, tau: int) -> float:
         return self.per_period * tau
@@ -131,20 +121,6 @@ class PolicyReport:
     policy: SeqSearchPolicy
 
 
-def resolve_workers() -> int:
-    """Worker count: ``MIRRORMATCH_WORKERS``, else 1; an integer in [1, ``_MAX_WORKERS``]."""
-    env = os.environ.get("MIRRORMATCH_WORKERS")
-    if not env:
-        return 1
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if not 1 <= count <= _MAX_WORKERS:
-        raise ValueError(f"MIRRORMATCH_WORKERS must be an integer in [1, {_MAX_WORKERS}], got {env!r}")
-    return count
-
-
 def _estimate(values: np.ndarray, label: str) -> Estimate:
     reps = values.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -160,67 +136,23 @@ def _winners(norms: np.ndarray, dists: np.ndarray) -> np.ndarray:
     return norms[np.arange(norms.shape[0]), np.argmin(dists, axis=1)]
 
 
-def _block(block_fn, args: tuple, label: str, master_seed: int, start: int, stop: int) -> np.ndarray:
-    """block_fn(keys, *args) for the replications [start, stop).
-
-    The keys (master_seed, label, "rep", i) are derived here, a block at a
-    time: a key holds its hash state (about 0.4 KB in all), so a call never
-    holds all of its keys at once and ``reps`` costs time, not memory.
-    """
-    base = StreamKey(master_seed).child(label)
-    return block_fn([base.child("rep", rep) for rep in range(start, stop)], *args)
-
-
-_pool: ProcessPoolExecutor | None = None  # the process's worker pool, made by the first fan-out
-_pool_workers = 0
-
-
-def _drop_pool() -> None:
-    global _pool
-    if _pool is not None:
-        _pool.shutdown(cancel_futures=True)
-        _pool = None
-
-
-def _worker_pool(count: int) -> ProcessPoolExecutor:
-    """The process's pool with ``count`` workers, replacing one of another size.
-
-    A live pool is shut down by the exit hook of ``concurrent.futures``.
-    """
-    global _pool, _pool_workers
-    if _pool is None or _pool_workers != count:
-        _drop_pool()
-        _pool, _pool_workers = ProcessPoolExecutor(max_workers=count), count
-    return _pool
-
-
 def _replicate(block_fn, width: int, args: tuple, label: str, reps: int, master_seed: int) -> np.ndarray:
-    """Stack block_fn(keys, *args) over the replications [0, reps), any worker count.
+    """Stack block_fn(keys, *args) over the replications [0, reps).
 
-    The replications are cut here, once, into blocks of at most
-    ``_BLOCK_KEYS`` rows and ``_BLOCK_UNIFORMS`` uniforms, rows of
-    ``width`` each, but one row at least, however wide. Replication ``rep``
-    always draws from the key (master_seed, label, rep), and the blocks'
-    rows are stacked in order, so the result is identical to a serial run.
-    A call of two blocks or more fans out: each pool task is a run of whole
-    blocks, at most four a worker. A pool that lost a worker is replaced
-    and the blocks run once more on the new one.
+    The replications are cut here into blocks of at most ``_BLOCK_KEYS``
+    rows and ``_BLOCK_UNIFORMS`` uniforms, rows of ``width`` each, but one
+    row at least, however wide. Replication ``rep`` always draws from the
+    key (master_seed, label, "rep", rep), and the blocks' rows are stacked
+    in order. The keys are derived a block at a time: a key holds its hash
+    state (about 0.4 KB in all), so a call never holds all of its keys at
+    once and ``reps`` costs time, not memory.
     """
     step = max(1, min(_BLOCK_KEYS, _BLOCK_UNIFORMS // width))
-    starts = range(0, reps, step)
-    stops = [min(start + step, reps) for start in starts]
-    run = functools.partial(_block, block_fn, args, label, master_seed)
-    count = resolve_workers()
-    if count == 1 or len(starts) < 2:
-        return np.concatenate(list(map(run, starts, stops)))
-    chunksize = -(-len(starts) // (4 * count))
-    for retry in (False, True):
-        try:
-            return np.concatenate(list(_worker_pool(count).map(run, starts, stops, chunksize=chunksize)))
-        except BrokenProcessPool:
-            _drop_pool()
-            if retry:
-                raise
+    base = StreamKey(master_seed).child(label)
+    return np.concatenate([
+        block_fn([base.child("rep", rep) for rep in range(start, min(start + step, reps))], *args)
+        for start in range(0, reps, step)
+    ])
 
 
 def _check_common(reps: int, **sizes: int) -> None:

@@ -4,7 +4,7 @@ Consumers never share a sequential generator. Each one owns a
 :class:`StreamKey` -- a (master_seed, path) address -- and the bits it
 sees are a pure function of that address: SHA-256 of the address keys a
 counter-based Philox generator. Two runs with the same key produce the
-same stream on any platform and under any worker layout, and distinct
+same stream on any platform, whatever was drawn before, and distinct
 paths give statistically independent streams.
 
 Deriving a key is cheap. Each key keeps the SHA-256 state of its own
@@ -16,8 +16,7 @@ first ``width`` uniforms of ``keys[i]``'s stream, resetting its thread's
 one generator to ``{counter: 0, key}`` before each row. Row i is therefore
 bit for bit ``keys[i].generator().random(width)``, whatever the other rows
 and however many keys are drawn together. Each thread has its own
-generator, built by its first draw, so no two draws share one; a forked
-child inherits the forking thread's, which the next reset overwrites.
+generator, built by its first draw, so no two draws share one.
 """
 
 from __future__ import annotations

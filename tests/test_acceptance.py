@@ -6,7 +6,6 @@ seeds, so every run is a deterministic replay.
 """
 
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +17,6 @@ from mirrormatch.cli import parse_config
 from mirrormatch.density import JointDensityParams
 from mirrormatch.simulate import AffineCost, SeqSearchPolicy, StopAtFixedT, StopWhenBestBelow
 from mirrormatch.streams import StreamKey
-
-WORKERS = min(2, os.cpu_count() or 1)
 
 DENSITY_MATRIX = [(k, nu) for k in (1, 2, 5, 50, 150) for nu in (0.0025, 0.005, 0.05, 0.1)]
 STRICT_BOUND_VARIANCES = (1e-4, 0.0025, 0.05, 1.0)
@@ -41,8 +38,7 @@ def test_criterion_01_closed_form_two_draw_identity():
     ok(1, "closed-form two-draw distance matches the identity and table entries")
 
 
-def test_criterion_02_reference_table_reproduction(tmp_path, set_workers):
-    set_workers(WORKERS)
+def test_criterion_02_reference_table_reproduction(tmp_path):
     cfg = parse_config(
         None, ["reps=1000", "n=10000", "master_seed=404", "noise_param=0.05"]
     )
@@ -69,8 +65,7 @@ def test_criterion_02_reference_table_reproduction(tmp_path, set_workers):
     ok(2, "k=1 row reproduced under std_dev (binding); per-row deviations documented")
 
 
-def test_criterion_03_crossover_bracketed(set_workers):
-    set_workers(WORKERS)
+def test_criterion_03_crossover_bracketed():
     seed, reps, n = 101, 500, 10_000
     signs = {}
     for k in (100, 200):
@@ -168,8 +163,7 @@ def test_criterion_08_conditional_mean_consistency():
     ok(8, "posterior mean matches the saturated bound and the binned simulator means")
 
 
-def test_criterion_09_monotone_in_pool_size(set_workers):
-    set_workers(WORKERS)
+def test_criterion_09_monotone_in_pool_size():
     # combined noise variance 0.05 -> per-clone variance 0.025
     results = simulate.coupled_monotonicity_test(2, 0.025, 64, 10_000, 909)
     sizes = sorted(results)
@@ -182,8 +176,7 @@ def test_criterion_09_monotone_in_pool_size(set_workers):
     ok(9, "coupled winner distances weakly decrease in pool size; n=1 equals 2/3")
 
 
-def test_criterion_10_group_selection_rate(set_workers):
-    set_workers(WORKERS)
+def test_criterion_10_group_selection_rate():
     spec = GroupSpec(0.01, 0.04)
     est = simulate.estimate_group_win_rate(5, spec, 10_000, 2000, 1010)
     target = analytic.rich_win_probability(5, spec)
@@ -215,8 +208,7 @@ def test_criterion_12_vanishing_noise_limit():
     ok(12, "saturated-platform distance vanishes as the noise goes to zero")
 
 
-def test_criterion_13_sequential_search_dominance(set_workers):
-    set_workers(WORKERS)
+def test_criterion_13_sequential_search_dominance():
     k, variance, cap, reps, seed = 300, TABLE_VARIANCE, 10_000, 128, 1313
     cost_ip = AffineCost(per_period=0.005)
     cost_ai = AffineCost(per_period=0.0)
@@ -244,13 +236,12 @@ def test_criterion_13_sequential_search_dominance(set_workers):
     ok(13, f"two in-person draws beat the best platform policy by {gap:+.4f} (2se={spread:.4f})")
 
 
-def test_criterion_14_byte_identical_csv_across_workers(tmp_path, set_workers):
-    overrides = ["k_grid=1,5", "reps=600", "n=64", "master_seed=7"]
+def test_criterion_14_byte_identical_csv_across_block_sizes(tmp_path, monkeypatch):
+    cfg = parse_config(None, ["k_grid=1,5", "reps=600", "n=64", "master_seed=7"])
+    default = simulate._BLOCK_KEYS
     outputs = []
-    for workers, name in ((1, "w1"), (8, "w8"), (1, "w1-again")):
-        set_workers(workers)
-        cfg = parse_config(None, overrides)
-        result = cli.cmd_table1(cfg, tmp_path / name)
-        outputs.append(result.files[0].read_bytes())
+    for block_keys, name in ((default, "default"), (3, "blocks-of-3"), (default, "default-again")):
+        monkeypatch.setattr(simulate, "_BLOCK_KEYS", block_keys)
+        outputs.append(cli.cmd_table1(cfg, tmp_path / name).files[0].read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
-    ok(14, "table CSV bytes identical across reruns with 1 and 8 workers")
+    ok(14, "table CSV bytes identical across reruns with blocks of 256 and of 3 replications")

@@ -285,8 +285,9 @@ class TestGaussian:
         assert float(draws.mean()) == pytest.approx(oracle, abs=0.01)
 
     def test_rejects_bad_variance(self):
-        with pytest.raises(ValueError):
-            sampler.sample_noise_norm(3, 0.0, key("bad"))
+        for variance in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                sampler.sample_noise_norm(3, variance, key("bad"))
         with pytest.raises(ValueError):
             sampler.sample_noise_norm(0, 1.0, key("bad"))
 
@@ -316,6 +317,14 @@ class TestCloneDraws:
         assert norms.shape == dists.shape == (1, 1)
         assert norms[0, 0] <= 1.0
         assert dists[0, 0] >= 0.0
+
+    @pytest.mark.parametrize("variance", [0.0, -0.01, math.inf, math.nan])
+    def test_rejects_bad_variance(self, variance):
+        for rho in (None, 0.5):
+            with pytest.raises(ValueError):
+                sampler.draw_clone_batch(3, 4, variance, 0.01, rho, stream=key("bad-variance"))
+            with pytest.raises(ValueError):
+                sampler.draw_clone_batch(3, 4, 0.01, variance, rho, stream=key("bad-variance"))
 
     @pytest.mark.parametrize("rho", [-0.1, math.inf, math.nan])
     def test_rejects_bad_noise_norm(self, rho):

@@ -1,14 +1,10 @@
 import math
-import os
-import signal
-import threading
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mirrormatch import analytic, cli, sampler, simulate, streams
+from mirrormatch import analytic, sampler, simulate
 from mirrormatch.analytic import GroupSpec
 from mirrormatch.simulate import (
     AffineCost,
@@ -44,11 +40,6 @@ class TestEstimateDIp:
         a = simulate.estimate_d_ip(3, 2, 500, SEED)
         b = simulate.estimate_d_ip(3, 2, 500, SEED)
         assert a == b
-
-    def test_worker_count_invariance(self, set_workers):
-        serial = simulate.estimate_d_ip(3, 2, 501, SEED)
-        set_workers(2)
-        assert simulate.estimate_d_ip(3, 2, 501, SEED) == serial
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -86,6 +77,14 @@ class TestEstimateDAi:
         with pytest.raises(ValueError):
             simulate.estimate_d_ai(3, 10, 0.0025, 100, "sometimes-fixed", SEED)
 
+    def test_infinite_variance_rejected(self):
+        # analytic.d_ai_infinity rejects it too; an infinite variance would
+        # tie every clone distance and return the first candidate's norm
+        with pytest.raises(ValueError):
+            simulate.estimate_d_ai(3, 4, math.inf, 10, master_seed=SEED)
+        with pytest.raises(ValueError):
+            simulate.estimate_group_win_rate(3, GroupSpec(0.01, math.inf), 8, 10, 1)
+
     def test_fixed_mode_memory_is_dimension_free(self):
         # only the norm of the shared subject noise is drawn; as a k-vector it
         # would take 8 MB per replication here
@@ -97,162 +96,6 @@ class TestEstimateDAi:
             tracemalloc.stop()
         assert peak <= 1 << 20
         assert 0.0 < est.mean <= 1.0
-
-
-def every_estimator():
-    # 40 replications each, at the worker count MIRRORMATCH_WORKERS sets
-    policy = SeqSearchPolicy(simulate.AI_PLATFORM, StopWhenBestBelow(0.6, 700))
-    return [
-        simulate.estimate_d_ip(3, 2, 40, SEED),
-        simulate.estimate_d_ai(30, 16, 0.01, 40, simulate.FIXED_SUBJECT_CLONE, SEED),
-        simulate.coupled_monotonicity_test(2, 0.01, 16, 40, SEED),
-        simulate.estimate_group_win_rate(2, GroupSpec(0.01, 0.04), 16, 40, SEED),
-        simulate.evaluate_seq_policy(3, 0.01, policy, 40, SEED),
-    ]
-
-
-@pytest.fixture
-def fresh_pool():
-    """No live worker pool before the test, and none left behind by it."""
-    simulate._drop_pool()
-    yield
-    simulate._drop_pool()
-
-
-@pytest.fixture
-def small_blocks(monkeypatch):
-    """Blocks of 3 replications, so that every call of a few dozen fans out."""
-    monkeypatch.setattr(simulate, "_BLOCK_KEYS", 3)
-
-
-@pytest.mark.usefixtures("fresh_pool", "small_blocks")
-class TestSharedGeneratorAcrossWorkers:
-    # streams.uniform_rows resets one generator per thread; workers forked
-    # by the first fan-out inherit whatever state the forking thread left in it
-    def test_workers_agree_after_parent_drew(self, set_workers):
-        serial = every_estimator()
-        streams._thread.generator[1].random(3)  # parent's generator mid-stream
-        streams._thread.generator[1].integers(0, 2**32, size=3, dtype=np.uint32)
-        set_workers(2)
-        assert every_estimator() == serial
-        assert simulate._pool is not None
-
-    def test_workers_forked_inside_a_draw(self, set_workers):
-        # a background thread draws without pause while another thread forks
-        # a fresh pool: workers inherit only the forking thread's generator,
-        # and neither thread's rows see the other's keys
-        serial = every_estimator()
-        set_workers(2)
-        keys = [StreamKey(SEED).child("meanwhile", i) for i in range(8)]
-        expected = streams.uniform_rows(keys, 64).tobytes()
-        stop, drawn = threading.Event(), []
-
-        def draw():
-            while not stop.is_set():
-                drawn.append(streams.uniform_rows(keys, 64).tobytes() == expected)
-
-        got = []
-        threads = [
-            threading.Thread(target=draw, daemon=True),
-            threading.Thread(target=lambda: got.append(every_estimator()), daemon=True),
-        ]
-        for thread in threads:
-            thread.start()
-        threads[1].join(timeout=120)
-        stop.set()
-        threads[0].join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-        assert got == [serial]
-        assert drawn and all(drawn)
-        assert simulate._pool is not None
-
-
-class TestWorkerPool:
-    @pytest.fixture
-    def counted(self, monkeypatch, fresh_pool, small_blocks):
-        made = []
-
-        def counting(*args, **kwargs):
-            made.append(pool := executor(*args, **kwargs))
-            return pool
-
-        executor = simulate.ProcessPoolExecutor
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", counting)
-        return made
-
-    def test_one_pool_per_process(self, tmp_path, counted, set_workers):
-        overrides = ["k_grid=1,5", "reps=16", "n=64", "master_seed=7"]
-        csv = {}
-        for workers in (2, 1):
-            set_workers(workers)
-            cfg = cli.parse_config(None, overrides)
-            result = cli.cmd_table1(cfg, tmp_path / f"w{workers}")
-            csv[workers] = result.files[0].read_bytes()
-        assert len(counted) == 1  # four fan-outs, one pool
-        assert csv[2] == csv[1]
-
-    def test_resized_and_broken_pools_are_replaced(self, counted, set_workers):
-        serial = simulate.estimate_d_ip(3, 2, 64, SEED)
-        for workers in (2, 3):
-            set_workers(workers)
-            assert simulate.estimate_d_ip(3, 2, 64, SEED) == serial
-        assert len(counted) == 2
-        pool = counted[-1]
-        os.kill(next(iter(pool._processes)), signal.SIGKILL)
-        deadline = time.monotonic() + 30
-        while not pool._broken and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert pool._broken
-        assert simulate.estimate_d_ip(3, 2, 64, SEED) == serial
-        assert len(counted) == 3 and simulate._pool is counted[-1]
-
-    def test_one_block_runs_in_the_caller(self, monkeypatch, fresh_pool, set_workers):
-        # 64 replications of d_ip are one block of the default size
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
-        serial = simulate.estimate_d_ip(3, 2, 64, SEED)
-        set_workers(2)
-        assert simulate.estimate_d_ip(3, 2, 64, SEED) == serial
-
-    def test_worker_bound(self, set_workers):
-        assert simulate.resolve_workers() == 1
-        set_workers(simulate._MAX_WORKERS)
-        assert simulate.resolve_workers() == simulate._MAX_WORKERS
-        set_workers(simulate._MAX_WORKERS + 1)
-        with pytest.raises(ValueError, match="MIRRORMATCH_WORKERS must be an integer"):
-            simulate.resolve_workers()
-
-
-@pytest.mark.usefixtures("fresh_pool", "small_blocks")
-def test_whole_block_chunks(monkeypatch, set_workers):
-    # each estimator's 40 replications are 13 blocks of 3 and a ragged one;
-    # 2 and 3 workers take them in runs of two blocks (chunksize 2), 4
-    # workers one block a task
-    calls = []
-
-    class RecordingPool(simulate.ProcessPoolExecutor):
-        def map(self, fn, *iterables, **kwargs):
-            calls.append([])
-            return super().map(fn, *iterables, **kwargs)
-
-        def submit(self, fn, *args, **kwargs):
-            calls[-1].append(args[0])  # one task: its run of (start, stop) blocks
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-    serial = every_estimator()
-    blocks = [(start, min(start + 3, 40)) for start in range(0, 40, 3)]
-    for workers, per_task in ((2, 2), (3, 2), (4, 1)):
-        calls.clear()
-        set_workers(workers)
-        assert every_estimator() == serial
-        assert len(calls) == 5
-        for tasks in calls:
-            assert len(tasks) <= 4 * workers
-            assert [block for task in tasks for block in task] == blocks
-            assert max(map(len, tasks)) == per_task
 
 
 def rep_keys(reps=40):
@@ -462,6 +305,8 @@ class TestSeqPolicies:
             SeqSearchPolicy(simulate.AI_PLATFORM, StopAtFixedT(2), kappa=-1.0)
         with pytest.raises(ValueError):
             AffineCost(per_period=-0.1)
+        with pytest.raises(ValueError):
+            AffineCost(per_period=math.nan)
         with pytest.raises(ValueError):
             StopWhenBestBelow(-0.5, 10)
 
