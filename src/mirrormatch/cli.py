@@ -2,8 +2,8 @@
 
 Config files are line-oriented ``key = value`` text with ``#`` comments.
 Unknown keys are hard errors. Each run writes into a directory named by
-the hash of the canonical config text: a config echo, one CSV per
-command, and a JSON summary. CSV bytes are a pure function of
+the hash of the canonical config text: a config echo and, per command,
+``<command>.csv`` and ``<command>.summary.json``. CSV bytes are a pure function of
 (config, seed): no timestamps, LF line endings, fixed float formatting,
 so reruns are byte-identical.
 
@@ -33,7 +33,7 @@ from typing import Callable
 from . import __version__, analytic, simulate
 from .analytic import GroupSpec, NumericError
 from .quadrature import QuadratureError
-from .simulate import AffineCost, SeqSearchPolicy, StopAtFixedT, StopWhenBestBelow
+from .simulate import SeqSearchPolicy
 
 STD_DEV = "std_dev"
 VARIANCE = "variance"
@@ -307,7 +307,7 @@ class Command:
             "metrics": metrics,
             "provenance": provenance,
         }
-        summary_path = run_dir / "summary.json"
+        summary_path = run_dir / f"{self.name}.summary.json"
         _write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
         return ExperimentResult(cfg, self.name, rows, metrics, [csv_path, summary_path], provenance)
 
@@ -424,21 +424,22 @@ cmd_groups = Command(
 
 def _seq_rows(cfg: ModelConfig):
     variance = cfg.noise_variance_per_clone()
-    cost_ip = AffineCost(per_period=cfg.seq_cost_ip_per_period)
-    cost_ai = AffineCost(per_period=cfg.seq_cost_ai_per_period)
-    kappa = cfg.seq_kappa if cfg.seq_kappa is not None else cost_ip(2) + 0.01
+    cost_ip, cost_ai, cap = cfg.seq_cost_ip_per_period, cfg.seq_cost_ai_per_period, cfg.seq_cap
+    kappa = cfg.seq_kappa if cfg.seq_kappa is not None else cost_ip * 2 + 0.01
     # typical clone-distance scale sqrt(E R^2 + k nu) anchors the threshold grid
     s_typ = math.sqrt(cfg.k / (cfg.k + 2.0) + 2.0 * cfg.k * variance)
-    rules = [(f"ip_stop{t}", simulate.IN_PERSON, StopAtFixedT(t)) for t in (1, 2, 4)]
-    rules += [
-        (f"ai_threshold_{f:g}", simulate.AI_PLATFORM, StopWhenBestBelow(f * s_typ, cfg.seq_cap))
+    policies = [
+        (f"ip_stop{t}", SeqSearchPolicy(simulate.IN_PERSON, t, cost_per_period=cost_ip)) for t in (1, 2, 4)
+    ]
+    policies += [
+        (f"ai_threshold_{f:g}", SeqSearchPolicy(simulate.AI_PLATFORM, cap, f * s_typ, cost_ai, kappa))
         for f in (0.85, 0.95, 1.0)
     ]
-    rules.append(("ai_exhaust_cap", simulate.AI_PLATFORM, StopWhenBestBelow(0.0, cfg.seq_cap)))
-    for name, regime, rule in rules:
-        policy = SeqSearchPolicy(regime, rule, cost_ip, cost_ai, kappa)
+    policies.append(("ai_exhaust_cap", SeqSearchPolicy(simulate.AI_PLATFORM, cap, 0.0, cost_ai, kappa)))
+    for name, policy in policies:
         report = simulate.evaluate_seq_policy(cfg.k, variance, policy, cfg.reps, cfg.master_seed)
-        yield dict(policy=name, regime=regime, rule=rule, report=report)
+        yield dict(policy=name, regime=policy.regime, threshold=policy.threshold, cap=policy.cap,
+                   kappa=kappa, report=report)
 
 
 def _seq_metrics(rows: list[dict]) -> dict:
@@ -466,9 +467,9 @@ cmd_seqsearch = Command(
         ("policy", "policy identifier", None),
         ("regime", "search regime", None),
         ("rule", "stopping rule",
-         lambda r: f"stop_at_t={r.rule.t}" if isinstance(r.rule, StopAtFixedT)
-         else f"threshold={r.rule.threshold:.6g};cap={r.rule.cap}"),
-        ("kappa", "platform entry fee", lambda r: r.report.policy.kappa),
+         lambda r: f"stop_at_t={r.cap}" if r.threshold is None
+         else f"threshold={r.threshold:.6g};cap={r.cap}"),
+        ("kappa", "platform entry fee", None),
         ("mean_payoff", "estimated expected payoff", lambda r: r.report.payoff.mean),
         ("se", "standard error of the payoff estimate", lambda r: r.report.payoff.std_error),
         ("truncated_reps", "replications stopped by the cap instead of the rule",

@@ -57,59 +57,30 @@ class Estimate:
 
 
 @dataclass(frozen=True)
-class AffineCost:
-    """Search cost c(tau) = per_period * tau, nondecreasing in tau."""
-
-    per_period: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.per_period >= 0:
-            raise ValueError(f"the per-period cost must be nonnegative, got {self.per_period!r}")
-
-    def __call__(self, tau: int) -> float:
-        return self.per_period * tau
-
-
-@dataclass(frozen=True)
-class StopAtFixedT:
-    """Stop unconditionally after t draws."""
-
-    t: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.t, int) or self.t < 1:
-            raise ValueError(f"fixed stopping time must be a positive integer, got {self.t!r}")
-
-
-@dataclass(frozen=True)
-class StopWhenBestBelow:
-    """Stop the first time the running best observation is <= threshold, capped."""
-
-    threshold: float
-    cap: int
-
-    def __post_init__(self) -> None:
-        if not self.threshold >= 0.0:
-            raise ValueError(f"threshold must be nonnegative, got {self.threshold!r}")
-        if not isinstance(self.cap, int) or self.cap < 1:
-            raise ValueError(f"cap must be a positive integer, got {self.cap!r}")
-
-
-@dataclass(frozen=True)
 class SeqSearchPolicy:
-    """A regime choice plus stopping rule, costs, and platform entry fee."""
+    """One regime's stopping policy with its search cost and entry fee.
+
+    With no threshold the search takes all ``cap`` draws in one round and
+    is never truncated. With a threshold it stops at the first observation
+    at or below it, in rounds of ``_SEQ_BLOCK`` draws, and is truncated at
+    the cap. The payoff is -norm - cost_per_period * tau - fee.
+    """
 
     regime: str
-    rule: StopAtFixedT | StopWhenBestBelow
-    cost_ip: AffineCost = AffineCost()
-    cost_ai: AffineCost = AffineCost()
-    kappa: float = 0.0
+    cap: int
+    threshold: float | None = None
+    cost_per_period: float = 0.0
+    fee: float = 0.0
 
     def __post_init__(self) -> None:
         if self.regime not in (IN_PERSON, AI_PLATFORM):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if not self.kappa >= 0.0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa!r}")
+        if not isinstance(self.cap, int) or self.cap < 1:
+            raise ValueError(f"cap must be a positive integer, got {self.cap!r}")
+        for name in ("threshold", "cost_per_period", "fee"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +89,6 @@ class PolicyReport:
 
     payoff: Estimate
     truncated_reps: int
-    policy: SeqSearchPolicy
 
 
 def _estimate(values: np.ndarray, label: str) -> Estimate:
@@ -266,24 +236,24 @@ def estimate_group_win_rate(k: int, group: GroupSpec, n: int, reps: int, master_
     return _estimate(_replicate(_group_block, width, args, label, reps, master_seed), label)
 
 
-def _seq_plan(rule: StopAtFixedT | StopWhenBestBelow) -> tuple[int, int, float, float]:
-    """A rule's (draws a round, cap, stopping threshold, truncated flag at the cap)."""
-    if isinstance(rule, StopAtFixedT):
-        return rule.t, rule.t, -math.inf, 0.0
-    return _SEQ_BLOCK, rule.cap, rule.threshold, 1.0
+def _seq_plan(policy: SeqSearchPolicy) -> tuple[int, float, float]:
+    """A policy's (draws a round, stopping threshold, truncated flag at the cap)."""
+    if policy.threshold is None:
+        return policy.cap, -math.inf, 0.0
+    return _SEQ_BLOCK, policy.threshold, 1.0
 
 
 def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) -> np.ndarray:
     # Draws arrive in blocks from the sub-streams ("block", 0), ("block", 1),
-    # ...: 512 draws for a threshold rule, one t-draw block with no threshold
-    # for StopAtFixedT(t). The search observes one value per draw (in person
-    # the ball radius, on the platform the clone distance) and is paid the
-    # true norm of the draw it stops on, or of the best observation at the cap.
+    # ...: 512 draws with a threshold, one block of all ``cap`` draws without
+    # one. The search observes one value per draw (in person the ball radius,
+    # on the platform the clone distance) and is paid the true norm of the
+    # draw it stops on, or of the best observation at the cap.
     # Round j draws block j for the replications still searching; the rows
     # are (payoff, truncated).
-    block, cap, threshold, truncated = _seq_plan(policy.rule)
+    block, threshold, truncated = _seq_plan(policy)
+    cap, cost, fee = policy.cap, policy.cost_per_period, policy.fee
     in_person = policy.regime == IN_PERSON
-    cost, fee = (policy.cost_ip, 0.0) if in_person else (policy.cost_ai, policy.kappa)
     values = np.empty((len(keys), 2))
     values[:, 1] = truncated
     best_obs = np.full(len(keys), math.inf)
@@ -304,7 +274,7 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
             if fired.any():
                 first = np.argmax(observed[fired] <= threshold, axis=1)  # the first draw at or below it
                 stopped = searching[fired]
-                values[stopped, 0] = -norms[fired, first] - cost(seen + first + 1) - fee
+                values[stopped, 0] = -norms[fired, first] - cost * (seen + first + 1) - fee
                 values[stopped, 1] = 0.0
             # a stopped search is not read again, so its best may move too
             better = low < best_obs[searching]
@@ -313,7 +283,7 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
             searching = searching[~fired]
             if not searching.size:
                 break
-        values[searching, 0] = -best_norm[searching] - cost(cap) - fee
+        values[searching, 0] = -best_norm[searching] - cost * cap - fee
     return values
 
 
@@ -322,20 +292,19 @@ def evaluate_seq_policy(
 ) -> PolicyReport:
     """Expected payoff of a stopping policy; truncated paths are flagged.
 
-    In person the payoff is -(best norm so far) - c_ip(tau); on the
-    platform it is -(true norm of the best clone match) - c_ai(tau) -
-    kappa. A threshold rule that never fires is truncated at its cap and
+    The payoff is -(true norm of the draw stopped on) - cost_per_period *
+    tau - fee: in person the best radius so far, on the platform the best
+    clone match. A threshold that never fires is truncated at the cap and
     counted in ``truncated_reps``.
     """
     _check_common(reps)
-    label = f"seq(k={k},regime={policy.regime},rule={policy.rule})"
-    block, cap, _, _ = _seq_plan(policy.rule)
-    first = min(block, cap)  # the first round draws the most, so its width bounds every round
+    # the label is part of every stream address, so this rule text must stay byte for byte
+    rule = (f"StopAtFixedT(t={policy.cap!r})" if policy.threshold is None
+            else f"StopWhenBestBelow(threshold={policy.threshold!r}, cap={policy.cap!r})")
+    label = f"seq(k={k},regime={policy.regime},rule={rule})"
+    # the first round draws the most, so its width bounds every round
+    first = min(_seq_plan(policy)[0], policy.cap)
     width = first if policy.regime == IN_PERSON else sampler.clone_row_width(k, first, False)
     args = (k, noise_variance_per_clone, policy)
     values = _replicate(_seq_payoff_block, width, args, label, reps, master_seed)
-    return PolicyReport(
-        payoff=_estimate(values[:, 0], label),
-        truncated_reps=int(values[:, 1].sum()),
-        policy=policy,
-    )
+    return PolicyReport(payoff=_estimate(values[:, 0], label), truncated_reps=int(values[:, 1].sum()))

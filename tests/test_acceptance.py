@@ -15,7 +15,7 @@ from mirrormatch import analytic, cli, density, sampler, simulate
 from mirrormatch.analytic import GroupSpec
 from mirrormatch.cli import parse_config
 from mirrormatch.density import JointDensityParams
-from mirrormatch.simulate import AffineCost, SeqSearchPolicy, StopAtFixedT, StopWhenBestBelow
+from mirrormatch.simulate import SeqSearchPolicy
 from mirrormatch.streams import StreamKey
 
 DENSITY_MATRIX = [(k, nu) for k in (1, 2, 5, 50, 150) for nu in (0.0025, 0.005, 0.05, 0.1)]
@@ -210,23 +210,16 @@ def test_criterion_12_vanishing_noise_limit():
 
 def test_criterion_13_sequential_search_dominance():
     k, variance, cap, reps, seed = 300, TABLE_VARIANCE, 10_000, 128, 1313
-    cost_ip = AffineCost(per_period=0.005)
-    cost_ai = AffineCost(per_period=0.0)
-    kappa = cost_ip(2) + 0.01
+    cost_ip, cost_ai = 0.005, 0.0
+    kappa = cost_ip * 2 + 0.01
 
-    ip_policy = SeqSearchPolicy(simulate.IN_PERSON, StopAtFixedT(2), cost_ip, cost_ai, kappa)
+    ip_policy = SeqSearchPolicy(simulate.IN_PERSON, 2, cost_per_period=cost_ip)
     ip_report = simulate.evaluate_seq_policy(k, variance, ip_policy, reps, seed)
 
     s_typ = math.sqrt(k / (k + 2.0) + 2.0 * k * variance)
     best = None
     for factor in (0.0, 0.85, 0.95, 1.0):
-        policy = SeqSearchPolicy(
-            simulate.AI_PLATFORM,
-            StopWhenBestBelow(factor * s_typ, cap),
-            cost_ip,
-            cost_ai,
-            kappa,
-        )
+        policy = SeqSearchPolicy(simulate.AI_PLATFORM, cap, factor * s_typ, cost_ai, kappa)
         report = simulate.evaluate_seq_policy(k, variance, policy, reps, seed)
         if best is None or report.payoff.mean > best.payoff.mean:
             best = report

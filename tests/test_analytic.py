@@ -164,6 +164,18 @@ class TestDAiInfinity:
         assert analytic.d_ai_infinity(k, variance) == pytest.approx(ref, rel=1e-10)
         assert analytic._d_ai_infinity_quadrature(k, variance) == pytest.approx(ref, rel=1e-10)
 
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        quadrature = analytic._d_ai_infinity_quadrature
+
+        def scale_quadrature(scale):
+            monkeypatch.setattr(analytic, "_d_ai_infinity_quadrature", lambda k, v: quadrature(k, v) * scale)
+
+        scale_quadrature(1 + 1e-10)  # inside the 1e-8 agreement: the gamma route's value
+        assert analytic.d_ai_infinity(3, 0.0025) == analytic._d_ai_infinity_gamma(3, 0.0025)
+        scale_quadrature(1 + 1e-7)
+        with pytest.raises(NumericError, match="routes disagree at k=3, variance=0.0025"):
+            analytic.d_ai_infinity(3, 0.0025)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             analytic.d_ai_infinity(1, 0.0)

@@ -289,12 +289,22 @@ class TestOutputContract:
         run_dir = result.files[0].parent
         assert run_dir.name == result.config.config_hash()
         assert (run_dir / "config.txt").read_text() == result.config.canonical_text()
-        summary = json.loads((run_dir / "summary.json").read_text())
+        summary = json.loads((run_dir / "table1.summary.json").read_text())
         schema = json.loads(SCHEMA_PATH.read_text())
         jsonschema.validate(summary, schema)
         assert summary["config_hash"] == result.config.config_hash()
         assert "table1.csv" in summary["files"]
         assert "workers" not in summary["provenance"]
+
+    def test_commands_sharing_a_run_dir_keep_their_summaries(self, tmp_path):
+        # one config gives one run directory, so each command names its own summary
+        for command in ("mstar", "groups"):
+            assert cli.main([command, "--out", str(tmp_path)] + set_args(["k_grid=1", "reps=2", "n=1"])) == 0
+        (run_dir,) = tmp_path.iterdir()
+        for command in ("mstar", "groups"):
+            summary = json.loads((run_dir / f"{command}.summary.json").read_text())
+            assert summary["command"] == command
+            assert summary["files"] == [f"{command}.csv"]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -368,6 +378,13 @@ class TestMainEntry:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_disagreeing_routes_exit_code(self, tmp_path, capsys, monkeypatch):
+        quadrature = analytic._d_ai_infinity_quadrature
+        monkeypatch.setattr(analytic, "_d_ai_infinity_quadrature", lambda k, v: quadrature(k, v) * (1 + 1e-7))
+        code = cli.main(["figure2", "--out", str(tmp_path)] + set_args(["k_grid=1", "reps=2", "n=1"]))
+        assert code == 3
+        assert "routes disagree" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, overrides, cell",
         [
@@ -437,6 +454,11 @@ class TestMainEntry:
         base = parse_config(None, [])
         scaled = parse_config(None, [f"reps={cli.PAPER_SCALE_REPS}", f"n={cli.PAPER_SCALE_N}"])
         assert base.config_hash() != scaled.config_hash()
+        # mstar reads neither key, so the flag's run costs no Monte Carlo
+        assert cli.main(["mstar", "--paper-scale", "--set", "k_grid=1", "--out", str(tmp_path)]) == 0
+        (config,) = tmp_path.glob("*/config.txt")
+        written = parse_config(config)
+        assert (written.reps, written.n) == (1000, 10_000)
 
 
 class TestUpFrontValidation:

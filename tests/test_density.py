@@ -325,6 +325,15 @@ class TestMlrpGridCheck:
             mlrp_grid_check(params, [0.5, 0.4], [0.1, 0.2])
         with pytest.raises(ValueError):
             mlrp_grid_check(params, [0.5, 0.9], [0.2, 0.1])
+        for r_grid in ([0.5, 1.2], [0.0, 0.5]):
+            with pytest.raises(ValueError, match=r"r_grid must lie in \(0, 1\]"):
+                mlrp_grid_check(params, r_grid, [0.1, 0.2])
+
+        def one_infinite_point(params, r, s):
+            return -math.inf if (r, s) == (0.9, 0.2) else 0.0
+
+        with pytest.raises(ValueError, match="not finite on the grid"):
+            mlrp_grid_check(params, [0.5, 0.9], [0.1, 0.2], log_density=one_infinite_point)
 
     def test_infinite_s_point_rejected(self):
         # by the grid check itself, also for a log density defined there

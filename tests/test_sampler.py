@@ -326,6 +326,13 @@ class TestCloneDraws:
             with pytest.raises(ValueError):
                 sampler.draw_clone_batch(3, 4, 0.01, variance, rho, stream=key("bad-variance"))
 
+    @pytest.mark.parametrize("count", [0, 2.0])
+    def test_rejects_bad_count(self, count):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            sampler.sample_ball_radii(3, count, key("bad-count"))
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            sampler.draw_clone_batch(3, count, 0.01, 0.01, stream=key("bad-count"))
+
     @pytest.mark.parametrize("rho", [-0.1, math.inf, math.nan])
     def test_rejects_bad_noise_norm(self, rho):
         with pytest.raises(ValueError):

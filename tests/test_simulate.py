@@ -6,13 +6,7 @@ import pytest
 
 from mirrormatch import analytic, sampler, simulate
 from mirrormatch.analytic import GroupSpec
-from mirrormatch.simulate import (
-    AffineCost,
-    Estimate,
-    SeqSearchPolicy,
-    StopAtFixedT,
-    StopWhenBestBelow,
-)
+from mirrormatch.simulate import Estimate, SeqSearchPolicy
 from mirrormatch.streams import StreamKey
 
 SEED = 20250810
@@ -136,13 +130,13 @@ class TestBlocking:
         pytest.param(
             simulate._seq_payoff_block,
             512,
-            (1, 0.0025, SeqSearchPolicy(simulate.IN_PERSON, StopWhenBestBelow(0.00125, 1300), AffineCost(1))),
+            (1, 0.0025, SeqSearchPolicy(simulate.IN_PERSON, 1300, 0.00125, cost_per_period=1)),
             id="seq-in-person-later-block",
         ),
         pytest.param(
             simulate._seq_payoff_block,
             sampler.clone_row_width(2, 512, False),
-            (2, 0.0025, SeqSearchPolicy(simulate.AI_PLATFORM, StopWhenBestBelow(0.0, 1100), kappa=0.1)),
+            (2, 0.0025, SeqSearchPolicy(simulate.AI_PLATFORM, 1100, 0.0, fee=0.1)),
             id="seq-platform-cap",
         ),
     ]
@@ -251,13 +245,13 @@ class TestGroupWinRate:
 
 class TestSeqPolicies:
     def test_ip_fixed_stop_matches_d_ip(self):
-        policy = SeqSearchPolicy(simulate.IN_PERSON, StopAtFixedT(2))
+        policy = SeqSearchPolicy(simulate.IN_PERSON, 2)
         report = simulate.evaluate_seq_policy(4, 0.0025, policy, 40_000, SEED)
         assert report.truncated_reps == 0
         assert within(report.payoff, -analytic.d_ip(4, 2))
 
     def test_ai_fixed_stop_matches_d_ai(self):
-        policy = SeqSearchPolicy(simulate.AI_PLATFORM, StopAtFixedT(200))
+        policy = SeqSearchPolicy(simulate.AI_PLATFORM, 200)
         report = simulate.evaluate_seq_policy(3, 0.0025, policy, 3000, SEED)
         reference = simulate.estimate_d_ai(3, 200, 0.0025, 3000, master_seed=SEED + 1)
         spread = 3 * math.hypot(report.payoff.std_error, reference.std_error)
@@ -266,21 +260,19 @@ class TestSeqPolicies:
     def test_threshold_rule_costs_and_truncation(self):
         # threshold zero never fires: always truncated at the cap, and the
         # payoff equals the exhaustive-search payoff minus the cap cost
-        cost = AffineCost(per_period=0.001)
-        policy = SeqSearchPolicy(
-            simulate.AI_PLATFORM, StopWhenBestBelow(0.0, 64), cost_ai=cost, kappa=0.25
-        )
+        cost = 0.001
+        policy = SeqSearchPolicy(simulate.AI_PLATFORM, 64, 0.0, cost_per_period=cost, fee=0.25)
         report = simulate.evaluate_seq_policy(2, 0.0025, policy, 400, SEED)
         assert report.truncated_reps == 400
         reference = simulate.estimate_d_ai(2, 64, 0.0025, 400, master_seed=SEED + 2)
-        expected = -reference.mean - cost(64) - 0.25
+        expected = -reference.mean - cost * 64 - 0.25
         spread = 3 * math.hypot(report.payoff.std_error, reference.std_error)
         assert abs(report.payoff.mean - expected) <= spread
 
     def test_fixed_stop_is_one_block(self):
-        # StopAtFixedT(t) draws one t-draw ("block", 0) batch, also past the
-        # 512-draw block of the threshold rules, and pays its argmin winner
-        policy = SeqSearchPolicy(simulate.AI_PLATFORM, StopAtFixedT(600), kappa=0.1)
+        # with no threshold the search draws one cap-draw ("block", 0) batch,
+        # also past the 512-draw block of a threshold, and pays its argmin winner
+        policy = SeqSearchPolicy(simulate.AI_PLATFORM, 600, fee=0.1)
         for rep in range(3):
             key = StreamKey(SEED).child("one-block", rep)
             (norms,), (dists,) = sampler.draw_clone_batch(
@@ -290,7 +282,7 @@ class TestSeqPolicies:
             assert simulate._seq_payoff_block([key], 3, 0.0025, policy).tolist() == [[winner, 0.0]]
 
     def test_in_person_threshold_stops_at_first_hit(self):
-        policy = SeqSearchPolicy(simulate.IN_PERSON, StopWhenBestBelow(0.9, 4096))
+        policy = SeqSearchPolicy(simulate.IN_PERSON, 4096, 0.9)
         report = simulate.evaluate_seq_policy(1, 0.0025, policy, 2000, SEED)
         assert report.truncated_reps == 0
         # first |X| <= 0.9 is uniform on [0, 0.9]: expected payoff -0.45 - cost
@@ -298,17 +290,17 @@ class TestSeqPolicies:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SeqSearchPolicy("swim", StopAtFixedT(2))
+            SeqSearchPolicy("swim", 2)
         with pytest.raises(ValueError):
-            SeqSearchPolicy(simulate.IN_PERSON, StopAtFixedT(0))
+            SeqSearchPolicy(simulate.IN_PERSON, 0)
         with pytest.raises(ValueError):
-            SeqSearchPolicy(simulate.AI_PLATFORM, StopAtFixedT(2), kappa=-1.0)
+            SeqSearchPolicy(simulate.AI_PLATFORM, 2, fee=-1.0)
         with pytest.raises(ValueError):
-            AffineCost(per_period=-0.1)
+            SeqSearchPolicy(simulate.AI_PLATFORM, 2, cost_per_period=-0.1)
         with pytest.raises(ValueError):
-            AffineCost(per_period=math.nan)
+            SeqSearchPolicy(simulate.AI_PLATFORM, 2, cost_per_period=math.nan)
         with pytest.raises(ValueError):
-            StopWhenBestBelow(-0.5, 10)
+            SeqSearchPolicy(simulate.AI_PLATFORM, 10, -0.5)
 
 
 class TestEstimateType:
