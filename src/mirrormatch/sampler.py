@@ -22,8 +22,10 @@ Clone draws cost O(1) in k. Only the candidate's norm R and the clone
 distance S are returned, and both depend on the vectors only through
 rotation-invariant quantities. With rho the norm of the fixed subject
 noise (0 in per-interaction mode) and v the per-coordinate variance of
-the fresh noise, rotating the subject-noise axis and then the noiseless
-clone difference onto the first coordinate gives::
+the noise drawn fresh per interaction (both clones' noise per
+interaction, the other clone's alone with a fixed subject), rotating the
+subject-noise axis and then the noiseless clone difference onto the
+first coordinate gives::
 
     R     = U**(1/k)
     Theta = g1 / sqrt(g1**2 + chi2[k-1])        cosine of x to the noise axis
@@ -76,10 +78,9 @@ def _check_count(count: int) -> None:
         raise ValueError(f"count must be a positive integer, got {count!r}")
 
 
-def _check_variance(*variances: float) -> None:
-    for variance in variances:
-        if not (variance > 0 and math.isfinite(variance)):
-            raise ValueError(f"noise variance must be positive and finite, got {variance!r}")
+def _check_variance(variance: float) -> None:
+    if not (variance > 0 and math.isfinite(variance)):
+        raise ValueError(f"noise variance must be positive and finite, got {variance!r}")
 
 
 def _keys(stream: StreamKey | Sequence[StreamKey]) -> list:
@@ -156,32 +157,32 @@ def sample_noise_norm(k: int, variance: float, stream: StreamKey | Sequence[Stre
 def draw_clone_batch(
     k: int,
     count: int,
-    sigma_subject2: float,
-    sigma_other2: float,
+    variance: float,
     subject_noise_norm: float | Sequence[float] | None = None,
     *,
     stream: StreamKey | Sequence[StreamKey],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``count`` clone interactions per key; returns (true_norms, clone_dists), one row per key.
 
-    With ``subject_noise_norm`` None (per-interaction) the subject's proxy
-    is regenerated for every interaction, so the combined noise on the
-    clone difference is a single Gaussian with per-coordinate variance
-    ``sigma_subject2 + sigma_other2``. Otherwise it gives each row's
-    subject-noise norm (a float serves every row): that row reuses one
-    subject noise vector of this norm across its interactions (fixed
-    subject clone), and only ``sigma_other2`` is fresh per interaction.
-    Time and memory are O(count) per key in any dimension k.
+    ``variance`` is the per-coordinate variance of the noise drawn fresh
+    for every interaction. With ``subject_noise_norm`` None (per-interaction)
+    the subject's proxy is regenerated for every interaction too, so
+    ``variance`` is the combined noise of both clones (twice the per-clone
+    variance when the two match). Otherwise ``subject_noise_norm`` gives
+    each row's subject-noise norm (a float serves every row): that row
+    reuses one subject noise vector of this norm across its interactions
+    (fixed subject clone), and ``variance`` is the other clone's noise
+    alone. Time and memory are O(count) per key in any dimension k.
     """
     _check_dim(k)
     _check_count(count)
-    _check_variance(sigma_subject2, sigma_other2)
+    _check_variance(variance)
     keys = _keys(stream)
     if subject_noise_norm is None:
         uniforms = uniform_rows(keys, clone_row_width(k, count, False))
-        return _clone_batch(uniforms, k, count, None, sigma_subject2 + sigma_other2)
+        return _clone_batch(uniforms, k, count, None, variance)
     rho = np.broadcast_to(np.asarray(subject_noise_norm, dtype=float), (len(keys),))
     if not np.all((rho >= 0.0) & (rho < math.inf)):
         raise ValueError(f"subject_noise_norm must be finite and nonnegative, got {subject_noise_norm!r}")
     uniforms = uniform_rows(keys, clone_row_width(k, count, True))
-    return _clone_batch(uniforms, k, count, rho[:, None], sigma_other2)
+    return _clone_batch(uniforms, k, count, rho[:, None], variance)

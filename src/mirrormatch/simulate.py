@@ -101,11 +101,6 @@ def _estimate(values: np.ndarray, label: str) -> Estimate:
     return Estimate(mean=mean, std_error=std_error, reps=reps)
 
 
-def _winners(norms: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    # each row's true norm at its clone-distance argmin (the lowest index on ties)
-    return norms[np.arange(norms.shape[0]), np.argmin(dists, axis=1)]
-
-
 def _replicate(block_fn, width: int, args: tuple, label: str, reps: int, master_seed: int) -> np.ndarray:
     """Stack block_fn(keys, *args) over the replications [0, reps).
 
@@ -145,11 +140,14 @@ def estimate_d_ip(k: int, m: int, reps: int, master_seed: int) -> Estimate:
 
 
 def _d_ai_block(keys, k: int, n: int, variance: float, clone_mode: str) -> np.ndarray:
-    rho = None
+    pools = [key.child("pool") for key in keys]
     if clone_mode == FIXED_SUBJECT_CLONE:
         rho = sampler.sample_noise_norm(k, variance, [key.child("subject-clone") for key in keys])
-    pools = [key.child("pool") for key in keys]
-    return _winners(*sampler.draw_clone_batch(k, n, variance, variance, rho, stream=pools))
+        norms, dists = sampler.draw_clone_batch(k, n, variance, rho, stream=pools)
+    else:  # both clones' noise is fresh per interaction
+        norms, dists = sampler.draw_clone_batch(k, n, 2.0 * variance, stream=pools)
+    # each row's true norm at its clone-distance argmin (the lowest index on ties)
+    return norms[np.arange(len(keys)), np.argmin(dists, axis=1)]
 
 
 def estimate_d_ai(
@@ -175,48 +173,11 @@ def estimate_d_ai(
     return _estimate(_replicate(_d_ai_block, width, args, label, reps, master_seed), label)
 
 
-def monotonicity_grid(n_max: int) -> list[int]:
-    """Pool-size grid 1, 2, 4, ... capped at n_max."""
-    if not isinstance(n_max, int) or n_max < 2:
-        raise ValueError(f"n_max must be an integer >= 2, got {n_max!r}")
-    grid = []
-    n = 1
-    while n <= n_max:
-        grid.append(n)
-        n *= 2
-    return grid
-
-
-def _coupled_block(keys, k: int, variance: float, n_max: int, grid: list[int]) -> np.ndarray:
-    pools = [key.child("pool") for key in keys]
-    norms, dists = sampler.draw_clone_batch(k, n_max, variance, variance, stream=pools)
-    return np.stack([_winners(norms[:, :n], dists[:, :n]) for n in grid], axis=1)
-
-
-def coupled_monotonicity_test(
-    k: int, noise_variance_per_clone: float, n_max: int, reps: int, master_seed: int
-) -> dict[int, Estimate]:
-    """Winner distance per pool size, evaluated prefix-by-prefix on one pool.
-
-    Each replication draws a single pool of n_max interactions and reads
-    off the argmin of every prefix, coupling all pool sizes on one
-    probability space; the returned means should be weakly decreasing in
-    n up to Monte Carlo noise.
-    """
-    _check_common(reps, n_max=n_max)
-    grid = monotonicity_grid(n_max)
-    label = f"coupled(k={k},n_max={n_max})"
-    args = (k, noise_variance_per_clone, n_max, grid)
-    width = sampler.clone_row_width(k, n_max, False)
-    values = _replicate(_coupled_block, width, args, label, reps, master_seed)
-    return {n: _estimate(values[:, j], label) for j, n in enumerate(grid)}
-
-
-def _group_block(keys, k: int, n: int, sigma_r2: float, sigma_p2: float) -> np.ndarray:
+def _group_block(keys, k: int, n: int, nu_r: float, nu_p: float) -> np.ndarray:
     rich = [key.child("pool-rich") for key in keys]
     poor = [key.child("pool-poor") for key in keys]
-    _, dists_r = sampler.draw_clone_batch(k, n, sigma_r2, sigma_r2, stream=rich)
-    _, dists_p = sampler.draw_clone_batch(k, n, sigma_r2, sigma_p2, stream=poor)
+    _, dists_r = sampler.draw_clone_batch(k, n, nu_r, stream=rich)
+    _, dists_p = sampler.draw_clone_batch(k, n, nu_p, stream=poor)
     # global argmin with the deterministic tie rule: rich pool wins ties
     return (dists_r.min(axis=1) <= dists_p.min(axis=1)).astype(float)
 
@@ -231,7 +192,7 @@ def estimate_group_win_rate(k: int, group: GroupSpec, n: int, reps: int, master_
     """
     _check_common(reps, n=n)
     label = f"groups(k={k},n={n})"
-    args = (k, n, group.sigma_r2, group.sigma_p2)
+    args = (k, n, group.nu_r, group.nu_p)
     width = 2 * sampler.clone_row_width(k, n, False)
     return _estimate(_replicate(_group_block, width, args, label, reps, master_seed), label)
 
@@ -266,7 +227,7 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
             if in_person:
                 norms = observed = sampler.sample_ball_radii(k, count, streams)
             else:
-                norms, observed = sampler.draw_clone_batch(k, count, variance, variance, stream=streams)
+                norms, observed = sampler.draw_clone_batch(k, count, 2.0 * variance, stream=streams)
             rows = np.arange(searching.size)
             i = np.argmin(observed, axis=1)
             low = observed[rows, i]

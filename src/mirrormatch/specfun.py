@@ -67,8 +67,8 @@ def _log_m_series(s: float, x: float) -> float:
 
 def log_reg_lower_inc_gamma(s: float, x: float) -> float:
     """ln P(s, x); stays finite far into the lower tail where P underflows."""
-    if not s > 0:
-        raise ValueError(f"incomplete gamma requires s > 0, got {s!r}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"incomplete gamma requires a finite s > 0, got {s!r}")
     if not x >= 0:
         raise ValueError(f"incomplete gamma requires x >= 0, got {x!r}")
     if x == 0.0:
@@ -112,11 +112,11 @@ def log_bessel_i(nu: float, x):
     the -inf sentinel (log of zero); callers must handle it. For nu in
     [-1/2, 0) the x -> 0 limit diverges, represented as +inf.
     """
-    if nu < -0.5:
-        raise ValueError(f"log_bessel_i requires nu >= -1/2, got {nu!r}")
+    if not -0.5 <= nu < math.inf:
+        raise ValueError(f"log_bessel_i requires a finite nu >= -1/2, got {nu!r}")
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(x >= 0):
-        raise ValueError(f"log_bessel_i requires x >= 0, got {x!r}")
+    if not ((x >= 0) & (x < math.inf)).all():
+        raise ValueError(f"log_bessel_i requires finite x >= 0, got {x!r}")
     flat = x.ravel()
     scaled = _ive(nu, flat)
     normal = (scaled >= _TINY) & np.isfinite(scaled)

@@ -76,10 +76,6 @@ class StreamKey:
             prefix.update(_element(label, index))
         object.__setattr__(self, "_prefix", prefix)
 
-    def __reduce__(self):
-        # a hash object does not pickle; the address rebuilds it
-        return StreamKey, (self.master_seed, self.path)
-
     def child(self, label: str, index: int = 0) -> "StreamKey":
         """Derive the sub-stream named (label, index)."""
         prefix = self._prefix.copy()

@@ -17,6 +17,7 @@ from mirrormatch.cli import parse_config
 from mirrormatch.density import JointDensityParams
 from mirrormatch.simulate import SeqSearchPolicy
 from mirrormatch.streams import StreamKey
+from test_simulate import coupled_winner_means
 
 DENSITY_MATRIX = [(k, nu) for k in (1, 2, 5, 50, 150) for nu in (0.0025, 0.005, 0.05, 0.1)]
 STRICT_BOUND_VARIANCES = (1e-4, 0.0025, 0.05, 1.0)
@@ -149,7 +150,7 @@ def test_criterion_08_conditional_mean_consistency():
     # represent a curved posterior mean)
     k, nu, draws = 5, 0.01, 100_000
     norms, dists = sampler.draw_clone_batch(
-        k, draws, nu / 2, nu / 2, stream=StreamKey(808).child("acceptance-bins")
+        k, draws, nu, stream=StreamKey(808).child("acceptance-bins")
     )
     params = JointDensityParams(k, nu)
     edges = np.quantile(dists, np.linspace(0.05, 0.95, 11))
@@ -165,7 +166,7 @@ def test_criterion_08_conditional_mean_consistency():
 
 def test_criterion_09_monotone_in_pool_size():
     # combined noise variance 0.05 -> per-clone variance 0.025
-    results = simulate.coupled_monotonicity_test(2, 0.025, 64, 10_000, 909)
+    results = coupled_winner_means(2, 0.025, 64, 10_000, 909)
     sizes = sorted(results)
     assert sizes == [1, 2, 4, 8, 16, 32, 64]
     for small, large in zip(sizes, sizes[1:]):

@@ -229,7 +229,7 @@ class TestConditionalMean:
         k, nu, draws = 5, 0.01, 100_000
         key = StreamKey(4242).child("binned")
         norms, dists = sampler.draw_clone_batch(
-            k, draws, nu / 2, nu / 2, stream=key
+            k, draws, nu, stream=key
         )
         params = JointDensityParams(k, nu)
         edges = np.quantile(dists, np.linspace(0.05, 0.95, 11))

@@ -1,5 +1,4 @@
 import math
-import pickle
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -130,14 +129,6 @@ class TestStreamKey:
         assert a != StreamKey(5).child("x", 3) and a != StreamKey(6).child("x", 2)
         assert repr(a) == "StreamKey(master_seed=5, path=(('x', 2),))"
 
-    def test_pickle_round_trip(self):
-        a = StreamKey(11).child("rep", 9).child("pool")
-        b = pickle.loads(pickle.dumps(a))
-        assert b == a and hash(b) == hash(a)
-        assert np.array_equal(b.philox_key(), a.philox_key())
-        assert b.child("block", 1) == a.child("block", 1)
-        assert np.array_equal(b.child("block", 1).philox_key(), a.child("block", 1).philox_key())
-
 
 def pool_keys(count=40):
     base = StreamKey(99).child("shared")
@@ -152,8 +143,8 @@ class TestSharedDraw:
         [
             lambda s: sampler.sample_ball_radii(3, 17, s),
             lambda s: sampler.sample_noise_norm(30, 0.2, s)[:, None],
-            lambda s: np.hstack(sampler.draw_clone_batch(4, 9, 0.01, 0.02, stream=s)),
-            lambda s: np.hstack(sampler.draw_clone_batch(40, 9, 0.01, 0.02, 0.3, stream=s)),
+            lambda s: np.hstack(sampler.draw_clone_batch(4, 9, 0.01 + 0.02, stream=s)),
+            lambda s: np.hstack(sampler.draw_clone_batch(40, 9, 0.02, 0.3, stream=s)),
         ],
         ids=["ball", "noise-norm", "clone-per-interaction", "clone-fixed-subject"],
     )
@@ -296,7 +287,7 @@ class TestCloneDraws:
     def test_combined_variance_moment(self):
         # E S^2 = E ||X||^2 + k (sigma_s^2 + sigma_o^2), with E ||X||^2 = k/(k+2)
         k, count, s2 = 6, 200_000, 0.02
-        _, dists = clone_row(k, count, s2, s2, stream=key("mom"))
+        _, dists = clone_row(k, count, s2 + s2, stream=key("mom"))
         expected = k / (k + 2) + k * (2 * s2)
         assert float((dists**2).mean()) == pytest.approx(expected, rel=0.01)
 
@@ -304,16 +295,16 @@ class TestCloneDraws:
         # subject rich, candidate poor: combined variance sigma_r2 + sigma_p2
         k, count = 5, 200_000
         sigma_r2, sigma_p2 = 0.01, 0.04
-        _, dists = clone_row(k, count, sigma_r2, sigma_p2, stream=key("grp"))
+        _, dists = clone_row(k, count, sigma_r2 + sigma_p2, stream=key("grp"))
         expected = k / (k + 2) + k * (sigma_r2 + sigma_p2)
         assert float((dists**2).mean()) == pytest.approx(expected, rel=0.01)
 
     def test_no_noise_limit(self):
-        norms, dists = clone_row(4, 2000, 1e-12, 1e-12, stream=key("tiny"))
+        norms, dists = clone_row(4, 2000, 1e-12 + 1e-12, stream=key("tiny"))
         assert np.abs(dists - norms).max() <= 1e-4
 
     def test_scalar_draw(self):
-        norms, dists = sampler.draw_clone_batch(3, 1, 0.01, 0.01, stream=key("scalar"))
+        norms, dists = sampler.draw_clone_batch(3, 1, 0.01 + 0.01, stream=key("scalar"))
         assert norms.shape == dists.shape == (1, 1)
         assert norms[0, 0] <= 1.0
         assert dists[0, 0] >= 0.0
@@ -322,28 +313,26 @@ class TestCloneDraws:
     def test_rejects_bad_variance(self, variance):
         for rho in (None, 0.5):
             with pytest.raises(ValueError):
-                sampler.draw_clone_batch(3, 4, variance, 0.01, rho, stream=key("bad-variance"))
-            with pytest.raises(ValueError):
-                sampler.draw_clone_batch(3, 4, 0.01, variance, rho, stream=key("bad-variance"))
+                sampler.draw_clone_batch(3, 4, variance, rho, stream=key("bad-variance"))
 
     @pytest.mark.parametrize("count", [0, 2.0])
     def test_rejects_bad_count(self, count):
         with pytest.raises(ValueError, match="count must be a positive integer"):
             sampler.sample_ball_radii(3, count, key("bad-count"))
         with pytest.raises(ValueError, match="count must be a positive integer"):
-            sampler.draw_clone_batch(3, count, 0.01, 0.01, stream=key("bad-count"))
+            sampler.draw_clone_batch(3, count, 0.01 + 0.01, stream=key("bad-count"))
 
     @pytest.mark.parametrize("rho", [-0.1, math.inf, math.nan])
     def test_rejects_bad_noise_norm(self, rho):
         with pytest.raises(ValueError):
-            sampler.draw_clone_batch(3, 4, 0.01, 0.01, rho, stream=key("bad-norm"))
+            sampler.draw_clone_batch(3, 4, 0.01, rho, stream=key("bad-norm"))
 
     def test_fixed_mode_conditional_iid(self):
         # conditional on the fixed subject noise, distances must be i.i.d.:
         # chi-square independence of consecutive above/below-median signs
         k, count = 3, 40_000
         (rho,) = sampler.sample_noise_norm(k, 0.01, key("fixed-eps"))
-        _, dists = clone_row(k, count, 0.01, 0.01, rho, stream=key("fixed-pool"))
+        _, dists = clone_row(k, count, 0.01, rho, stream=key("fixed-pool"))
         signs = dists > np.median(dists)
         first, second = signs[0::2], signs[1::2]
         table = np.array(
@@ -359,7 +348,7 @@ class TestCloneDraws:
         # k-vectors with an independent generator: two-sample KS on R, S, S - R
         k, count, s_other2 = 4, 20_000, 0.03
         (rho,) = sampler.sample_noise_norm(k, 0.02, key("check-eps"))
-        norms, dists = clone_row(k, count, 0.02, s_other2, rho, stream=key("check-pool"))
+        norms, dists = clone_row(k, count, s_other2, rho, stream=key("check-pool"))
         fixed = np.full(k, rho / math.sqrt(k))
         ref_norms, ref_dists = direct_clone_draws(k, count, s_other2, fixed, seed=4)
         for ours, ref in ((norms, ref_norms), (dists, ref_dists), (dists - norms, ref_dists - ref_norms)):
@@ -369,7 +358,7 @@ class TestCloneDraws:
         # E S^2 = k/(k+2) + rho^2 + k s_o2 and E[S^2 | R] = R^2 + rho^2 + k s_o2:
         # the mean, and an OLS fit of S^2 on R^2 (slope 1, that intercept)
         k, count, s_other2 = 6, 400_000, 0.02
-        norms, dists = clone_row(k, count, 0.01, s_other2, 0.5, stream=key("fixed-mom"))
+        norms, dists = clone_row(k, count, s_other2, 0.5, stream=key("fixed-mom"))
         shift = 0.25 + k * s_other2
         s2 = dists**2
         se = s2.std(ddof=1) / math.sqrt(count)
@@ -392,7 +381,7 @@ class TestCloneDraws:
             ref_noise, variance = np.full(k, rho / math.sqrt(k)), s_other2
         else:
             ref_noise, variance = np.zeros(k), s_subject2 + s_other2
-        norms, dists = clone_row(k, count, s_subject2, s_other2, rho, stream=key("edge", mode, ("k", k)))
+        norms, dists = clone_row(k, count, variance, rho, stream=key("edge", mode, ("k", k)))
         ref_norms, ref_dists = direct_clone_draws(k, count, variance, ref_noise, seed=k)
         for ours, ref in ((norms, ref_norms), (dists, ref_dists), (dists - norms, ref_dists - ref_norms)):
             assert stats.ks_2samp(ours, ref).pvalue > 0.001
@@ -401,10 +390,10 @@ class TestCloneDraws:
     def test_memory_is_linear_in_count(self, mode):
         # one (count, k) float64 array here would be 8 GB
         k, count = 10**6, 1000
-        rho = 0.1 if mode == simulate.FIXED_SUBJECT_CLONE else None
+        rho, variance = (0.1, 0.01) if mode == simulate.FIXED_SUBJECT_CLONE else (None, 0.01 + 0.01)
         tracemalloc.start()
         try:
-            norms, dists = sampler.draw_clone_batch(k, count, 0.01, 0.01, rho, stream=key("mem"))
+            norms, dists = sampler.draw_clone_batch(k, count, variance, rho, stream=key("mem"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -16,6 +16,20 @@ def within(estimate, target, factor=3.0):
     return abs(estimate.mean - target) <= factor * estimate.std_error
 
 
+def coupled_winner_means(k, variance, n_max, reps, seed):
+    """Winner distance per pool size n = 1, 2, 4, ... <= n_max, each read off a prefix of one pool.
+
+    Each replication draws one pool of n_max per-interaction clone draws at
+    per-clone ``variance`` and takes the argmin of every prefix, so all pool
+    sizes share one probability space.
+    """
+    base = StreamKey(seed).child(f"coupled(k={k},n_max={n_max})")
+    keys = [base.child("rep", rep).child("pool") for rep in range(reps)]
+    norms, dists = sampler.draw_clone_batch(k, n_max, 2.0 * variance, stream=keys)
+    sizes, rows = [2**j for j in range(n_max.bit_length())], np.arange(reps)
+    return {n: simulate._estimate(norms[rows, np.argmin(dists[:, :n], axis=1)], "coupled") for n in sizes}
+
+
 class TestEstimateDIp:
     def test_one_dim_two_draws(self):
         est = simulate.estimate_d_ip(1, 2, 100_000, SEED)
@@ -117,12 +131,6 @@ class TestBlocking:
         ],
         pytest.param(simulate._d_ip_block, 3, (26, 3), id="d_ip"),
         pytest.param(
-            simulate._coupled_block,
-            sampler.clone_row_width(5, 16, False),
-            (5, 0.01, 16, simulate.monotonicity_grid(16)),
-            id="coupled",
-        ),
-        pytest.param(
             simulate._group_block, 2 * sampler.clone_row_width(26, 16, False), (26, 16, 0.01, 0.04), id="groups"
         ),
         # at k = 1 one draw in 800 is at most 0.00125: many searches stop in
@@ -178,23 +186,17 @@ class TestBlocking:
         keys = [StreamKey(SEED).child("zero-norm", i) for i in range(3)]
         rhos = [0.3, 0.0, 0.5]
         for k in (1, 5, 30):
-            norms, dists = sampler.draw_clone_batch(k, 9, 0.01, 0.02, rhos, stream=keys)
+            norms, dists = sampler.draw_clone_batch(k, 9, 0.02, rhos, stream=keys)
             assert np.isfinite(norms).all() and np.isfinite(dists).all()
             for i, rho in enumerate(rhos):
-                (alone_norms,), (alone_dists,) = sampler.draw_clone_batch(k, 9, 0.01, 0.02, rho, stream=keys[i])
+                (alone_norms,), (alone_dists,) = sampler.draw_clone_batch(k, 9, 0.02, rho, stream=keys[i])
                 assert norms[i].tobytes() == alone_norms.tobytes()
                 assert dists[i].tobytes() == alone_dists.tobytes()
 
 
 class TestCoupledMonotonicity:
-    def test_grid(self):
-        assert simulate.monotonicity_grid(64) == [1, 2, 4, 8, 16, 32, 64]
-        assert simulate.monotonicity_grid(100) == [1, 2, 4, 8, 16, 32, 64]
-        with pytest.raises(ValueError):
-            simulate.monotonicity_grid(1)
-
     def test_weakly_decreasing_means(self):
-        results = simulate.coupled_monotonicity_test(2, 0.025, 64, 4000, SEED)
+        results = coupled_winner_means(2, 0.025, 64, 4000, SEED)
         sizes = sorted(results)
         assert sizes == [1, 2, 4, 8, 16, 32, 64]
         for small, large in zip(sizes, sizes[1:]):
@@ -202,7 +204,7 @@ class TestCoupledMonotonicity:
             assert lo.mean <= hi.mean + 2 * (lo.std_error + hi.std_error), (small, large)
 
     def test_single_candidate_benchmark(self):
-        results = simulate.coupled_monotonicity_test(2, 0.025, 8, 4000, SEED)
+        results = coupled_winner_means(2, 0.025, 8, 4000, SEED)
         assert within(results[1], 2.0 / 3.0)
 
     def test_prefix_argmin_changes_only_on_improvement(self):
@@ -210,7 +212,7 @@ class TestCoupledMonotonicity:
         # improves the clone distance
         for rep in range(100):
             key = StreamKey(SEED).child("prefix", rep)
-            _, (dists,) = sampler.draw_clone_batch(3, 16, 0.01, 0.01, stream=key)
+            _, (dists,) = sampler.draw_clone_batch(3, 16, 0.01 + 0.01, stream=key)
             for n in range(1, 16):
                 before = int(np.argmin(dists[:n]))
                 after = int(np.argmin(dists[: n + 1]))
@@ -276,7 +278,7 @@ class TestSeqPolicies:
         for rep in range(3):
             key = StreamKey(SEED).child("one-block", rep)
             (norms,), (dists,) = sampler.draw_clone_batch(
-                3, 600, 0.0025, 0.0025, stream=key.child("block", 0)
+                3, 600, 0.0025 + 0.0025, stream=key.child("block", 0)
             )
             winner = -float(norms[int(np.argmin(dists))]) - 0.0 - 0.1
             assert simulate._seq_payoff_block([key], 3, 0.0025, policy).tolist() == [[winner, 0.0]]

@@ -129,10 +129,11 @@ class TestRegLowerIncGamma:
         assert specfun.log_reg_lower_inc_gamma(s, x) == pytest.approx(ref, rel=1e-12)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            specfun.log_reg_lower_inc_gamma(0.0, 1.0)
-        with pytest.raises(ValueError):
-            specfun.log_reg_lower_inc_gamma(1.0, -0.1)
+        for s, x in ((0.0, 1.0), (1.0, -0.1), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                specfun.log_reg_lower_inc_gamma(s, x)
+        # an infinite x is in the domain: P(s, inf) = 1
+        assert specfun.log_reg_lower_inc_gamma(2.5, math.inf) == 0.0
 
 
 class TestLogBesselI:
@@ -194,10 +195,10 @@ class TestLogBesselI:
             assert second.min() >= -1e-8, nu
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            specfun.log_bessel_i(-0.6, 1.0)
-        with pytest.raises(ValueError):
-            specfun.log_bessel_i(1.0, -1.0)
+        bad = [(-0.6, 1.0), (1.0, -1.0), (math.inf, 1.0), (math.nan, 1.0), (1.5, math.inf), (1.5, [1.0, math.nan])]
+        for nu, x in bad:
+            with pytest.raises(ValueError, match="log_bessel_i requires"):
+                specfun.log_bessel_i(nu, x)
 
 
 class TestStdNormalCdf:
