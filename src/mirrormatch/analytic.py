@@ -90,9 +90,7 @@ def d_ip(k: int, m: int) -> float:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"sample size m must be a positive integer, got {m!r}")
     inv = 1.0 / k
-    return math.exp(
-        specfun.ln_gamma(inv) + specfun.ln_gamma(m + 1.0) - specfun.ln_gamma(inv + m + 1.0)
-    ) / k
+    return math.exp(math.lgamma(inv) + math.lgamma(m + 1.0) - math.lgamma(inv + m + 1.0)) / k
 
 
 def d_ip2_identity(k: int) -> float:

@@ -7,12 +7,16 @@ S / sqrt(nu) follows a noncentral chi law with dimension k and
 noncentrality r / sqrt(nu); the Bessel order is fixed to k/2 - 1
 throughout, the order required for that density to normalize.
 
-Everything is evaluated in log space. The posterior mean
-m(s) = E[R : S = s] is a ratio of two integrals over r in (0, 1] of one
-kernel, taken in one adaptive pass in u = (r - peak) / width with the
-kernel divided by its peak value, over ``analytic._knots``'s panels (1, 8
-and 64 Laplace widths from the peak), so the same rule holds at any k,
-including k in the millions where the mass sits within ~1/k of r = 1.
+Everything is evaluated in log space. The terms that vary with r form
+one kernel, (k-1) ln r + lam (t - lam/2) + ln(x^-v e^-x I_v(x)) at
+x = lam t, with t = s / sqrt(nu), lam = r / sqrt(nu) and v = k/2 - 1, in
+which no two terms of size s^2/nu cancel. The posterior mean
+m(s) = E[R : S = s], for any s >= 0, is a ratio of two integrals over r
+in (0, 1] of that kernel, taken in one adaptive pass in
+u = (r - peak) / width with the kernel divided by its peak value, over
+``analytic._knots``'s panels (1, 8 and 64 Laplace widths from the peak),
+so the same rule holds at any k, including k in the millions where the
+mass sits within ~1/k of r = 1.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ import numpy as np
 from . import analytic, specfun
 from .quadrature import DEFAULT_ABS_TOL, integrate
 
-_R_MIN = 1e-12  # left end of the peak search, clear of log(0)
+_R_MIN = 1e-12  # floor of the peak search's left end, clear of log(0)
 
-_log_bessel_vec = specfun.log_bessel_i
+_log_bessel_vec = specfun.log_bessel_i_scaled
 
 
 @dataclass(frozen=True)
@@ -48,22 +52,19 @@ class JointDensityParams:
         return 0.5 * self.k - 1.0
 
 
-def _joint_log_density_arr(params: JointDensityParams, r, s) -> np.ndarray:
-    # ball-norm density k r^(k-1) times the scaled noncentral chi density of
-    # S given R = r: t = s/sqrt(nu), lam = r/sqrt(nu), order k/2 - 1
-    order = params.bessel_order
+def _log_kernel(params: JointDensityParams, r, s) -> np.ndarray:
+    # the joint log density's terms that vary with r: r^(k-1), -(t - lam)^2/2 less
+    # its -t^2/2, and the Bessel factor scaled by (lam t)^-order e^-(lam t)
     root_nu = math.sqrt(params.nu)
-    r = np.asarray(r, dtype=np.float64)
-    t = np.asarray(s, dtype=np.float64) / root_nu
-    lam = r / root_nu
-    log_marginal = math.log(params.k) + (params.k - 1) * np.log(r)
-    return log_marginal + (
-        -order * np.log(lam)
-        + (order + 1.0) * np.log(t)
-        - 0.5 * (t * t + lam * lam)
-        + _log_bessel_vec(order, lam * t)
-        - math.log(root_nu)
-    )
+    lam, t = r / root_nu, s / root_nu
+    return (params.k - 1) * np.log(r) + lam * (t - 0.5 * lam) + _log_bessel_vec(params.bessel_order, lam * t)
+
+
+def _joint_log_density_arr(params: JointDensityParams, r, s) -> np.ndarray:
+    # the kernel plus the terms constant in r: ln k + (k-1) ln t - t^2/2 - ln(nu)/2
+    t = s / math.sqrt(params.nu)
+    const = math.log(params.k) + (params.k - 1) * math.log(t) - 0.5 * t * t - 0.5 * math.log(params.nu)
+    return _log_kernel(params, r, s) + const
 
 
 def joint_log_density(params: JointDensityParams, r: float, s: float) -> float:
@@ -78,11 +79,11 @@ def joint_log_density(params: JointDensityParams, r: float, s: float) -> float:
     return value
 
 
-def _laplace_peak(log_kernel) -> tuple[float, float, float]:
-    # zoom a grid on (0, 1] onto the maximum of the unimodal log kernel g until
+def _laplace_peak(log_kernel, lo: float) -> tuple[float, float, float]:
+    # zoom a grid on [lo, 1] onto the maximum of the unimodal log kernel g until
     # the grid resolves it; returns the peak, the Laplace width 1/sqrt(-g'')
     # (or 1/g' against r = 1, at most 1) and g at the peak
-    lo, hi, last = _R_MIN, 1.0, 16  # 17 grid points per zoom level
+    hi, last = 1.0, 16  # 17 grid points per zoom level
     while True:
         r = np.linspace(lo, hi, last + 1)
         g = log_kernel(r)
@@ -99,24 +100,23 @@ def _laplace_peak(log_kernel) -> tuple[float, float, float]:
 def conditional_mean_r_given_s(params: JointDensityParams, s: float) -> float:
     """Posterior mean of the true norm given the observed clone distance.
 
-    At s = 0 the noncentral-chi kernel degenerates to the posterior
-    weight r^(k-1) exp(-r^2 / (2 nu)), whose mean is the quadrature route
-    of the saturated-platform distance at per-clone variance nu / 2,
-    independent of its incomplete-gamma route.
+    At s = 0 this is the saturated-platform distance at per-clone
+    variance nu / 2, a route independent of both of ``analytic``'s.
     """
     if not 0.0 <= s < math.inf:
         raise ValueError(f"s must be nonnegative and finite, got {s!r}")
-    if s == 0.0:
-        return analytic._d_ai_infinity_quadrature(params.k, 0.5 * params.nu)
-    peak, width, shift = _laplace_peak(lambda r: _joint_log_density_arr(params, r, s))
+    # the kernel is log-supermodular, so its mode at s = 0, sqrt((k-1) nu), bounds
+    # every mode from below; a grid from r ~ 0 would meet the steep (k-1) ln r first
+    lo = min(max(math.sqrt((params.k - 1) * params.nu), _R_MIN), 0.5)
+    peak, width, shift = _laplace_peak(lambda r: _log_kernel(params, r, s), lo)
 
     def rows(u: np.ndarray) -> np.ndarray:
-        w = np.exp(_joint_log_density_arr(params, peak + width * u, s) - shift)
+        w = np.exp(_log_kernel(params, peak + width * u, s) - shift)
         return np.array((w, u * w))
 
-    # the log density sums terms of size ~ k + s^2/nu, which leave that many eps
-    # of rounding noise in w; a tolerance below that floor cannot converge
-    noise = np.finfo(float).eps * (params.k + s * s / params.nu)
+    # the kernel sums terms of size up to k + s/nu; its rounding error, weighted
+    # by w, stays within ~10 eps (k + s/nu), and no far smaller tolerance converges
+    noise = np.finfo(float).eps * (params.k + s / params.nu)
     tol = max(DEFAULT_ABS_TOL, 8.0 * noise)
     # peak + width * int u w / int w, both rows in one adaptive pass per panel
     knots = analytic._knots(peak, width)

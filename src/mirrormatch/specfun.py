@@ -3,15 +3,16 @@
 Log-scaled variants are provided wherever raw values leave the double
 range: the high-order modified Bessel function and the deep tails of the
 regularized incomplete gamma. ``scipy.special`` does the work where its
-results are representable; log-space power series cover the rest:
+results are representable; fixed closed forms cover the rest:
 
 * incomplete gamma: below the ``x < s + 1`` split, where P(s, x) may
   underflow and ``gammainc`` loses digits once s is large, a power
   series with a cancellation-free prefactor; ``log1p(-gammaincc(s, x))``
   above it;
-* ``ln I_nu``: ``log(ive(nu, x)) + x``, with a log-sum-exp over a
-  peak-windowed power series where the scaled ``ive`` underflows (x
-  small against nu, or nu in the thousands).
+* ``ln(x^-nu e^-x I_nu(x))``: ``log(ive(nu, x)) - nu log x`` where ``ive``
+  is a normal double; the series' first two terms below x = 1e-4; where
+  ``ive`` underflows or is NaN (from x = 2**30 on), the Hankel expansion
+  below order 50 and the uniform large-order expansion from it.
 """
 
 from __future__ import annotations
@@ -19,21 +20,22 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaincc as _gammaincc
-from scipy.special import gammaln as _gammaln
 from scipy.special import ive as _ive
 
 NEG_INF = float("-inf")
 
 _MAX_TERMS = 2**20  # incomplete-gamma series terms: enough near x = s up to s ~ 1e10
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function on (0, inf)."""
-    if not x > 0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
+_SERIES_MAX_X = 1e-4  # below it the Bessel series' first two terms are exact to double
+_HANKEL_MAX_ORDER = 50.0  # below it ive fails only from x = 2**30 on, where nu^2 << x
+_U_POLYS = (  # DLMF 10.41.10: U_k(p) = p^k P_k(p^2) / d_k for k = 1..4, as (P_k, d_k)
+    ((3.0, -5.0), 24.0),
+    ((81.0, -462.0, 385.0), 1152.0),
+    ((30375.0, -369603.0, 765765.0, -425425.0), 414720.0),
+    ((4465125.0, -94121676.0, 349922430.0, -446185740.0, 185910725.0), 39813120.0),
+)
 
 
 def _log_p_prefactor(s: float, x: float) -> float:
@@ -78,50 +80,48 @@ def log_reg_lower_inc_gamma(s: float, x: float) -> float:
     return math.log1p(-float(_gammaincc(s, x)))
 
 
-def _log_i_series(nu: float, x: float) -> float:
-    # log-sum-exp over term index n of (x/2)^(2n+nu) / (n! Gamma(n+nu+1)),
-    # windowed around the peak term so huge x stays O(sqrt(x)) work
-    half_log = math.log(0.5 * x)
-    center = max(0.0, 0.5 * (math.sqrt((nu + 1.0) ** 2 + x * x) - (nu + 1.0)))
-    curvature = 1.0 / (center + 1.0) + 1.0 / (center + nu + 1.0)
-    width = math.sqrt(90.0 / curvature) + 12.0
-    lo = max(0, int(center - width))
-    hi = int(center + width) + 1
-    for _ in range(60):
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        log_terms = (2.0 * n + nu) * half_log - _gammaln(n + 1.0) - _gammaln(n + nu + 1.0)
-        peak = float(log_terms.max())
-        lo_ok = lo == 0 or log_terms[0] < peak - 41.0
-        hi_ok = log_terms[-1] < peak - 41.0
-        if lo_ok and hi_ok:
-            return peak + math.log(float(np.exp(log_terms - peak).sum()))
-        grow = max(16, int(width))
-        if not lo_ok:
-            lo = max(0, lo - grow)
-        if not hi_ok:
-            hi += grow
-        width *= 1.5
-    raise RuntimeError(f"Bessel series window did not stabilize at nu={nu}, x={x}")
+def _log_series(nu: float, x: np.ndarray) -> np.ndarray:
+    # (x/2)^nu / Gamma(nu+1) (1 + x^2 / (4 (nu+1))); the next term is below eps
+    return np.log1p(0.25 * x * x / (nu + 1.0)) - x - nu * math.log(2.0) - math.lgamma(nu + 1.0)
 
 
-def log_bessel_i(nu: float, x):
-    """ln of the modified Bessel function of the first kind, order nu >= -1/2.
+def _log_hankel(nu: float, x: np.ndarray) -> np.ndarray:
+    # DLMF 10.40.1: e^-x I_nu(x) sqrt(2 pi x) ~ sum_j (-1)^j a_j(nu) / x^j; at
+    # nu < 50 and x >= 2**30 the fourth term is below eps
+    mu = 4.0 * nu * nu
+    a1 = (1.0 - mu) / (8.0 * x)
+    a2 = a1 * (9.0 - mu) / (16.0 * x)
+    a3 = a2 * (25.0 - mu) / (24.0 * x)
+    return np.log1p(a1 + a2 + a3) - 0.5 * np.log(2.0 * math.pi * x) - nu * np.log(x)
 
-    ``x`` is a scalar or an array of any shape; the result has the same
-    shape (a float for a scalar). I_nu(0) = 0 for nu > 0, represented as
-    the -inf sentinel (log of zero); callers must handle it. For nu in
-    [-1/2, 0) the x -> 0 limit diverges, represented as +inf.
+
+def _log_uniform(nu: float, x: np.ndarray) -> np.ndarray:
+    # DLMF 10.41.3 at x = nu z; with q = sqrt(nu^2 + x^2) and p = nu / q, nu eta - x
+    # - nu ln x = nu^2 / (q + x) - nu ln(nu + q), in which no terms of size x cancel
+    q = np.hypot(nu, x)
+    p = nu / q
+    total = sum((p / nu) ** k * polyval(p * p, poly) / d for k, (poly, d) in enumerate(_U_POLYS, 1))
+    return nu * nu / (q + x) - nu * np.log(nu + q) - 0.5 * np.log(2.0 * math.pi * q) + np.log1p(total)
+
+
+def log_bessel_i_scaled(nu: float, x):
+    """ln(x^-nu e^-x I_nu(x)) of the modified Bessel function of the first kind,
+    order nu >= -1/2, at finite x >= 0 of any shape (a float for a scalar).
+
+    Finite also at x = 0, where it equals -nu ln 2 - ln Gamma(nu + 1).
     """
     if not -0.5 <= nu < math.inf:
-        raise ValueError(f"log_bessel_i requires a finite nu >= -1/2, got {nu!r}")
+        raise ValueError(f"log_bessel_i_scaled requires a finite nu >= -1/2, got {nu!r}")
     x = np.asarray(x, dtype=np.float64)
     if not ((x >= 0) & (x < math.inf)).all():
-        raise ValueError(f"log_bessel_i requires finite x >= 0, got {x!r}")
+        raise ValueError(f"log_bessel_i_scaled requires finite x >= 0, got {x!r}")
     flat = x.ravel()
     scaled = _ive(nu, flat)
-    normal = (scaled >= _TINY) & np.isfinite(scaled)
-    out = np.log(np.where(normal, scaled, 1.0)) + flat
-    at_origin = 0.0 if nu == 0.0 else (NEG_INF if nu > 0 else math.inf)
-    for i in np.flatnonzero(~normal):
-        out[i] = at_origin if flat[i] == 0.0 else _log_i_series(nu, float(flat[i]))
+    common = (scaled >= _TINY) & (flat >= _SERIES_MAX_X)  # false where ive is NaN
+    out = np.log(np.where(common, scaled, 1.0)) - nu * np.log(np.where(common, flat, 1.0))
+    if not common.all():
+        small = flat < _SERIES_MAX_X
+        out[small] = _log_series(nu, flat[small])
+        rest = ~(common | small)
+        out[rest] = (_log_hankel if nu < _HANKEL_MAX_ORDER else _log_uniform)(nu, flat[rest])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

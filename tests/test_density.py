@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mirrormatch import analytic, sampler
@@ -129,11 +132,16 @@ class TestJointDensity:
             - joint_log_density(params, r1, s2)
             - joint_log_density(params, r2, s1)
         )
+
+        def log_bessel_i(x):
+            # ln I_order(x) from the scaled evaluation
+            return specfun.log_bessel_i_scaled(order, x) + order * math.log(x) + x
+
         bessel_cross = (
-            specfun.log_bessel_i(order, r1 * s1 / params.nu)
-            + specfun.log_bessel_i(order, r2 * s2 / params.nu)
-            - specfun.log_bessel_i(order, r1 * s2 / params.nu)
-            - specfun.log_bessel_i(order, r2 * s1 / params.nu)
+            log_bessel_i(r1 * s1 / params.nu)
+            + log_bessel_i(r2 * s2 / params.nu)
+            - log_bessel_i(r1 * s2 / params.nu)
+            - log_bessel_i(r2 * s1 / params.nu)
         )
         assert cross == pytest.approx(bessel_cross, abs=1e-10)
 
@@ -163,17 +171,55 @@ class TestConditionalMean:
         assert 1.0 / 18.0 <= conditional_mean_r_given_s(params, 0.0) < 1.0 / 17.0
 
     def test_matches_saturated_platform_value(self):
+        # m(0) runs the joint kernel at s = 0, apart from both of d_ai_infinity's routes
         for k, nu in TEST_MATRIX:
             params = JointDensityParams(k, nu)
             mine = conditional_mean_r_given_s(params, 0.0)
             other = analytic.d_ai_infinity(k, nu / 2.0)
-            assert abs(mine - other) <= 1e-6 * other, (k, nu)
+            assert abs(mine - other) <= 1e-12 * other, (k, nu)
 
-    @pytest.mark.parametrize("k", [10**4, 10**6])
+    @pytest.mark.parametrize("k", [10**4, 10**6, 10**8])
     def test_matches_saturated_platform_value_high_dim(self, k):
         for nu in (0.005, 0.05, 0.5):
             mine = conditional_mean_r_given_s(JointDensityParams(k, nu), 0.0)
             assert mine == pytest.approx(analytic.d_ai_infinity(k, nu / 2.0), rel=1e-12), nu
+
+    def test_tiny_s_equals_zero(self):
+        params = JointDensityParams(150, 0.005)
+        m0 = conditional_mean_r_given_s(params, 0.0)
+        for s in (1e-100, 1e-200):
+            assert conditional_mean_r_given_s(params, s) == pytest.approx(m0, abs=1e-12), s
+
+    @given(
+        st.floats(min_value=0.0, max_value=8.0),
+        st.floats(min_value=-12.0, max_value=1.0),
+        st.lists(st.just(0.0) | st.floats(min_value=5e-324, max_value=1e9), min_size=2, max_size=2),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_fuzz_fast_bounded_monotone(self, log_k, log_nu, s_pair):
+        # any k in [1, 1e8], nu in [1e-12, 10] and s in {0} and [5e-324, 1e9]
+        params = JointDensityParams(max(1, round(10.0**log_k)), 10.0**log_nu)
+        values = []
+        for s in sorted(s_pair):
+            start = time.perf_counter()
+            values.append(conditional_mean_r_given_s(params, s))
+            assert time.perf_counter() - start < 1.0, (params, s)
+        assert all(0.0 < v <= 1.0 for v in values), (params, s_pair, values)
+        assert values[1] >= values[0] - 1e-9, (params, s_pair, values)
+
+    @given(
+        st.integers(min_value=1, max_value=1000),
+        st.floats(min_value=-3.0, max_value=1.0),
+        st.sampled_from([1e6, 1e8, 1e9]),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_large_s_boundary_layer(self, k, log_nu, s):
+        # oracle: with s/nu >= k^2 the posterior is a boundary layer at r = 1,
+        # whose log kernel has slope a = (s - 1)/nu + (k - 1)/2 there, so
+        # 1 - m(s) = 1/a to first order
+        nu = min(10.0**log_nu, s / k**2)
+        gap = 1.0 - conditional_mean_r_given_s(JointDensityParams(k, nu), s)
+        assert gap == pytest.approx(nu / (s - 1.0 + nu * (k - 1) / 2.0), rel=1e-3), (k, nu, s)
 
     @pytest.mark.parametrize("k", [10**6, 10**8])
     def test_finite_bounded_monotone_high_dim(self, k):

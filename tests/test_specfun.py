@@ -28,26 +28,29 @@ def ref_log_bessel_i(nu, x):
     return float(mp.log(mp.besseli(nu, x)))
 
 
-class TestLnGamma:
-    def test_known_values(self):
-        assert specfun.ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert specfun.ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-        assert specfun.ln_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
+def ref_log_bessel_i_scaled(nu, x):
+    """Oracle for ln(x^-nu e^-x I_nu(x)) in 35-digit arithmetic."""
+    x = mp.mpf(float(x))
+    return float(mp.log(mp.besseli(nu, x)) - nu * mp.log(x) - x)
 
-    def test_accuracy_over_domain(self):
-        for x in np.geomspace(1e-6, 1e6, 60):
-            ref = float(mp.loggamma(mp.mpf(float(x))))
-            scale = max(1.0, abs(ref))
-            assert abs(specfun.ln_gamma(float(x)) - ref) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_domain_error(self, bad):
-        with pytest.raises(ValueError):
-            specfun.ln_gamma(bad)
+def log_bessel_i(nu, x):
+    """ln I_nu(x) through the scaled evaluation: adds nu ln x + x back."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore"):  # at x = 0, nu ln x is -inf (+inf below order 0)
+        value = specfun.log_bessel_i_scaled(nu, x) + x + (nu * np.log(x) if nu else 0.0)
+    return float(value) if value.ndim == 0 else value
+
+
+def ive_underflow_edge(nu):
+    """The adjacent pair of arguments between which ``ive(nu, .)`` becomes a normal double."""
+    x = np.geomspace(1e-4, 1e4, 20_001)
+    i = int(np.argmax(ive(nu, x) >= np.finfo(np.float64).tiny))
+    return float(x[i - 1]), float(x[i])
 
 
 class TestBeta:
-    # d_ip(k, m) = B(1/k, m+1) / k, evaluated through ln_gamma
+    # d_ip(k, m) = B(1/k, m+1) / k, evaluated through lgamma
     def test_known_values(self):
         for m in (1, 2, 5, 40):
             assert analytic.d_ip(1, m) == pytest.approx(beta(1, m + 1), rel=1e-12)
@@ -90,7 +93,7 @@ class TestRegLowerIncGamma:
         for s in np.arange(0.5, 50.5, 0.5):
             for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0):
                 lhs = reg_lower_inc_gamma(s + 1.0, x)
-                drop = math.exp(s * math.log(x) - x - specfun.ln_gamma(s + 1.0))
+                drop = math.exp(s * math.log(x) - x - math.lgamma(s + 1.0))
                 rhs = reg_lower_inc_gamma(s, x) - drop
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -138,20 +141,25 @@ class TestRegLowerIncGamma:
 
 class TestLogBesselI:
     def test_at_origin(self):
-        assert specfun.log_bessel_i(0.0, 0.0) == 0.0
-        assert specfun.log_bessel_i(2.0, 0.0) == float("-inf")
+        # x^-nu I_nu(x) -> 2^-nu / Gamma(nu + 1): finite at x = 0 for every order
+        assert specfun.log_bessel_i_scaled(0.0, 0.0) == 0.0
+        for nu in (-0.5, 2.0, 74.0, 5e4):
+            origin = -nu * math.log(2.0) - math.lgamma(nu + 1.0)
+            assert specfun.log_bessel_i_scaled(nu, 0.0) == pytest.approx(origin, rel=1e-15, abs=1e-15)
+        assert log_bessel_i(0.0, 0.0) == 0.0
+        assert log_bessel_i(2.0, 0.0) == float("-inf")
 
     def test_half_order_closed_form(self):
         # I_{1/2}(x) = sqrt(2/(pi x)) sinh x; at x=1 both the closed form and
         # an independent power-series summation give -0.0643519910735318
         closed = math.log(math.sqrt(2 / math.pi) * math.sinh(1.0))
         assert closed == pytest.approx(-0.06435199107353183, abs=1e-14)
-        assert specfun.log_bessel_i(0.5, 1.0) == pytest.approx(closed, abs=1e-12)
+        assert log_bessel_i(0.5, 1.0) == pytest.approx(closed, abs=1e-12)
 
     def test_accuracy_grid(self):
         for nu in (-0.5, 0.0, 0.5, 2.0, 10.0, 74.0, 500.0):
             for x in (1e-3, 0.5, 1.0, 5.0, 29.9, 30.1, 99.9, 100.1, 1e3, 2.5e5):
-                mine = specfun.log_bessel_i(nu, x)
+                mine = log_bessel_i(nu, x)
                 ref = ref_log_bessel_i(nu, x)
                 assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref)), (nu, x)
 
@@ -159,7 +167,7 @@ class TestLogBesselI:
         for nu in (4.0, 5.0, 6.0, 10.0, 31.0, 74.0):
             split = max(30.0, nu * nu)
             for x in (0.98 * split, 1.02 * split, 1.5 * split, 4 * split):
-                mine = specfun.log_bessel_i(nu, x)
+                mine = log_bessel_i(nu, x)
                 ref = ref_log_bessel_i(nu, x)
                 assert abs(mine - ref) <= 1e-11 * max(1.0, abs(ref)), (nu, x)
 
@@ -169,10 +177,10 @@ class TestLogBesselI:
         x = np.array([[0.0, 1e-3, 3e-3, 6e-3], [1e-2, 0.0, 5.0, 500.0]])
         underflow = ive(nu, x[x > 0]) < np.finfo(np.float64).tiny
         assert underflow.any() and not underflow.all()
-        values = specfun.log_bessel_i(nu, x)
+        values = log_bessel_i(nu, x)
         assert values.shape == x.shape
         for index, xi in np.ndenumerate(x):
-            assert values[index] == specfun.log_bessel_i(nu, float(xi))
+            assert values[index] == log_bessel_i(nu, float(xi))
             if xi == 0.0:
                 assert values[index] == float("-inf")
             else:
@@ -182,23 +190,41 @@ class TestLogBesselI:
     def test_no_overflow_extremes(self):
         for nu in (0.0, 10.0, 740.0, 5000.0):
             for x in (1e4, 2.5e5, 1e6):
-                value = specfun.log_bessel_i(nu, x)
+                value = log_bessel_i(nu, x)
                 assert math.isfinite(value)
-        assert math.isfinite(specfun.log_bessel_i(5000.0, 1.0))
+        assert math.isfinite(log_bessel_i(5000.0, 1.0))
 
     def test_log_convexity_in_log_argument(self):
         # second differences of ln I_nu(e^w) must be nonnegative for nu >= -1/2
         w = np.linspace(math.log(0.01), math.log(100.0), 400)
         for nu in (0.0, 0.5, 1.0, 5.0, 74.0):
-            values = np.array([specfun.log_bessel_i(nu, x) for x in np.exp(w)])
+            values = np.array([log_bessel_i(nu, x) for x in np.exp(w)])
             second = values[2:] - 2 * values[1:-1] + values[:-2]
             assert second.min() >= -1e-8, nu
 
     def test_domain_error(self):
         bad = [(-0.6, 1.0), (1.0, -1.0), (math.inf, 1.0), (math.nan, 1.0), (1.5, math.inf), (1.5, [1.0, math.nan])]
         for nu, x in bad:
-            with pytest.raises(ValueError, match="log_bessel_i requires"):
-                specfun.log_bessel_i(nu, x)
+            with pytest.raises(ValueError, match="log_bessel_i_scaled requires"):
+                specfun.log_bessel_i_scaled(nu, x)
+
+    def test_branch_switches_against_mpmath(self):
+        # both sides of every switch: the two-term series below x = 1e-4, ive's
+        # NaN from x = 2**30 on (Hankel below order 50, uniform expansion from
+        # it), and the edge where ive underflows at orders 74 and 500
+        points = [(nu, x) for nu in (0.0, 1.5, 49.5, 50.0, 74.0) for x in (0.99e-4, 1.01e-4)]
+        points += [(nu, x) for nu in (0.0, 1.5, 49.5, 50.0, 500.0) for x in (2.0**30 - 64, 2.0**30, 1e15)]
+        points += [(nu, x) for nu in (49.5, 50.0) for x in (1e-3, 0.5, 1e3)]
+        points += [(nu, x) for nu in (74.0, 500.0) for x in ive_underflow_edge(nu)]
+        for nu, x in points:
+            ref = ref_log_bessel_i_scaled(nu, x)
+            assert abs(specfun.log_bessel_i_scaled(nu, x) - ref) <= 1e-13 * max(1.0, abs(ref)), (nu, x)
+
+    def test_orders_in_the_thousands(self):
+        for nu, xs in ((2000.0, (1.0, 1e3, 1e5, 2.0**30, 1e15)), (5e4, (1.0, 1e3, 1e4))):
+            for x in xs:
+                ref = ref_log_bessel_i_scaled(nu, x)
+                assert abs(specfun.log_bessel_i_scaled(nu, x) - ref) <= 1e-13 * max(1.0, abs(ref)), (nu, x)
 
 
 class TestStdNormalCdf:
