@@ -63,7 +63,7 @@ def _log_kernel(params: JointDensityParams, r, s) -> np.ndarray:
 def _joint_log_density_arr(params: JointDensityParams, r, s) -> np.ndarray:
     # the kernel plus the terms constant in r: ln k + (k-1) ln t - t^2/2 - ln(nu)/2
     t = s / math.sqrt(params.nu)
-    const = math.log(params.k) + (params.k - 1) * math.log(t) - 0.5 * t * t - 0.5 * math.log(params.nu)
+    const = math.log(params.k) + (params.k - 1) * np.log(t) - 0.5 * t * t - 0.5 * math.log(params.nu)
     return _log_kernel(params, r, s) + const
 
 
@@ -144,9 +144,10 @@ def mlrp_grid_check(
 
     For every r > r' and s > s' the log-form inequality
     f(r,s) + f(r',s') >= f(r,s') + f(r',s) must hold up to ``tol``. The
-    worst quadruple is reported as ``witness`` when it does not. A
-    replacement ``log_density(params, r, s)`` may be supplied, e.g. a
-    deliberately corrupted kernel as a negative control.
+    worst quadruple is reported as ``witness`` when it does not. The
+    log density is evaluated once over the grid, as ``log_density(params,
+    r[:, None], s[None, :])``; a replacement taking arrays that way may be
+    supplied, e.g. a deliberately corrupted kernel as a negative control.
     """
     r = np.asarray(r_grid, dtype=np.float64)
     s = np.asarray(s_grid, dtype=np.float64)
@@ -160,8 +161,8 @@ def mlrp_grid_check(
     if not (s[0] > 0.0 and s[-1] < math.inf):
         raise ValueError("s_grid must be positive and finite")
 
-    fn = joint_log_density if log_density is None else log_density
-    m = np.array([[fn(params, ri, sj) for sj in s] for ri in r])
+    fn = _joint_log_density_arr if log_density is None else log_density
+    m = fn(params, r[:, None], s[None, :])
     if not np.isfinite(m).all():
         raise ValueError("log density is not finite on the grid")
 

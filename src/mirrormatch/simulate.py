@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sampler
+from . import analytic, sampler
 from .analytic import GroupSpec, NumericError
 from .streams import StreamKey
 
@@ -174,26 +174,30 @@ def estimate_d_ai(
 
 
 def _group_block(keys, k: int, n: int, nu_r: float, nu_p: float) -> np.ndarray:
-    rich = [key.child("pool-rich") for key in keys]
-    poor = [key.child("pool-poor") for key in keys]
-    _, dists_r = sampler.draw_clone_batch(k, n, nu_r, stream=rich)
-    _, dists_p = sampler.draw_clone_batch(k, n, nu_p, stream=poor)
-    # global argmin with the deterministic tie rule: rich pool wins ties
-    return (dists_r.min(axis=1) <= dists_p.min(axis=1)).astype(float)
+    _, dists = sampler.draw_clone_batch(k, n, nu_r, stream=[key.child("pool-rich") for key in keys])
+    # the probability that all n data-poor clone distances exceed the rich pool's
+    # minimum (the rich pool wins ties, which have probability 0)
+    cdf = analytic.clone_distance_cdf(k, nu_p, dists.min(axis=1))
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: the rich pool cannot win
+        return np.exp(n * np.log1p(-cdf))
 
 
 def estimate_group_win_rate(k: int, group: GroupSpec, n: int, reps: int, master_seed: int) -> Estimate:
     """Probability that the overall best clone match is from the data-rich pool.
 
-    Per replication: n interactions against data-rich candidates (both
-    sides carry the rich noise) and n against data-poor candidates
-    (subject rich, candidate poor), winner = pool holding the global
-    minimal clone distance.
+    A searcher with rich noise meets n data-rich candidates (combined
+    variance nu_r) and n data-poor ones (nu_p), and the pool holding the
+    minimal clone distance wins. Per replication only the rich pool is
+    drawn, and the value is the exact conditional probability that no
+    data-poor clone comes closer than the rich pool's minimum m:
+    (1 - F_p(m))^n, with F_p = ``analytic.clone_distance_cdf`` at nu_p.
+    Its mean is the win rate, with a smaller variance than the 0/1
+    indicator of a drawn poor pool (conditional Monte Carlo).
     """
     _check_common(reps, n=n)
     label = f"groups(k={k},n={n})"
     args = (k, n, group.nu_r, group.nu_p)
-    width = 2 * sampler.clone_row_width(k, n, False)
+    width = sampler.clone_row_width(k, n, False)
     return _estimate(_replicate(_group_block, width, args, label, reps, master_seed), label)
 
 

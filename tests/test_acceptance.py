@@ -121,13 +121,8 @@ def test_criterion_07_mlrp_grids_and_negative_control():
 
     def corrupted(p, r, s):
         z = r * s / p.nu
-        bessel = math.sqrt(2.0 / (math.pi * z)) * abs(math.sinh(z) - math.cosh(z) / z)
-        return (
-            0.5 * math.log(r)
-            - 0.5 * math.log(s)
-            - (r * r + s * s) / (2.0 * p.nu)
-            + math.log(bessel)
-        )
+        bessel = np.sqrt(2.0 / (np.pi * z)) * np.abs(np.sinh(z) - np.cosh(z) / z)
+        return 0.5 * np.log(r) - 0.5 * np.log(s) - (r * r + s * s) / (2.0 * p.nu) + np.log(bessel)
 
     bad = density.mlrp_grid_check(
         params, np.linspace(0.3, 1.0, 8), np.linspace(0.3, 1.6, 8), log_density=corrupted

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
-from scipy.special import erf, erfc, gammainc, gammaln
+from scipy import stats
+from scipy.special import erf, erfc, gammainc, gammaln, ndtr
 
-from mirrormatch import analytic
+from mirrormatch import analytic, sampler
 from mirrormatch.analytic import GroupSpec, NumericError
+from mirrormatch.streams import StreamKey
 
 
 def phi_one_dim(sigma):
@@ -35,6 +38,118 @@ def density_at_zero(k, nu):
         + float(mp.log(mp.gammainc(0.5 * k, 0, 0.5 / nu, regularized=True)))
     )
     return math.exp(log_value)
+
+
+def clone_cdf_reference(k, nu, s):
+    """Oracle: (F(s), 1 - F(s)) of one clone distance as mpmath Poisson mixtures.
+
+    Given R = r, S^2/nu is a Poisson(r^2/(2 nu)) mixture of chi-square laws
+    with k + 2j degrees of freedom, and u = R^k is uniform, so
+    F(s) = sum_j w_j P(k/2 + j, s^2/(2 nu)) with the mixture weights
+    w_j = (k/2) (2 nu)^(k/2) gamma(k/2 + j, 1/(2 nu)) / j!, which sum to 1.
+    """
+    with mp.workdps(40):
+        a, nu = mp.mpf(k) / 2, mp.mpf(nu)
+        edge, x = 1 / (2 * nu), mp.mpf(s) ** 2 / (2 * nu)
+        log_front = mp.log(a) + a * mp.log(2 * nu)
+        lower = upper = mp.mpf(0)
+        for j in itertools.count():
+            w = mp.exp(log_front - mp.loggamma(j + 1)) * mp.gammainc(a + j, 0, edge)
+            lower += w * mp.gammainc(a + j, 0, x, regularized=True)
+            upper += w * mp.gammainc(a + j, x, mp.inf, regularized=True)
+            if j > edge and w < mp.mpf(10) ** -30:
+                return float(lower), float(upper)
+
+
+def clone_cdf_one_dim(nu, s):
+    """Oracle: F(s) at k = 1, where S = |R + sqrt(nu) g| with R uniform on (0, 1).
+
+    F(s) = int_0^1 [Phi((s - r)/sd) - Phi((-s - r)/sd)] dr, and with
+    G(x) = x Phi(x) + phi(x), an antiderivative of Phi, and G(x) - G(-x) = x
+    it is s - sd G((s - 1)/sd) + sd G(-(s + 1)/sd).
+    """
+    sd = np.sqrt(nu)
+
+    def antiderivative(x):
+        return x * ndtr(x) + np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+    return s - sd * antiderivative((s - 1.0) / sd) + sd * antiderivative(-(s + 1.0) / sd)
+
+
+def cdf_quantile(k, nu, p):
+    """The s at which clone_distance_cdf reads p, by bisection."""
+    lo, hi = 0.0, 1.0 + 10.0 * math.sqrt(k * nu) + 10.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if analytic.clone_distance_cdf(k, nu, mid) < p else (lo, mid)
+    return hi
+
+
+CDF_KS = (1, 2, 5, 80, 200, 10**4)
+CDF_VARIANCES = (0.02, 0.05, 0.65, 1.28)
+# F from 1e-12 to 1 - 1e-12: a pool of n = 10^6 reads (1 - F)^n down there
+CDF_LEVELS = (1e-12, 1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12)
+
+
+class TestCloneDistanceCdf:
+    @pytest.fixture(scope="class")
+    def grid(self):
+        """(k, nu, the s at each of CDF_LEVELS) over the grid."""
+        return [(k, nu, [cdf_quantile(k, nu, p) for p in CDF_LEVELS]) for k in CDF_KS for nu in CDF_VARIANCES]
+
+    def test_matches_mpmath_in_both_tails(self, grid):
+        for k, nu, points in grid:
+            values = analytic.clone_distance_cdf(k, nu, points)
+            for s, value in zip(points, values):
+                lower, upper = clone_cdf_reference(k, nu, s)
+                assert abs(value - lower) <= 1e-12 + 1e-9 * lower, (k, nu, s, value, lower)
+                assert abs((1.0 - value) - upper) <= 1e-12 + 1e-9 * upper, (k, nu, s, value, upper)
+
+    def test_doubling_the_nodes_moves_nothing(self, grid, monkeypatch):
+        before = [analytic.clone_distance_cdf(k, nu, points) for k, nu, points in grid]
+        u, du = analytic._cdf_rule(2 * analytic._CDF_DU.size)
+        monkeypatch.setattr(analytic, "_CDF_U", u)
+        monkeypatch.setattr(analytic, "_CDF_DU", du)
+        for (k, nu, points), values in zip(grid, before):
+            assert np.abs(analytic.clone_distance_cdf(k, nu, points) - values).max() <= 1e-12, (k, nu)
+
+    def test_one_dim_closed_form(self):
+        s = np.linspace(0.0, 3.0, 301)
+        for nu in CDF_VARIANCES:
+            gap = np.abs(analytic.clone_distance_cdf(1, nu, s) - clone_cdf_one_dim(nu, s))
+            assert gap.max() <= 1e-13, nu
+
+    def test_vanishing_noise_limit(self):
+        # the law tends to that of R, whose CDF min(s, 1)^k has a kink at
+        # s = 1; noise of sd sqrt(nu) rounds it off by about 0.4 k sqrt(nu)
+        s = np.linspace(0.01, 1.5, 150)
+        for k in (1, 2, 5, 80):
+            for nu in (1e-4, 1e-6, 1e-8):
+                gap = np.abs(analytic.clone_distance_cdf(k, nu, s) - np.minimum(s, 1.0) ** k)
+                assert gap.max() <= k * math.sqrt(nu), (k, nu)
+
+    @pytest.mark.parametrize("k, nu", [(1, 0.02), (5, 0.05), (80, 0.02), (300, 0.65)])
+    def test_law_of_the_sampled_clone_distances(self, k, nu):
+        # the clone draw is the law's one definition
+        _, (dists,) = sampler.draw_clone_batch(k, 20_000, nu, stream=StreamKey(31).child("cdf-ks", k))
+        result = stats.kstest(dists, lambda s: analytic.clone_distance_cdf(k, nu, s))
+        assert result.pvalue > 1e-3, result
+
+    def test_values_and_validation(self, monkeypatch):
+        assert analytic.clone_distance_cdf(5, 0.05, 0.0) == 0.0
+        assert analytic.clone_distance_cdf(5, 0.05, [0.5, 1e6]).shape == (2,)
+        assert analytic.clone_distance_cdf(5, 0.05, 1e6) == 1.0
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                analytic.clone_distance_cdf(5, 0.05, bad)
+        with pytest.raises(ValueError):
+            analytic.clone_distance_cdf(5, math.inf, 0.5)
+        with pytest.raises(ValueError):
+            analytic.clone_distance_cdf(0, 0.05, 0.5)
+        # scipy 1.17's chndtr gives NaN once its arguments reach about 1e10
+        monkeypatch.setattr(analytic, "chndtr", lambda x, df, nc: np.nan * nc)
+        with pytest.raises(NumericError, match="k=5, variance=0.05"):
+            analytic.clone_distance_cdf(5, 0.05, 1.0)
 
 
 class TestDIp:
@@ -271,6 +386,9 @@ class TestGroupSpec:
             GroupSpec(0.04, 0.01)
         with pytest.raises(ValueError):
             GroupSpec(0.04, 0.04)
+        for sigma_r2, sigma_p2 in ((0.01, math.inf), (1e308, 1.5e308)):  # nu_p must be finite
+            with pytest.raises(ValueError, match="finite sum"):
+                GroupSpec(sigma_r2, sigma_p2)
 
     def test_unchecked_escape_hatch(self):
         spec = GroupSpec.unchecked(0.02, 0.02)

@@ -243,6 +243,19 @@ class TestGroups:
         wins = [r["analytic_win"] for r in disparity]
         assert wins == sorted(wins)
 
+    def test_cell_in_both_sweeps_is_estimated_once(self, tmp_path, monkeypatch):
+        # the default k at ratio 4 is the dimension sweep's cell at that k
+        calls = []
+        estimate = simulate.estimate_group_win_rate
+        monkeypatch.setattr(
+            simulate, "estimate_group_win_rate", lambda *args: calls.append(args[:2]) or estimate(*args)
+        )
+        result = run_command("groups", tmp_path, ["k_grid=1,5", "reps=20", "n=16"])
+        assert len(result.rows) == 7 and len(calls) == len(set(calls)) == 6
+        (dimension,) = [r for r in result.rows if r["section"] == "dimension-sweep" and r["k"] == 5]
+        (disparity,) = [r for r in result.rows if r["section"] == "disparity-sweep" and r["sigma_p2"] == 0.04]
+        assert {**dimension, "section": None} == {**disparity, "section": None}
+
 
 class TestSeqSearch:
     def test_degenerate_policies_reproduce_estimators(self, tmp_path):

@@ -90,6 +90,12 @@ class TestEstimateDAi:
         # tie every clone distance and return the first candidate's norm
         with pytest.raises(ValueError):
             simulate.estimate_d_ai(3, 4, math.inf, 10, master_seed=SEED)
+
+    def test_infinite_group_variance_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a pool was drawn before the group was rejected")
+
+        monkeypatch.setattr(sampler, "draw_clone_batch", no_draw)
         with pytest.raises(ValueError):
             simulate.estimate_group_win_rate(3, GroupSpec(0.01, math.inf), 8, 10, 1)
 
@@ -130,9 +136,7 @@ class TestBlocking:
             for mode, fixed in ((simulate.PER_INTERACTION, False), (simulate.FIXED_SUBJECT_CLONE, True))
         ],
         pytest.param(simulate._d_ip_block, 3, (26, 3), id="d_ip"),
-        pytest.param(
-            simulate._group_block, 2 * sampler.clone_row_width(26, 16, False), (26, 16, 0.01, 0.04), id="groups"
-        ),
+        pytest.param(simulate._group_block, sampler.clone_row_width(26, 16, False), (26, 16, 0.01, 0.04), id="groups"),
         # at k = 1 one draw in 800 is at most 0.00125: many searches stop in
         # a later 512-draw block, and some hit the cap
         pytest.param(
@@ -222,6 +226,26 @@ class TestCoupledMonotonicity:
 
 
 class TestGroupWinRate:
+    # (k, n, nu_r, nu_p): one data-rich candidate, the default cell, ratio 64,
+    # the pools of the slow tests and a step of the CDF at small noise
+    CELLS = [(1, 1, 0.02, 0.05), (5, 64, 0.02, 0.05), (5, 64, 0.02, 0.65), (80, 2000, 0.02, 0.05),
+             (5, 10_000, 0.02, 0.05), (1, 64, 0.002, 0.003), (200, 64, 0.3, 0.5)]
+
+    @pytest.mark.parametrize("k, n, nu_r, nu_p", CELLS)
+    def test_replications_are_probabilities(self, k, n, nu_r, nu_p):
+        values = simulate._group_block(rep_keys(64), k, n, nu_r, nu_p)
+        assert values.shape == (64,)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
+    def test_single_candidate_is_one_minus_the_poor_cdf(self):
+        # with n = 1 the rich draw's distance S_r wins with probability 1 - F_p(S_r)
+        for k, nu_r, nu_p in ((1, 0.02, 0.05), (5, 0.02, 0.65), (300, 0.02, 0.05)):
+            keys = rep_keys(50)
+            values = simulate._group_block(keys, k, 1, nu_r, nu_p)
+            _, dists = sampler.draw_clone_batch(k, 1, nu_r, stream=[key.child("pool-rich") for key in keys])
+            expected = 1.0 - analytic.clone_distance_cdf(k, nu_p, dists[:, 0])
+            np.testing.assert_allclose(values, expected, rtol=1e-14, atol=1e-16)
+
     def test_equal_variance_control(self):
         spec = GroupSpec.unchecked(0.02, 0.02)
         est = simulate.estimate_group_win_rate(4, spec, 2000, 4000, SEED)
