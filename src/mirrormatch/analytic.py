@@ -51,15 +51,18 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Per-group proxy noise variances: data-rich strictly below data-poor, with a finite sum."""
+    """Per-group proxy noise variances: data-rich at most data-poor, with a finite sum.
+
+    Equal variances are the control case, where neither group is favoured.
+    """
 
     sigma_r2: float
     sigma_p2: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.sigma_r2 < self.sigma_p2 and math.isfinite(self.nu_p)):
+        if not (0.0 < self.sigma_r2 <= self.sigma_p2 and math.isfinite(self.nu_p)):
             raise ValueError(
-                f"GroupSpec requires 0 < sigma_r2 < sigma_p2 with a finite sum, "
+                f"GroupSpec requires 0 < sigma_r2 <= sigma_p2 with a finite sum, "
                 f"got ({self.sigma_r2!r}, {self.sigma_p2!r})"
             )
 
@@ -72,14 +75,6 @@ class GroupSpec:
     def nu_p(self) -> float:
         """Combined per-coordinate noise variance for rich-poor interactions."""
         return self.sigma_r2 + self.sigma_p2
-
-    @classmethod
-    def unchecked(cls, sigma_r2: float, sigma_p2: float) -> "GroupSpec":
-        """Bypass the strict-inequality invariant, for degenerate controls."""
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "sigma_r2", sigma_r2)
-        object.__setattr__(spec, "sigma_p2", sigma_p2)
-        return spec
 
 
 def _check_dim(k: int) -> None:
@@ -190,19 +185,19 @@ def ai_equivalent_bound(k: int, noise_variance_per_clone: float) -> int:
     Certified against the infinite-pool lower bound (every finite pool
     does at least this badly), with the boundary rule: an m that ties the
     bound within 1e-12 is bumped by one. Search is by doubling then
-    bisection on the strictly decreasing d_ip(k, .).
+    bisection on the strictly decreasing d_ip(k, .); the last doubling
+    stops at the search limit, so every m up to it is reachable.
     """
     bound = d_ai_infinity(k, noise_variance_per_clone)
     lo = 1  # d_ip(k, 1) = k/(k+1) strictly exceeds the bound
     hi = 2
     while d_ip(k, hi) >= bound:
-        lo = hi
-        hi *= 2
-        if hi > _SEARCH_LIMIT:
+        if hi == _SEARCH_LIMIT:
             raise NumericError(
                 f"AI-equivalent sample size exceeds {_SEARCH_LIMIT} at k={k}, "
                 f"variance={noise_variance_per_clone}"
             )
+        lo, hi = hi, min(2 * hi, _SEARCH_LIMIT)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if d_ip(k, mid) < bound:

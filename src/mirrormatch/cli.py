@@ -394,7 +394,7 @@ cmd_mstar = Command(
 
 def _group_rows(cfg: ModelConfig):
     r2 = cfg.group_sigma_r2
-    cells = [("control", cfg.k, GroupSpec.unchecked(r2, r2))]
+    cells = [("control", cfg.k, GroupSpec(r2, r2))]
     cells += [("dimension-sweep", k, cfg.group()) for k in cfg.k_grid or GROUPS_K_GRID]
     cells += [("disparity-sweep", cfg.k, GroupSpec(r2, r2 * ratio)) for ratio in GROUPS_RATIO_GRID]
     # every row's closed form first: they take microseconds, so a numeric

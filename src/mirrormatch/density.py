@@ -10,7 +10,10 @@ throughout, the order required for that density to normalize.
 Everything is evaluated in log space. The terms that vary with r form
 one kernel, (k-1) ln r + lam (t - lam/2) + ln(x^-v e^-x I_v(x)) at
 x = lam t, with t = s / sqrt(nu), lam = r / sqrt(nu) and v = k/2 - 1, in
-which no two terms of size s^2/nu cancel. The posterior mean
+which no two terms of size s^2/nu cancel. The joint log density is that
+kernel plus ln k + (k-1) ln t - t^2/2 - ln(nu)/2, which depend on s
+alone; neither the posterior mean nor the likelihood-ratio grid check
+needs them, so the module evaluates the kernel only. The posterior mean
 m(s) = E[R : S = s], for any s >= 0, is a ratio of two integrals over r
 in (0, 1] of that kernel, taken in one adaptive pass in
 u = (r - peak) / width with the kernel divided by its peak value, over
@@ -47,36 +50,13 @@ class JointDensityParams:
         if not (self.nu > 0 and math.isfinite(self.nu)):
             raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
 
-    @property
-    def bessel_order(self) -> float:
-        return 0.5 * self.k - 1.0
-
 
 def _log_kernel(params: JointDensityParams, r, s) -> np.ndarray:
     # the joint log density's terms that vary with r: r^(k-1), -(t - lam)^2/2 less
     # its -t^2/2, and the Bessel factor scaled by (lam t)^-order e^-(lam t)
     root_nu = math.sqrt(params.nu)
     lam, t = r / root_nu, s / root_nu
-    return (params.k - 1) * np.log(r) + lam * (t - 0.5 * lam) + _log_bessel_vec(params.bessel_order, lam * t)
-
-
-def _joint_log_density_arr(params: JointDensityParams, r, s) -> np.ndarray:
-    # the kernel plus the terms constant in r: ln k + (k-1) ln t - t^2/2 - ln(nu)/2
-    t = s / math.sqrt(params.nu)
-    const = math.log(params.k) + (params.k - 1) * np.log(t) - 0.5 * t * t - 0.5 * math.log(params.nu)
-    return _log_kernel(params, r, s) + const
-
-
-def joint_log_density(params: JointDensityParams, r: float, s: float) -> float:
-    """Log of the joint density of (R, S) at (r, s)."""
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"r must lie in (0, 1], got {r!r}")
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"s must be positive and finite, got {s!r}")
-    value = float(_joint_log_density_arr(params, r, s))
-    if not math.isfinite(value):
-        raise ValueError(f"joint log density is not finite at (r={r!r}, s={s!r})")
-    return value
+    return (params.k - 1) * np.log(r) + lam * (t - 0.5 * lam) + _log_bessel_vec(0.5 * params.k - 1.0, lam * t)
 
 
 def _laplace_peak(log_kernel, lo: float) -> tuple[float, float, float]:
@@ -145,9 +125,12 @@ def mlrp_grid_check(
     For every r > r' and s > s' the log-form inequality
     f(r,s) + f(r',s') >= f(r,s') + f(r',s) must hold up to ``tol``. The
     worst quadruple is reported as ``witness`` when it does not. The
-    log density is evaluated once over the grid, as ``log_density(params,
-    r[:, None], s[None, :])``; a replacement taking arrays that way may be
-    supplied, e.g. a deliberately corrupted kernel as a negative control.
+    joint log density is the kernel plus terms that depend on s alone,
+    and those cancel in every such cross difference, so by default the
+    check evaluates the kernel. It is evaluated once over the grid, as
+    ``log_density(params, r[:, None], s[None, :])``; a replacement taking
+    arrays that way may be supplied, e.g. a deliberately corrupted kernel
+    as a negative control.
     """
     r = np.asarray(r_grid, dtype=np.float64)
     s = np.asarray(s_grid, dtype=np.float64)
@@ -161,7 +144,7 @@ def mlrp_grid_check(
     if not (s[0] > 0.0 and s[-1] < math.inf):
         raise ValueError("s_grid must be positive and finite")
 
-    fn = _joint_log_density_arr if log_density is None else log_density
+    fn = _log_kernel if log_density is None else log_density
     m = fn(params, r[:, None], s[None, :])
     if not np.isfinite(m).all():
         raise ValueError("log density is not finite on the grid")

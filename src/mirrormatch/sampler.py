@@ -1,7 +1,8 @@
 """Population and clone-interaction sampling.
 
-Each public function takes one :class:`~mirrormatch.streams.StreamKey` or a
-sequence of them and returns one row per key. Row i is a pure function of
+Each public function takes a sequence of
+:class:`~mirrormatch.streams.StreamKey`, ``keys``, and returns one row per
+key; a single draw is a sequence of one key. Row i is a pure function of
 key i: the same key gives the same row alone or beside any other keys. A
 call fills a ``(len(keys), width)`` matrix from
 :func:`~mirrormatch.streams.uniform_rows` (row i holds the first ``width``
@@ -83,10 +84,6 @@ def _check_variance(variance: float) -> None:
         raise ValueError(f"noise variance must be positive and finite, got {variance!r}")
 
 
-def _keys(stream: StreamKey | Sequence[StreamKey]) -> list:
-    return [stream] if isinstance(stream, StreamKey) else list(stream)
-
-
 def chi_square_width(df: int) -> int:
     """Uniforms one chi-square draw with ``df`` degrees of freedom takes."""
     return 0 if df == 0 else df if df <= _CHI2_SUM_MAX_DF else 1
@@ -139,18 +136,18 @@ def _clone_batch(
     return radii, np.sqrt(along * along + variance * _chi_square(next(blocks), k - 1, count))
 
 
-def sample_ball_radii(k: int, count: int, stream: StreamKey | Sequence[StreamKey]) -> np.ndarray:
+def sample_ball_radii(k: int, count: int, keys: Sequence[StreamKey]) -> np.ndarray:
     """Norms of ``count`` points uniform in the k-dimensional unit ball, one row per key."""
     _check_dim(k)
     _check_count(count)
-    return uniform_rows(_keys(stream), count) ** (1.0 / k)
+    return uniform_rows(keys, count) ** (1.0 / k)
 
 
-def sample_noise_norm(k: int, variance: float, stream: StreamKey | Sequence[StreamKey]) -> np.ndarray:
+def sample_noise_norm(k: int, variance: float, keys: Sequence[StreamKey]) -> np.ndarray:
     """Norm of one isotropic k-dimensional Gaussian vector, sqrt(variance * chi2[k]), per key."""
     _check_dim(k)
     _check_variance(variance)
-    chi2 = _chi_square(uniform_rows(_keys(stream), chi_square_width(k)), k, 1)
+    chi2 = _chi_square(uniform_rows(keys, chi_square_width(k)), k, 1)
     return np.sqrt(variance * chi2[:, 0])
 
 
@@ -160,7 +157,7 @@ def draw_clone_batch(
     variance: float,
     subject_noise_norm: float | Sequence[float] | None = None,
     *,
-    stream: StreamKey | Sequence[StreamKey],
+    keys: Sequence[StreamKey],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``count`` clone interactions per key; returns (true_norms, clone_dists), one row per key.
 
@@ -177,7 +174,6 @@ def draw_clone_batch(
     _check_dim(k)
     _check_count(count)
     _check_variance(variance)
-    keys = _keys(stream)
     if subject_noise_norm is None:
         uniforms = uniform_rows(keys, clone_row_width(k, count, False))
         return _clone_batch(uniforms, k, count, None, variance)

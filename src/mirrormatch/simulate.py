@@ -143,9 +143,9 @@ def _d_ai_block(keys, k: int, n: int, variance: float, clone_mode: str) -> np.nd
     pools = [key.child("pool") for key in keys]
     if clone_mode == FIXED_SUBJECT_CLONE:
         rho = sampler.sample_noise_norm(k, variance, [key.child("subject-clone") for key in keys])
-        norms, dists = sampler.draw_clone_batch(k, n, variance, rho, stream=pools)
+        norms, dists = sampler.draw_clone_batch(k, n, variance, rho, keys=pools)
     else:  # both clones' noise is fresh per interaction
-        norms, dists = sampler.draw_clone_batch(k, n, 2.0 * variance, stream=pools)
+        norms, dists = sampler.draw_clone_batch(k, n, 2.0 * variance, keys=pools)
     # each row's true norm at its clone-distance argmin (the lowest index on ties)
     return norms[np.arange(len(keys)), np.argmin(dists, axis=1)]
 
@@ -174,7 +174,7 @@ def estimate_d_ai(
 
 
 def _group_block(keys, k: int, n: int, nu_r: float, nu_p: float) -> np.ndarray:
-    _, dists = sampler.draw_clone_batch(k, n, nu_r, stream=[key.child("pool-rich") for key in keys])
+    _, dists = sampler.draw_clone_batch(k, n, nu_r, keys=[key.child("pool-rich") for key in keys])
     # the probability that all n data-poor clone distances exceed the rich pool's
     # minimum (the rich pool wins ties, which have probability 0)
     cdf = analytic.clone_distance_cdf(k, nu_p, dists.min(axis=1))
@@ -231,7 +231,7 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
             if in_person:
                 norms = observed = sampler.sample_ball_radii(k, count, streams)
             else:
-                norms, observed = sampler.draw_clone_batch(k, count, 2.0 * variance, stream=streams)
+                norms, observed = sampler.draw_clone_batch(k, count, 2.0 * variance, keys=streams)
             rows = np.arange(searching.size)
             i = np.argmin(observed, axis=1)
             low = observed[rows, i]

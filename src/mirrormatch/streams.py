@@ -89,13 +89,9 @@ class StreamKey:
         # the first 16 digest bytes as two native-order words
         return struct.unpack_from("=2Q", self._prefix.digest())
 
-    def philox_key(self) -> np.ndarray:
-        """Two uint64 words keying the Philox counter stream."""
-        return np.array(self._words(), dtype=np.uint64)
-
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this key's stream."""
-        return np.random.Generator(np.random.Philox(key=self.philox_key()))
+        return np.random.Generator(np.random.Philox(key=np.array(self._words(), dtype=np.uint64)))
 
 
 def uniform_rows(keys, width: int) -> np.ndarray:

@@ -145,7 +145,7 @@ def test_criterion_08_conditional_mean_consistency():
     # represent a curved posterior mean)
     k, nu, draws = 5, 0.01, 100_000
     norms, dists = sampler.draw_clone_batch(
-        k, draws, nu, stream=StreamKey(808).child("acceptance-bins")
+        k, draws, nu, keys=[StreamKey(808).child("acceptance-bins")]
     )
     params = JointDensityParams(k, nu)
     edges = np.quantile(dists, np.linspace(0.05, 0.95, 11))
@@ -178,7 +178,7 @@ def test_criterion_10_group_selection_rate():
     target = analytic.rich_win_probability(5, spec)
     assert abs(est.mean - target) <= 3 * est.std_error, (est, target)
 
-    control = simulate.estimate_group_win_rate(5, GroupSpec.unchecked(0.01, 0.01), 10_000, 2000, 1011)
+    control = simulate.estimate_group_win_rate(5, GroupSpec(0.01, 0.01), 10_000, 2000, 1011)
     assert abs(control.mean - 0.5) <= 3 * control.std_error, control
 
     for k in (1, 2, 5, 20, 80, 200):

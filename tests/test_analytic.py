@@ -131,7 +131,7 @@ class TestCloneDistanceCdf:
     @pytest.mark.parametrize("k, nu", [(1, 0.02), (5, 0.05), (80, 0.02), (300, 0.65)])
     def test_law_of_the_sampled_clone_distances(self, k, nu):
         # the clone draw is the law's one definition
-        _, (dists,) = sampler.draw_clone_batch(k, 20_000, nu, stream=StreamKey(31).child("cdf-ks", k))
+        _, (dists,) = sampler.draw_clone_batch(k, 20_000, nu, keys=[StreamKey(31).child("cdf-ks", k)])
         result = stats.kstest(dists, lambda s: analytic.clone_distance_cdf(k, nu, s))
         assert result.pvalue > 1e-3, result
 
@@ -336,6 +336,17 @@ class TestAiEquivalentBound:
             assert analytic.d_ip(k, m_star) < bound
             assert analytic.d_ip(k, m_star - 1) >= bound - 1e-12
 
+    def test_search_reaches_its_limit(self, monkeypatch):
+        # d_ip(k, m) = -m takes every value exactly, so m* is the first m below
+        # the bound, with no tie; the doubling passes 2**49 before m* here
+        monkeypatch.setattr(analytic, "d_ip", lambda k, m: -float(m))
+        for m_star in (7 * 10**14 + 1, analytic._SEARCH_LIMIT):
+            monkeypatch.setattr(analytic, "d_ai_infinity", lambda k, variance: 0.5 - m_star)
+            assert analytic.ai_equivalent_bound(1, 0.01) == m_star
+        monkeypatch.setattr(analytic, "d_ai_infinity", lambda k, variance: -0.5 - analytic._SEARCH_LIMIT)
+        with pytest.raises(NumericError, match=f"exceeds {analytic._SEARCH_LIMIT} at k=1"):
+            analytic.ai_equivalent_bound(1, 0.01)
+
     def test_two_in_high_dimension(self):
         variance = 0.0025
         k = 1
@@ -384,20 +395,19 @@ class TestGroupSpec:
         assert spec.nu_p == pytest.approx(0.05)
         with pytest.raises(ValueError):
             GroupSpec(0.04, 0.01)
-        with pytest.raises(ValueError):
-            GroupSpec(0.04, 0.04)
         for sigma_r2, sigma_p2 in ((0.01, math.inf), (1e308, 1.5e308)):  # nu_p must be finite
             with pytest.raises(ValueError, match="finite sum"):
                 GroupSpec(sigma_r2, sigma_p2)
 
-    def test_unchecked_escape_hatch(self):
-        spec = GroupSpec.unchecked(0.02, 0.02)
+    def test_equal_variances_allowed(self):
+        # the control case: both groups' combined variances coincide
+        spec = GroupSpec(0.02, 0.02)
         assert spec.nu_r == spec.nu_p == pytest.approx(0.04)
 
 
 class TestRichWinProbability:
     def test_equal_variance_control(self):
-        spec = GroupSpec.unchecked(0.03, 0.03)
+        spec = GroupSpec(0.03, 0.03)
         assert analytic.rich_win_probability(4, spec) == 0.5
 
     def test_interior_above_half(self):

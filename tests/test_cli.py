@@ -11,11 +11,13 @@ from pathlib import Path
 import tempfile
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrormatch import analytic, cli, simulate
+from mirrormatch.analytic import GroupSpec
 from mirrormatch.cli import ConfigError, ModelConfig, parse_config
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -220,6 +222,53 @@ class TestMstar:
         assert result.rows[0]["m_star_bound"] == 2
 
 
+def finite_pool_rich_win(k, spec, n, levels=1000):
+    """Exact probability that the best of n rich and n poor clones is rich.
+
+    It is E[(1 - F_p(M))^n] with M the smallest of the n rich distances,
+    P(M > s) = (1 - F_r(s))^n, and F_r, F_p the clone-distance CDFs at
+    nu_r and nu_p: a trapezoid Stieltjes sum over nodes at ``levels``
+    equal steps of both minima's CDFs, placed from a uniform grid. The
+    nodes must crowd where F_r is about 1/n: at ratio 64 the uniform grid
+    itself is off by 2e-4 at k = 2, n = 10^5, and steps of the rich
+    minimum's CDF alone converge only to first order.
+    """
+
+    def survival(nu, s):  # P(the smallest of n clone distances at nu exceeds s)
+        with np.errstate(divide="ignore"):  # F = 1 gives log1p(-1) = -inf and survival 0
+            return np.exp(n * np.log1p(-analytic.clone_distance_cdf(k, nu, s)))
+
+    hi = 1.0
+    while survival(spec.nu_r, hi) > 0.0:
+        hi *= 2.0
+    grid = np.linspace(0.0, hi, 4001)
+    steps = np.linspace(0.0, 1.0, levels + 1)
+    nodes = [np.interp(steps, 1.0 - survival(nu, grid), grid) for nu in (spec.nu_r, spec.nu_p)]
+    s = np.unique(np.concatenate(nodes + [[0.0, hi]]))
+    rich, poor = survival(spec.nu_r, s), survival(spec.nu_p, s)
+    return float(np.sum(0.5 * (poor[1:] + poor[:-1]) * (rich[:-1] - rich[1:])))
+
+
+class TestFinitePoolOracle:
+    # the rows of TestGroups.test_sections_and_agreement: (k, sigma_r2, sigma_p2)
+    CELLS = [(4, 0.01, 0.01), (2, 0.01, 0.04), (8, 0.01, 0.04)] + [(4, 0.01, 0.01 * r) for r in (2, 4, 16, 64)]
+
+    def test_grid_refinement(self):
+        for k, sigma_r2, sigma_p2 in self.CELLS:
+            spec = GroupSpec(sigma_r2, sigma_p2)
+            coarse, fine = (finite_pool_rich_win(k, spec, 800, levels) for levels in (1000, 2000))
+            assert abs(fine - coarse) < 1e-5, (k, spec, coarse, fine)
+
+    def test_equal_variances_give_one_half(self):
+        for k, n in ((1, 10), (4, 800), (50, 10_000)):
+            assert finite_pool_rich_win(k, GroupSpec(0.01, 0.01), n) == pytest.approx(0.5, abs=1e-12)
+
+    def test_reference_cell(self):
+        # k = 5, n = 10^4, where the n -> infinity limit is 0.500313
+        value = finite_pool_rich_win(5, GroupSpec(0.01, 0.04), 10_000)
+        assert value == pytest.approx(0.500532, abs=1e-6)
+
+
 class TestGroups:
     def test_sections_and_agreement(self, tmp_path):
         result = run_command(
@@ -237,6 +286,9 @@ class TestGroups:
             if row["section"] != "control":
                 assert abs(row["mc_win"] - row["analytic_win"]) <= 4 * max(row["mc_se"], 1e-9)
                 assert row["win_lower_bound"] <= row["analytic_win"] + 1e-12
+            # against the exact win rate at the run's pool size n = 800
+            exact = finite_pool_rich_win(row["k"], GroupSpec(row["sigma_r2"], row["sigma_p2"]), 800)
+            assert abs(row["mc_win"] - exact) <= 4 * max(row["mc_se"], 1e-9), (row, exact)
         disparity = [r for r in result.rows if r["section"] == "disparity-sweep"]
         ratios = [r["sigma_p2"] / r["sigma_r2"] for r in disparity]
         assert ratios == sorted(ratios)
@@ -481,6 +533,7 @@ class TestUpFrontValidation:
             ("figure2", "noise_param=inf"),
             ("table1", "noise_param=1e300"),  # the std-dev reading squares past the double range
             ("groups", "group_sigma_p2=0.005"),  # below group_sigma_r2
+            ("groups", "group_sigma_p2=0.01"),  # equal to it: GroupSpec allows that, the config does not
             # integer keys past their bounds: at these values compute would end
             # in an allocation or float-conversion failure, or in inexact dimensions
             pytest.param("table1", "n=1000000000000", id="table1-n=1e12"),

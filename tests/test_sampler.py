@@ -24,7 +24,7 @@ def noise_norms(k, variance, label, count):
 
 def clone_row(*args, stream, **kwargs):
     """(true_norms, clone_dists) of one key's row of ``draw_clone_batch``."""
-    (norms,), (dists,) = sampler.draw_clone_batch(*args, stream=[stream], **kwargs)
+    (norms,), (dists,) = sampler.draw_clone_batch(*args, keys=[stream], **kwargs)
     return norms, dists
 
 
@@ -53,20 +53,20 @@ def direct_clone_draws(k, count, variance, subject_noise, seed):
 
 class TestStreamKey:
     def test_pure_function_of_key(self):
-        a = sampler.sample_ball_radii(4, 8, key("x"))
-        b = sampler.sample_ball_radii(4, 8, key("x"))
+        a = sampler.sample_ball_radii(4, 8, [key("x")])
+        b = sampler.sample_ball_radii(4, 8, [key("x")])
         assert np.array_equal(a, b)
 
     def test_distinct_paths_differ(self):
-        a = sampler.sample_ball_radii(4, 8, key("x"))
-        b = sampler.sample_ball_radii(4, 8, key("y"))
-        c = sampler.sample_ball_radii(4, 8, key(("x", 1)))
+        a = sampler.sample_ball_radii(4, 8, [key("x")])
+        b = sampler.sample_ball_radii(4, 8, [key("y")])
+        c = sampler.sample_ball_radii(4, 8, [key(("x", 1))])
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_seed_matters(self):
-        a = sampler.sample_ball_radii(4, 8, key("x", seed=1))
-        b = sampler.sample_ball_radii(4, 8, key("x", seed=2))
+        a = sampler.sample_ball_radii(4, 8, [key("x", seed=1)])
+        b = sampler.sample_ball_radii(4, 8, [key("x", seed=2)])
         assert not np.array_equal(a, b)
 
     def test_sibling_streams_uncorrelated(self):
@@ -114,13 +114,16 @@ class TestStreamKey:
     ]
 
     def test_golden_uniforms(self):
+        def philox_words(stream):
+            return tuple(int(w) for w in stream.generator().bit_generator.state["state"]["key"])
+
         for stream, words, uniforms in self.GOLDEN:
-            assert tuple(int(w) for w in stream.philox_key()) == words, stream
+            assert philox_words(stream) == words, stream
             expected = [float.fromhex(u) for u in uniforms]
             assert stream.generator().random(4).tolist() == expected, stream
             # the cached prefix and a key built from the whole path agree
             rebuilt = StreamKey(stream.master_seed, stream.path)
-            assert tuple(int(w) for w in rebuilt.philox_key()) == words, stream
+            assert philox_words(rebuilt) == words, stream
 
     def test_equality_hash_and_repr(self):
         a = StreamKey(5).child("x", 2)
@@ -143,8 +146,8 @@ class TestSharedDraw:
         [
             lambda s: sampler.sample_ball_radii(3, 17, s),
             lambda s: sampler.sample_noise_norm(30, 0.2, s)[:, None],
-            lambda s: np.hstack(sampler.draw_clone_batch(4, 9, 0.01 + 0.02, stream=s)),
-            lambda s: np.hstack(sampler.draw_clone_batch(40, 9, 0.02, 0.3, stream=s)),
+            lambda s: np.hstack(sampler.draw_clone_batch(4, 9, 0.01 + 0.02, keys=s)),
+            lambda s: np.hstack(sampler.draw_clone_batch(40, 9, 0.02, 0.3, keys=s)),
         ],
         ids=["ball", "noise-norm", "clone-per-interaction", "clone-fixed-subject"],
     )
@@ -152,7 +155,7 @@ class TestSharedDraw:
         keys = pool_keys()
         batch = entry(keys)
         assert batch.shape[0] == len(keys)
-        single = [entry(s) for s in keys]  # one key a call, a bare key
+        single = [entry([s]) for s in keys]  # one key a call
         # the same entry point on a fresh generator per key
         monkeypatch.setattr(sampler, "uniform_rows", fresh_rows)
         fresh = [entry([s]) for s in keys]
@@ -221,7 +224,7 @@ class TestUnitBall:
     # the norm of a uniform unit-ball point, the only part of it any draw uses
     def test_support(self):
         for k in (1, 2, 7, 40):
-            radii = sampler.sample_ball_radii(k, 200, key("support", ("k", k)))
+            radii = sampler.sample_ball_radii(k, 200, [key("support", ("k", k))])
             assert radii.shape == (1, 200)
             assert radii.min() >= 0.0 and radii.max() <= 1.0
 
@@ -247,7 +250,7 @@ class TestUnitBall:
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
-            sampler.sample_ball_radii(0, 1, key("bad"))
+            sampler.sample_ball_radii(0, 1, [key("bad")])
 
 
 class TestGaussian:
@@ -278,9 +281,9 @@ class TestGaussian:
     def test_rejects_bad_variance(self):
         for variance in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                sampler.sample_noise_norm(3, variance, key("bad"))
+                sampler.sample_noise_norm(3, variance, [key("bad")])
         with pytest.raises(ValueError):
-            sampler.sample_noise_norm(0, 1.0, key("bad"))
+            sampler.sample_noise_norm(0, 1.0, [key("bad")])
 
 
 class TestCloneDraws:
@@ -304,7 +307,7 @@ class TestCloneDraws:
         assert np.abs(dists - norms).max() <= 1e-4
 
     def test_scalar_draw(self):
-        norms, dists = sampler.draw_clone_batch(3, 1, 0.01 + 0.01, stream=key("scalar"))
+        norms, dists = sampler.draw_clone_batch(3, 1, 0.01 + 0.01, keys=[key("scalar")])
         assert norms.shape == dists.shape == (1, 1)
         assert norms[0, 0] <= 1.0
         assert dists[0, 0] >= 0.0
@@ -313,25 +316,25 @@ class TestCloneDraws:
     def test_rejects_bad_variance(self, variance):
         for rho in (None, 0.5):
             with pytest.raises(ValueError):
-                sampler.draw_clone_batch(3, 4, variance, rho, stream=key("bad-variance"))
+                sampler.draw_clone_batch(3, 4, variance, rho, keys=[key("bad-variance")])
 
     @pytest.mark.parametrize("count", [0, 2.0])
     def test_rejects_bad_count(self, count):
         with pytest.raises(ValueError, match="count must be a positive integer"):
-            sampler.sample_ball_radii(3, count, key("bad-count"))
+            sampler.sample_ball_radii(3, count, [key("bad-count")])
         with pytest.raises(ValueError, match="count must be a positive integer"):
-            sampler.draw_clone_batch(3, count, 0.01 + 0.01, stream=key("bad-count"))
+            sampler.draw_clone_batch(3, count, 0.01 + 0.01, keys=[key("bad-count")])
 
     @pytest.mark.parametrize("rho", [-0.1, math.inf, math.nan])
     def test_rejects_bad_noise_norm(self, rho):
         with pytest.raises(ValueError):
-            sampler.draw_clone_batch(3, 4, 0.01, rho, stream=key("bad-norm"))
+            sampler.draw_clone_batch(3, 4, 0.01, rho, keys=[key("bad-norm")])
 
     def test_fixed_mode_conditional_iid(self):
         # conditional on the fixed subject noise, distances must be i.i.d.:
         # chi-square independence of consecutive above/below-median signs
         k, count = 3, 40_000
-        (rho,) = sampler.sample_noise_norm(k, 0.01, key("fixed-eps"))
+        (rho,) = sampler.sample_noise_norm(k, 0.01, [key("fixed-eps")])
         _, dists = clone_row(k, count, 0.01, rho, stream=key("fixed-pool"))
         signs = dists > np.median(dists)
         first, second = signs[0::2], signs[1::2]
@@ -347,7 +350,7 @@ class TestCloneDraws:
         # law of (R, S) against ||X + eps_other - eps_fixed|| built from full
         # k-vectors with an independent generator: two-sample KS on R, S, S - R
         k, count, s_other2 = 4, 20_000, 0.03
-        (rho,) = sampler.sample_noise_norm(k, 0.02, key("check-eps"))
+        (rho,) = sampler.sample_noise_norm(k, 0.02, [key("check-eps")])
         norms, dists = clone_row(k, count, s_other2, rho, stream=key("check-pool"))
         fixed = np.full(k, rho / math.sqrt(k))
         ref_norms, ref_dists = direct_clone_draws(k, count, s_other2, fixed, seed=4)
@@ -393,7 +396,7 @@ class TestCloneDraws:
         rho, variance = (0.1, 0.01) if mode == simulate.FIXED_SUBJECT_CLONE else (None, 0.01 + 0.01)
         tracemalloc.start()
         try:
-            norms, dists = sampler.draw_clone_batch(k, count, variance, rho, stream=key("mem"))
+            norms, dists = sampler.draw_clone_batch(k, count, variance, rho, keys=[key("mem")])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -25,7 +25,7 @@ def coupled_winner_means(k, variance, n_max, reps, seed):
     """
     base = StreamKey(seed).child(f"coupled(k={k},n_max={n_max})")
     keys = [base.child("rep", rep).child("pool") for rep in range(reps)]
-    norms, dists = sampler.draw_clone_batch(k, n_max, 2.0 * variance, stream=keys)
+    norms, dists = sampler.draw_clone_batch(k, n_max, 2.0 * variance, keys=keys)
     sizes, rows = [2**j for j in range(n_max.bit_length())], np.arange(reps)
     return {n: simulate._estimate(norms[rows, np.argmin(dists[:, :n], axis=1)], "coupled") for n in sizes}
 
@@ -190,10 +190,10 @@ class TestBlocking:
         keys = [StreamKey(SEED).child("zero-norm", i) for i in range(3)]
         rhos = [0.3, 0.0, 0.5]
         for k in (1, 5, 30):
-            norms, dists = sampler.draw_clone_batch(k, 9, 0.02, rhos, stream=keys)
+            norms, dists = sampler.draw_clone_batch(k, 9, 0.02, rhos, keys=keys)
             assert np.isfinite(norms).all() and np.isfinite(dists).all()
             for i, rho in enumerate(rhos):
-                (alone_norms,), (alone_dists,) = sampler.draw_clone_batch(k, 9, 0.02, rho, stream=keys[i])
+                (alone_norms,), (alone_dists,) = sampler.draw_clone_batch(k, 9, 0.02, rho, keys=[keys[i]])
                 assert norms[i].tobytes() == alone_norms.tobytes()
                 assert dists[i].tobytes() == alone_dists.tobytes()
 
@@ -216,7 +216,7 @@ class TestCoupledMonotonicity:
         # improves the clone distance
         for rep in range(100):
             key = StreamKey(SEED).child("prefix", rep)
-            _, (dists,) = sampler.draw_clone_batch(3, 16, 0.01 + 0.01, stream=key)
+            _, (dists,) = sampler.draw_clone_batch(3, 16, 0.01 + 0.01, keys=[key])
             for n in range(1, 16):
                 before = int(np.argmin(dists[:n]))
                 after = int(np.argmin(dists[: n + 1]))
@@ -242,12 +242,12 @@ class TestGroupWinRate:
         for k, nu_r, nu_p in ((1, 0.02, 0.05), (5, 0.02, 0.65), (300, 0.02, 0.05)):
             keys = rep_keys(50)
             values = simulate._group_block(keys, k, 1, nu_r, nu_p)
-            _, dists = sampler.draw_clone_batch(k, 1, nu_r, stream=[key.child("pool-rich") for key in keys])
+            _, dists = sampler.draw_clone_batch(k, 1, nu_r, keys=[key.child("pool-rich") for key in keys])
             expected = 1.0 - analytic.clone_distance_cdf(k, nu_p, dists[:, 0])
             np.testing.assert_allclose(values, expected, rtol=1e-14, atol=1e-16)
 
     def test_equal_variance_control(self):
-        spec = GroupSpec.unchecked(0.02, 0.02)
+        spec = GroupSpec(0.02, 0.02)
         est = simulate.estimate_group_win_rate(4, spec, 2000, 4000, SEED)
         assert within(est, 0.5)
 
@@ -302,7 +302,7 @@ class TestSeqPolicies:
         for rep in range(3):
             key = StreamKey(SEED).child("one-block", rep)
             (norms,), (dists,) = sampler.draw_clone_batch(
-                3, 600, 0.0025 + 0.0025, stream=key.child("block", 0)
+                3, 600, 0.0025 + 0.0025, keys=[key.child("block", 0)]
             )
             winner = -float(norms[int(np.argmin(dists))]) - 0.0 - 0.1
             assert simulate._seq_payoff_block([key], 3, 0.0025, policy).tolist() == [[winner, 0.0]]
