@@ -90,6 +90,10 @@ def noise_variance(noise: float, convention: str) -> float:
 _MIN_VARIANCE = 1e-300
 _MAX_VARIANCE = 1e300
 _VARIANCE_TEXT = f"a real in [{_MIN_VARIANCE:g}, {_MAX_VARIANCE:g}]"
+# the least data-poor combined variance of a groups row is the control row's 2 * group_sigma_r2;
+# chndtr in analytic.clone_distance_cdf gives NaN below 1e-9 (from 1e-10 on at k = 200)
+_MIN_GROUP_VARIANCE = 1e-9
+_GROUP_VARIANCE_TEXT = f"a real in [{_MIN_GROUP_VARIANCE:g}, {_MAX_VARIANCE:g}] (chndtr gives NaN below it)"
 _MAX_DIM = 2**53  # a dimension is exact as a double up to here
 # one clone batch peaks at about 448 bytes a draw, so a batch of n draws stays
 # under 0.5 GB; that is 100 times the paper's pool of 10^4
@@ -131,7 +135,7 @@ class ModelConfig:
     clone_mode: str = _key(
         simulate.PER_INTERACTION, str, f"one of {'|'.join(_CLONE_MODES)}", _CLONE_MODES.__contains__
     )
-    group_sigma_r2: float = _key(0.01, float, _VARIANCE_TEXT, _is_variance)
+    group_sigma_r2: float = _key(0.01, float, _GROUP_VARIANCE_TEXT, lambda v: _MIN_GROUP_VARIANCE <= v <= _MAX_VARIANCE)
     group_sigma_p2: float = _key(0.04, float, _VARIANCE_TEXT, _is_variance)
     k_grid: tuple[int, ...] | None = _key(
         None, _optional(_tuple(_int)), "a nonempty comma list of integers in [1, 2**53], or none",

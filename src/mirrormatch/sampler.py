@@ -9,24 +9,27 @@ call fills a ``(len(keys), width)`` matrix from
 uniforms of key i's stream) and turns it into draws with one transform per
 law. The draw algorithms are frozen so that golden outputs stay stable,
 and none of them uses a numpy ``Generator`` distribution method (those
-algorithms are not stable across numpy versions); everything is an inverse
-CDF of the uniforms:
+algorithms are not stable across numpy versions); everything is a fixed
+transform of the uniforms:
 
 * standard normals: inverse normal CDF (zero-guarded at 2**-54);
-* chi-square with ``df`` degrees of freedom: for ``df <= 24`` the sums of
-  squared standard normals over ``df`` consecutive uniforms, above that
-  ``2 * gammaincinv(df / 2, U)`` with one uniform per draw; ``df = 0`` is
-  exactly zero and takes no uniforms;
+* chi-square with ``df >= 1`` degrees of freedom: twice a Gamma(df/2)
+  draw by Marsaglia and Tsang (2000, ACM TOMS 26(3)) on three uniforms:
+  ``z`` from U1, the acceptance test on ``ln U2``, and for a rejected draw
+  ``2 * gammaincinv(df / 2, U3)``. Acceptance reads (U1, U2) alone, so U3
+  is uniform under either outcome and the mixture is exact. At ``df = 1``
+  the test runs at shape 3/2 and an accepted draw is boosted by ``U3**2``;
+  ``df = 0`` is exactly zero and takes no uniforms;
 * ball radii: ``U**(1/k)``, one uniform per point.
 
-Clone draws cost O(1) in k. Only the candidate's norm R and the clone
-distance S are returned, and both depend on the vectors only through
-rotation-invariant quantities. With rho the norm of the fixed subject
-noise (0 in per-interaction mode) and v the per-coordinate variance of
-the noise drawn fresh per interaction (both clones' noise per
-interaction, the other clone's alone with a fixed subject), rotating the
-subject-noise axis and then the noiseless clone difference onto the
-first coordinate gives::
+Clone draws cost O(1) in k, in time and in uniforms. Only the candidate's
+norm R and the clone distance S are returned, and both depend on the
+vectors only through rotation-invariant quantities. With rho the norm of
+the fixed subject noise (0 in per-interaction mode) and v the
+per-coordinate variance of the noise drawn fresh per interaction (both
+clones' noise per interaction, the other clone's alone with a fixed
+subject), rotating the subject-noise axis and then the noiseless clone
+difference onto the first coordinate gives::
 
     R     = U**(1/k)
     Theta = g1 / sqrt(g1**2 + chi2[k-1])        cosine of x to the noise axis
@@ -37,8 +40,8 @@ The subject-noise norm is drawn on its own stream as
 ``rho = sqrt(variance * chi2[k])``, one chi-square draw.
 
 Row layout. A row is cut, left to right, into column blocks of ``count``
-draws each; a chi-square block takes ``count * chi_square_width(df)``
-uniforms (``df`` of them per draw, row-major, for ``df <= 24``):
+draws each; a chi-square draw takes three uniforms at any ``df >= 1``, as
+three blocks of ``count`` (U1, U2, U3):
 
 * ball radii: the radii;
 * noise norm: one chi-square block with ``df = k`` and ``count = 1``;
@@ -63,10 +66,7 @@ from scipy.special import gammaincinv, ndtri
 from .streams import StreamKey, uniform_rows
 
 _MIN_UNIFORM = 2.0**-54  # ndtri(0) is -inf; clamp the (prob 2**-53) exact zero
-# largest df drawn as a sum of squared normals; above it one gammaincinv
-# call per draw is cheaper than df inverse-CDF normals (the two meet near
-# df = 24 at 25-512 draws a call)
-_CHI2_SUM_MAX_DF = 24
+_CHI2_WIDTH = 3  # uniforms a chi-square draw takes at df >= 1
 
 
 def _check_dim(k: int) -> None:
@@ -84,14 +84,9 @@ def _check_variance(variance: float) -> None:
         raise ValueError(f"noise variance must be positive and finite, got {variance!r}")
 
 
-def chi_square_width(df: int) -> int:
-    """Uniforms one chi-square draw with ``df`` degrees of freedom takes."""
-    return 0 if df == 0 else df if df <= _CHI2_SUM_MAX_DF else 1
-
-
 def clone_row_width(k: int, count: int, subject_noise: bool) -> int:
     """Uniforms in one key's row of :func:`draw_clone_batch`, with or without a subject noise."""
-    chi = chi_square_width(k - 1)
+    chi = 0 if k == 1 else _CHI2_WIDTH  # a chi-square with k - 1 degrees of freedom
     return count * (3 + 2 * chi if subject_noise else 2 + chi)
 
 
@@ -106,20 +101,29 @@ def _standard_normals(uniforms: np.ndarray) -> np.ndarray:
 
 
 def _chi_square(uniforms: np.ndarray, df: int, count: int) -> np.ndarray:
-    rows = uniforms.shape[0]
     if df == 0:
-        return np.zeros((rows, count))
-    if df <= _CHI2_SUM_MAX_DF:
-        normals = _standard_normals(uniforms).reshape(rows * count, df)
-        return np.einsum("ij,ij->i", normals, normals).reshape(rows, count)
-    return 2.0 * gammaincinv(0.5 * df, uniforms)
+        return np.zeros((uniforms.shape[0], count))
+    shape = 0.5 * df
+    d = shape + (2.0 / 3.0 if shape < 1.0 else -1.0 / 3.0)  # the test runs at shape + 1 below 1
+    u1, u2, u3 = _column_blocks(uniforms, [count] * _CHI2_WIDTH)
+    z = _standard_normals(u1)
+    # z <= -sqrt(9 d) (as at the clamped U1 = 0 for small df) gives v <= 0, a NaN
+    # or -inf bound and a rejection; U2 = 0 gives ln 0 = -inf and an acceptance
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = (1.0 + z / math.sqrt(9.0 * d)) ** 3
+        accepted = np.log(u2) < 0.5 * z * z + d - d * v + d * np.log(v)
+    gamma = d * v
+    if shape < 1.0:  # Gamma(a) = Gamma(a + 1) U**(1/a)
+        gamma *= u3 ** (1.0 / shape)
+    gamma[~accepted] = gammaincinv(shape, u3[~accepted])
+    return 2.0 * gamma
 
 
 def _clone_batch(
     uniforms: np.ndarray, k: int, count: int, rho: np.ndarray | None, variance: float
 ) -> tuple[np.ndarray, np.ndarray]:
     # rho: None, or a column of nonnegative subject-noise norms, one per row
-    chi = count * chi_square_width(k - 1)
+    chi = 0 if k == 1 else _CHI2_WIDTH * count
     widths = [count] + ([count, chi] if rho is not None else []) + [count, chi]
     blocks = iter(_column_blocks(uniforms, widths))
     radii = next(blocks) ** (1.0 / k)
@@ -147,7 +151,7 @@ def sample_noise_norm(k: int, variance: float, keys: Sequence[StreamKey]) -> np.
     """Norm of one isotropic k-dimensional Gaussian vector, sqrt(variance * chi2[k]), per key."""
     _check_dim(k)
     _check_variance(variance)
-    chi2 = _chi_square(uniform_rows(keys, chi_square_width(k)), k, 1)
+    chi2 = _chi_square(uniform_rows(keys, _CHI2_WIDTH), k, 1)
     return np.sqrt(variance * chi2[:, 0])
 
 

@@ -168,7 +168,7 @@ def estimate_d_ai(
         raise ValueError(f"unknown clone mode {clone_mode!r}")
     label = f"d_ai(k={k},n={n},mode={clone_mode})"
     fixed = clone_mode == FIXED_SUBJECT_CLONE
-    width = sampler.clone_row_width(k, n, fixed) + (sampler.chi_square_width(k) if fixed else 0)
+    width = sampler.clone_row_width(k, n, fixed)
     args = (k, n, noise_variance_per_clone, clone_mode)
     return _estimate(_replicate(_d_ai_block, width, args, label, reps, master_seed), label)
 

@@ -11,8 +11,8 @@ results are representable; fixed closed forms cover the rest:
   above it;
 * ``ln(x^-nu e^-x I_nu(x))``: ``log(ive(nu, x)) - nu log x`` where ``ive``
   is a normal double; the series' first two terms below x = 1e-4; where
-  ``ive`` underflows or is NaN (from x = 2**30 on), the Hankel expansion
-  below order 50 and the uniform large-order expansion from it.
+  ``ive`` underflows or is NaN (from x = 2**30 on), the uniform large-order
+  expansion, which in powers of 1/sqrt(nu^2 + x^2) holds at every order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ NEG_INF = float("-inf")
 _MAX_TERMS = 2**20  # incomplete-gamma series terms: enough near x = s up to s ~ 1e10
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
 _SERIES_MAX_X = 1e-4  # below it the Bessel series' first two terms are exact to double
-_HANKEL_MAX_ORDER = 50.0  # below it ive fails only from x = 2**30 on, where nu^2 << x
 _U_POLYS = (  # DLMF 10.41.10: U_k(p) = p^k P_k(p^2) / d_k for k = 1..4, as (P_k, d_k)
     ((3.0, -5.0), 24.0),
     ((81.0, -462.0, 385.0), 1152.0),
@@ -85,22 +84,13 @@ def _log_series(nu: float, x: np.ndarray) -> np.ndarray:
     return np.log1p(0.25 * x * x / (nu + 1.0)) - x - nu * math.log(2.0) - math.lgamma(nu + 1.0)
 
 
-def _log_hankel(nu: float, x: np.ndarray) -> np.ndarray:
-    # DLMF 10.40.1: e^-x I_nu(x) sqrt(2 pi x) ~ sum_j (-1)^j a_j(nu) / x^j; at
-    # nu < 50 and x >= 2**30 the fourth term is below eps
-    mu = 4.0 * nu * nu
-    a1 = (1.0 - mu) / (8.0 * x)
-    a2 = a1 * (9.0 - mu) / (16.0 * x)
-    a3 = a2 * (25.0 - mu) / (24.0 * x)
-    return np.log1p(a1 + a2 + a3) - 0.5 * np.log(2.0 * math.pi * x) - nu * np.log(x)
-
-
 def _log_uniform(nu: float, x: np.ndarray) -> np.ndarray:
     # DLMF 10.41.3 at x = nu z; with q = sqrt(nu^2 + x^2) and p = nu / q, nu eta - x
-    # - nu ln x = nu^2 / (q + x) - nu ln(nu + q), in which no terms of size x cancel
+    # - nu ln x = nu^2 / (q + x) - nu ln(nu + q), in which no terms of size x cancel,
+    # and U_k(p) / nu^k = q^-k P_k(p^2) / d_k, which holds at any order down to -1/2
     q = np.hypot(nu, x)
     p = nu / q
-    total = sum((p / nu) ** k * polyval(p * p, poly) / d for k, (poly, d) in enumerate(_U_POLYS, 1))
+    total = sum(q ** -k * polyval(p * p, poly) / d for k, (poly, d) in enumerate(_U_POLYS, 1))
     return nu * nu / (q + x) - nu * np.log(nu + q) - 0.5 * np.log(2.0 * math.pi * q) + np.log1p(total)
 
 
@@ -123,5 +113,6 @@ def log_bessel_i_scaled(nu: float, x):
         small = flat < _SERIES_MAX_X
         out[small] = _log_series(nu, flat[small])
         rest = ~(common | small)
-        out[rest] = (_log_hankel if nu < _HANKEL_MAX_ORDER else _log_uniform)(nu, flat[rest])
+        if rest.any():
+            out[rest] = _log_uniform(nu, flat[rest])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

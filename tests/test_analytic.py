@@ -445,3 +445,10 @@ class TestRichWinProbability:
         expected = float(p_rich / (p_rich + p_poor))
         assert analytic.rich_win_probability(7, spec) == pytest.approx(expected, rel=1e-12)
 
+    def test_series_failure_names_the_cell(self):
+        # near x = s the incomplete-gamma series needs more than its 2^20 terms
+        # once s is far above 1e10; no groups config reaches it, as the config
+        # keeps group_sigma_r2 >= 1e-9
+        with pytest.raises(NumericError, match="did not converge at k=100000000000000, nu_r=1.000002e-14"):
+            analytic.rich_win_probability(10**14, GroupSpec(5.00001e-15, 5.00002e-15))
+

@@ -460,20 +460,10 @@ class TestMainEntry:
             # near x = s the incomplete-gamma series of the gamma route needs more
             # than its 2^20 terms once s is far above 1e10
             ("mstar", ["k_grid=100000000000000", "sigma_grid=7.0711e-8"], "k=100000000000000, variance=5.0000455"),
-            # the same series in the data-rich selection probability
-            (
-                "groups",
-                [
-                    "k_grid=100000000000000",
-                    "group_sigma_r2=5.00001e-15",
-                    "group_sigma_p2=5.00002e-15",
-                    "reps=2",
-                    "n=2",
-                ],
-                "k=100000000000000, nu_r=1.000002e-14",
-            ),
+            # chndtr returns NaN once its arguments reach about 1e10, here through k
+            ("groups", ["k=100000000000", "k_grid=100000000000", "reps=2", "n=2"], "k=100000000000, variance=0.02"),
         ],
-        ids=["mstar", "seqsearch", "mstar-series", "groups-series"],
+        ids=["mstar", "seqsearch", "mstar-series", "groups-chndtr"],
     )
     def test_numeric_failure_names_the_cell(self, tmp_path, capsys, command, overrides, cell):
         code = cli.main([command, "--out", str(tmp_path)] + set_args(overrides))
@@ -534,6 +524,7 @@ class TestUpFrontValidation:
             ("table1", "noise_param=1e300"),  # the std-dev reading squares past the double range
             ("groups", "group_sigma_p2=0.005"),  # below group_sigma_r2
             ("groups", "group_sigma_p2=0.01"),  # equal to it: GroupSpec allows that, the config does not
+            ("groups", "group_sigma_r2=9e-10"),  # below the floor where chndtr gives NaN
             # integer keys past their bounds: at these values compute would end
             # in an allocation or float-conversion failure, or in inexact dimensions
             pytest.param("table1", "n=1000000000000", id="table1-n=1e12"),
@@ -554,6 +545,12 @@ class TestUpFrontValidation:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not any(tmp_path.iterdir())  # no run directory was started
+
+    def test_group_variance_floor_names_the_key(self, tmp_path, capsys):
+        overrides = ["k_grid=1", "reps=2", "n=2"]
+        assert cli.main(["groups", "--out", str(tmp_path)] + set_args(overrides + ["group_sigma_r2=1e-9"])) == 0
+        assert cli.main(["groups", "--out", str(tmp_path)] + set_args(overrides + ["group_sigma_r2=9e-10"])) == 2
+        assert capsys.readouterr().err.startswith("config error: group_sigma_r2 must be a real in [1e-09, ")
 
     @pytest.mark.parametrize(
         "override",

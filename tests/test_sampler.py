@@ -1,11 +1,13 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaincinv
 
 from mirrormatch import sampler, simulate, streams
 from mirrormatch.streams import StreamKey
@@ -255,10 +257,10 @@ class TestUnitBall:
 
 class TestGaussian:
     # the norm of an isotropic Gaussian vector, the only part of it any draw uses
-    @pytest.mark.parametrize("k", [1, sampler._CHI2_SUM_MAX_DF, sampler._CHI2_SUM_MAX_DF + 1, 1000])
+    @pytest.mark.parametrize("k", [1, 24, 25, 1000])
     def test_norm_law(self, k):
-        # rho / sigma follows the chi law with k degrees of freedom, on both
-        # chi-square routes
+        # rho / sigma follows the chi law with k degrees of freedom, from the
+        # boosted shape 1/2 to large k
         sigma = 0.3
         draws = noise_norms(k, sigma**2, f"norm-{k}", 10_000)
         assert stats.kstest(draws / sigma, stats.chi(k).cdf).pvalue > 0.001
@@ -370,13 +372,11 @@ class TestCloneDraws:
         assert abs(fit.slope - 1.0) <= 4 * fit.stderr
         assert abs(fit.intercept - shift) <= 4 * fit.intercept_stderr
 
-    @pytest.mark.parametrize(
-        "k", [1, 2, sampler._CHI2_SUM_MAX_DF + 1, sampler._CHI2_SUM_MAX_DF + 2]
-    )
+    @pytest.mark.parametrize("k", [1, 2, 25, 26])
     @pytest.mark.parametrize("mode", [simulate.PER_INTERACTION, simulate.FIXED_SUBJECT_CLONE])
     def test_edge_dimensions_match_construction(self, k, mode):
-        # k = 1 (no chi-square, cosine +-1), k = 2, and chi-square df at the
-        # small-df crossover and one above it, in both modes
+        # k = 1 (no chi-square, cosine +-1), k = 2 (the boosted chi-square at
+        # df = 1), and chi-square df 24 and 25, in both modes
         count, s_subject2, s_other2 = 20_000, 0.02, 0.03
         rho = None
         if mode == simulate.FIXED_SUBJECT_CLONE:
@@ -405,23 +405,43 @@ class TestCloneDraws:
 
 
 class TestChiSquare:
-    @pytest.mark.parametrize(
-        "df", [1, 3, sampler._CHI2_SUM_MAX_DF, sampler._CHI2_SUM_MAX_DF + 1, 999]
-    )
+    @pytest.mark.parametrize("df", [1, 2, 3, 24, 25, 129, 999, 10**6])
     def test_law(self, df):
         # 50,000 draws as 500 rows of 100, the shape a block of keys gives
         keys = [key("chi2", ("df", df), ("row", i)) for i in range(500)]
-        uniforms = streams.uniform_rows(keys, 100 * sampler.chi_square_width(df))
+        uniforms = streams.uniform_rows(keys, 3 * 100)
         draws = sampler._chi_square(uniforms, df, 100)
         assert draws.shape == (500, 100)
         assert stats.kstest(draws.ravel(), stats.chi2(df).cdf).pvalue > 0.001
 
+    @pytest.mark.parametrize("df", [1, 2, 5])
+    def test_rejected_and_accepted_rows_exactly(self, df):
+        # rows of (U1, U2, U3): U1 = 0 puts z far below -sqrt(9 d), so v <= 0 and
+        # the draw falls back to the inverse CDF at U3; U2 = 0 with U1 = 1/2
+        # (z = 0, v = 1) accepts d, boosted by U3**2 at shape 1/2
+        shape = 0.5 * df
+        d = shape + 2.0 / 3.0 if df == 1 else shape - 1.0 / 3.0
+        u3 = np.array([0.0, 0.1, 0.5, 0.9, 1.0 - 2.0**-53])
+        rejected = np.stack([np.zeros_like(u3), np.full_like(u3, 0.5), u3], axis=1)
+        accepted = np.stack([np.full_like(u3, 0.5), np.zeros_like(u3), u3], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fallback = sampler._chi_square(rejected, df, 1)[:, 0]
+            boosted = sampler._chi_square(accepted, df, 1)[:, 0]
+        assert fallback.tobytes() == (2.0 * gammaincinv(shape, u3)).tobytes()
+        assert boosted.tobytes() == (2.0 * (d * u3**2 if df == 1 else np.full_like(u3, d))).tobytes()
+
     def test_zero_df_is_zero_and_draws_nothing(self):
-        assert sampler.chi_square_width(0) == 0
         assert np.array_equal(sampler._chi_square(np.empty((2, 0)), 0, 5), np.zeros((2, 5)))
         # at k = 1 a clone row is the radii and g alone
         assert sampler.clone_row_width(1, 7, False) == 2 * 7
         assert sampler.clone_row_width(1, 7, True) == 3 * 7
+
+    def test_row_width_is_free_of_the_dimension(self):
+        # three uniforms a chi-square draw at any df >= 1
+        for k in (2, 25, 10**6):
+            assert sampler.clone_row_width(k, 7, False) == (2 + 3) * 7
+            assert sampler.clone_row_width(k, 7, True) == (3 + 2 * 3) * 7
 
 
 def test_ball_radii_law():

@@ -128,11 +128,11 @@ class TestBlocking:
         *[
             pytest.param(
                 simulate._d_ai_block,
-                sampler.clone_row_width(k, 20, fixed) + (sampler.chi_square_width(k) if fixed else 0),
+                sampler.clone_row_width(k, 20, fixed),
                 (k, 20, 0.0025, mode),
                 id=f"d_ai-k{k}-{mode}",
             )
-            for k in (1, sampler._CHI2_SUM_MAX_DF, 25, 26, 300)
+            for k in (1, 24, 25, 26, 300)
             for mode, fixed in ((simulate.PER_INTERACTION, False), (simulate.FIXED_SUBJECT_CLONE, True))
         ],
         pytest.param(simulate._d_ip_block, 3, (26, 3), id="d_ip"),
