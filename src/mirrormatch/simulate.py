@@ -175,9 +175,11 @@ def estimate_d_ai(
 
 def _group_block(keys, k: int, n: int, nu_r: float, nu_p: float) -> np.ndarray:
     _, dists = sampler.draw_clone_batch(k, n, nu_r, keys=[key.child("pool-rich") for key in keys])
-    # the probability that all n data-poor clone distances exceed the rich pool's
-    # minimum (the rich pool wins ties, which have probability 0)
-    cdf = analytic.clone_distance_cdf(k, nu_p, dists.min(axis=1))
+    # columns (X, Y): the probability that all n data-poor clone distances
+    # exceed the rich pool's minimum m (the rich pool wins ties, which have
+    # probability 0), and that n more data-rich ones would, (1 - F_r(m))^n
+    low = dists.min(axis=1)
+    cdf = np.stack([analytic.clone_distance_cdf(k, nu, low) for nu in (nu_p, nu_r)], axis=1)
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf: the rich pool cannot win
         return np.exp(n * np.log1p(-cdf))
 
@@ -188,17 +190,29 @@ def estimate_group_win_rate(k: int, group: GroupSpec, n: int, reps: int, master_
     A searcher with rich noise meets n data-rich candidates (combined
     variance nu_r) and n data-poor ones (nu_p), and the pool holding the
     minimal clone distance wins. Per replication only the rich pool is
-    drawn, and the value is the exact conditional probability that no
-    data-poor clone comes closer than the rich pool's minimum m:
-    (1 - F_p(m))^n, with F_p = ``analytic.clone_distance_cdf`` at nu_p.
-    Its mean is the win rate, with a smaller variance than the 0/1
-    indicator of a drawn poor pool (conditional Monte Carlo).
+    drawn, and X is the exact conditional probability that no data-poor
+    clone comes closer than the rich pool's minimum m: (1 - F_p(m))^n, with
+    F_p = ``analytic.clone_distance_cdf`` at nu_p (conditional Monte Carlo).
+    Its control variate Y = (1 - F_r(m))^n is the survival function of m at
+    m, so it is Uniform(0, 1) with mean 1/2 exactly. The estimate is the
+    regression control-variate mean X - beta (Y - 1/2), written as the mean
+    of 1/2 + (X - Y) - gamma (Y - 1/2) with gamma = beta - 1 the least-squares
+    slope of X - Y on Y (0 when Y does not vary). At equal variances X is Y
+    bit for bit, so every value is exactly 1/2 and the standard error is 0.
+    Elsewhere the cut is largest where the variances are close: at k = 5
+    and n = 64, about 200-fold against X alone at ratio 4 and 2-fold at 64.
     """
     _check_common(reps, n=n)
     label = f"groups(k={k},n={n})"
     args = (k, n, group.nu_r, group.nu_p)
     width = sampler.clone_row_width(k, n, False)
-    return _estimate(_replicate(_group_block, width, args, label, reps, master_seed), label)
+    x, y = _replicate(_group_block, width, args, label, reps, master_seed).T
+    # pairwise sums, as in the mean, rather than a BLAS dot, whose bits may
+    # depend on its thread count
+    diff, centred = x - y, y - y.mean()
+    spread = (centred * centred).sum()
+    gamma = ((diff - diff.mean()) * centred).sum() / spread if spread > 0.0 else 0.0
+    return _estimate(0.5 + diff - gamma * (y - 0.5), label)
 
 
 def _seq_plan(policy: SeqSearchPolicy) -> tuple[int, float, float]:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from mirrormatch import analytic, cli, simulate
 from mirrormatch.analytic import GroupSpec
 from mirrormatch.cli import ConfigError, ModelConfig, parse_config
+from oracles import finite_pool_rich_win
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_PATH = SRC_DIR / "mirrormatch" / "schema" / "summary.schema.json"
@@ -222,33 +223,6 @@ class TestMstar:
         assert result.rows[0]["m_star_bound"] == 2
 
 
-def finite_pool_rich_win(k, spec, n, levels=1000):
-    """Exact probability that the best of n rich and n poor clones is rich.
-
-    It is E[(1 - F_p(M))^n] with M the smallest of the n rich distances,
-    P(M > s) = (1 - F_r(s))^n, and F_r, F_p the clone-distance CDFs at
-    nu_r and nu_p: a trapezoid Stieltjes sum over nodes at ``levels``
-    equal steps of both minima's CDFs, placed from a uniform grid. The
-    nodes must crowd where F_r is about 1/n: at ratio 64 the uniform grid
-    itself is off by 2e-4 at k = 2, n = 10^5, and steps of the rich
-    minimum's CDF alone converge only to first order.
-    """
-
-    def survival(nu, s):  # P(the smallest of n clone distances at nu exceeds s)
-        with np.errstate(divide="ignore"):  # F = 1 gives log1p(-1) = -inf and survival 0
-            return np.exp(n * np.log1p(-analytic.clone_distance_cdf(k, nu, s)))
-
-    hi = 1.0
-    while survival(spec.nu_r, hi) > 0.0:
-        hi *= 2.0
-    grid = np.linspace(0.0, hi, 4001)
-    steps = np.linspace(0.0, 1.0, levels + 1)
-    nodes = [np.interp(steps, 1.0 - survival(nu, grid), grid) for nu in (spec.nu_r, spec.nu_p)]
-    s = np.unique(np.concatenate(nodes + [[0.0, hi]]))
-    rich, poor = survival(spec.nu_r, s), survival(spec.nu_p, s)
-    return float(np.sum(0.5 * (poor[1:] + poor[:-1]) * (rich[:-1] - rich[1:])))
-
-
 class TestFinitePoolOracle:
     # the rows of TestGroups.test_sections_and_agreement: (k, sigma_r2, sigma_p2)
     CELLS = [(4, 0.01, 0.01), (2, 0.01, 0.04), (8, 0.01, 0.04)] + [(4, 0.01, 0.01 * r) for r in (2, 4, 16, 64)]
@@ -278,15 +252,16 @@ class TestGroups:
         control = [r for r in result.rows if r["section"] == "control"]
         assert len(control) == 1
         assert control[0]["analytic_win"] == 0.5
-        assert abs(control[0]["mc_win"] - 0.5) <= 3 * control[0]["mc_se"]
+        # X and its control variate are one number there, so the row is exact
+        assert control[0]["mc_win"] == 0.5 and control[0]["mc_se"] == 0.0
         sweeps = [r for r in result.rows if r["section"] == "dimension-sweep"]
         values = [r["analytic_win"] for r in sweeps]
         assert values == sorted(values)
         for row in result.rows:
             if row["section"] != "control":
-                assert abs(row["mc_win"] - row["analytic_win"]) <= 4 * max(row["mc_se"], 1e-9)
                 assert row["win_lower_bound"] <= row["analytic_win"] + 1e-12
-            # against the exact win rate at the run's pool size n = 800
+            # against the exact win rate at the run's pool size n = 800, not
+            # the n = infinity analytic_win, which sits up to 1.3e-2 away (k = 8)
             exact = finite_pool_rich_win(row["k"], GroupSpec(row["sigma_r2"], row["sigma_p2"]), 800)
             assert abs(row["mc_win"] - exact) <= 4 * max(row["mc_se"], 1e-9), (row, exact)
         disparity = [r for r in result.rows if r["section"] == "disparity-sweep"]

@@ -7,9 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammaincinv
+from scipy.special import chndtr, gammaincinv
 
-from mirrormatch import sampler, simulate, streams
+from mirrormatch import analytic, sampler, simulate, streams
 from mirrormatch.streams import StreamKey
 
 
@@ -378,14 +378,23 @@ class TestCloneDraws:
         # k = 1 (no chi-square, cosine +-1), k = 2 (the boosted chi-square at
         # df = 1), and chi-square df 24 and 25, in both modes
         count, s_subject2, s_other2 = 20_000, 0.02, 0.03
-        rho = None
-        if mode == simulate.FIXED_SUBJECT_CLONE:
-            rho = 0.4
-            ref_noise, variance = np.full(k, rho / math.sqrt(k)), s_other2
-        else:
-            ref_noise, variance = np.zeros(k), s_subject2 + s_other2
-        norms, dists = clone_row(k, count, variance, rho, stream=key("edge", mode, ("k", k)))
-        ref_norms, ref_dists = direct_clone_draws(k, count, variance, ref_noise, seed=k)
+        stream = key("edge", mode, ("k", k))
+        if mode == simulate.PER_INTERACTION:
+            # one-sample KS against the exact laws: R^k is uniform, S has the CDF
+            # clone_distance_cdf, and given R, S^2/nu ~ ncx2(k, R^2/nu)
+            variance = s_subject2 + s_other2
+            norms, dists = clone_row(k, count, variance, stream=stream)
+            given_norm = chndtr(dists**2 / variance, k, norms**2 / variance)
+            for ours, law in (
+                (norms**k, "uniform"),
+                (dists, lambda s: analytic.clone_distance_cdf(k, variance, s)),
+                (given_norm, "uniform"),
+            ):
+                assert stats.kstest(ours, law).pvalue > 0.001
+            return
+        rho = 0.4
+        norms, dists = clone_row(k, count, s_other2, rho, stream=stream)
+        ref_norms, ref_dists = direct_clone_draws(k, count, s_other2, np.full(k, rho / math.sqrt(k)), seed=k)
         for ours, ref in ((norms, ref_norms), (dists, ref_dists), (dists - norms, ref_dists - ref_norms)):
             assert stats.ks_2samp(ours, ref).pvalue > 0.001
 

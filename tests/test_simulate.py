@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mirrormatch import analytic, sampler, simulate
 from mirrormatch.analytic import GroupSpec
 from mirrormatch.simulate import Estimate, SeqSearchPolicy
 from mirrormatch.streams import StreamKey
+from oracles import finite_pool_rich_win
 
 SEED = 20250810
 
@@ -234,27 +236,48 @@ class TestGroupWinRate:
     @pytest.mark.parametrize("k, n, nu_r, nu_p", CELLS)
     def test_replications_are_probabilities(self, k, n, nu_r, nu_p):
         values = simulate._group_block(rep_keys(64), k, n, nu_r, nu_p)
-        assert values.shape == (64,)
+        assert values.shape == (64, 2)
         assert np.all((values >= 0.0) & (values <= 1.0))
 
     def test_single_candidate_is_one_minus_the_poor_cdf(self):
-        # with n = 1 the rich draw's distance S_r wins with probability 1 - F_p(S_r)
+        # with n = 1 the rich draw's distance S_r wins with probability 1 - F_p(S_r),
+        # and its control variate is 1 - F_r(S_r)
         for k, nu_r, nu_p in ((1, 0.02, 0.05), (5, 0.02, 0.65), (300, 0.02, 0.05)):
             keys = rep_keys(50)
             values = simulate._group_block(keys, k, 1, nu_r, nu_p)
             _, dists = sampler.draw_clone_batch(k, 1, nu_r, keys=[key.child("pool-rich") for key in keys])
-            expected = 1.0 - analytic.clone_distance_cdf(k, nu_p, dists[:, 0])
-            np.testing.assert_allclose(values, expected, rtol=1e-14, atol=1e-16)
+            for column, nu in enumerate((nu_p, nu_r)):
+                expected = 1.0 - analytic.clone_distance_cdf(k, nu, dists[:, 0])
+                np.testing.assert_allclose(values[:, column], expected, rtol=1e-14, atol=1e-16)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 200])
+    def test_control_variate_is_uniform(self, k):
+        # Y = (1 - F_r(M))^n is the survival function of the rich minimum M at M,
+        # so it is Uniform(0, 1): the mean 1/2 the estimator subtracts is exact
+        control = simulate._group_block(rep_keys(2000), k, 16, 0.02, 0.05)[:, 1]
+        assert stats.kstest(control, "uniform").pvalue > 0.001
 
     def test_equal_variance_control(self):
+        # X and Y are one value bit for bit, so every replication is exactly 1/2
         spec = GroupSpec(0.02, 0.02)
+        values = simulate._group_block(rep_keys(64), 4, 2000, spec.nu_r, spec.nu_p)
+        assert values[:, 0].tobytes() == values[:, 1].tobytes()
         est = simulate.estimate_group_win_rate(4, spec, 2000, 4000, SEED)
-        assert within(est, 0.5)
+        assert est.mean == 0.5 and est.std_error == 0.0
+
+    def test_two_replications_give_a_finite_estimate(self):
+        for spec in (GroupSpec(0.01, 0.04), GroupSpec(0.01, 0.01)):
+            est = simulate.estimate_group_win_rate(1, spec, 1, 2, SEED)
+            assert est.reps == 2 and 0.0 <= est.mean <= 1.0 and math.isfinite(est.std_error)
 
     def test_matches_analytic_limit(self):
+        # the estimate against the exact win rate at its pool size, and that rate
+        # against the n = infinity limit, which it approaches from 2.2e-4 above
         spec = GroupSpec(0.01, 0.04)
         est = simulate.estimate_group_win_rate(5, spec, 10_000, 2000, SEED)
-        assert within(est, analytic.rich_win_probability(5, spec))
+        exact = finite_pool_rich_win(5, spec, 10_000)
+        assert within(est, exact)
+        assert abs(exact - analytic.rich_win_probability(5, spec)) < 3e-4
 
     def test_dimension_trend(self):
         spec = GroupSpec(0.01, 0.04)
