@@ -31,6 +31,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
+import numpy as np
+
 from . import __version__, analytic, simulate
 from .analytic import GroupSpec, NumericError
 from .quadrature import QuadratureError
@@ -401,9 +403,15 @@ def _group_rows(cfg: ModelConfig):
     cells = [("control", cfg.k, GroupSpec(r2, r2))]
     cells += [("dimension-sweep", k, cfg.group()) for k in cfg.k_grid or GROUPS_K_GRID]
     cells += [("disparity-sweep", cfg.k, GroupSpec(r2, r2 * ratio)) for ratio in GROUPS_RATIO_GRID]
-    # every row's closed form first: they take microseconds, so a numeric
-    # failure among them ends the run before any Monte Carlo
+    # every row's closed form first, and both pools' clone-distance CDF at the
+    # typical distance sqrt(k nu), where chndtr gives NaN from about k = 1e11:
+    # they take microseconds, so a numeric failure among them ends the run
+    # before any Monte Carlo
     wins = [analytic.rich_win_probability(k, spec) for _, k, spec in cells]
+    for _, k, spec in cells:
+        for nu in (spec.nu_p, spec.nu_r):
+            with np.errstate(over="ignore"):  # s * s is inf near nu = 1e300, where F is 1
+                analytic.clone_distance_cdf(k, nu, math.sqrt(k) * math.sqrt(nu))
     # a cell in both sweeps (the default k at ratio 4) is estimated once
     estimate = functools.cache(
         lambda k, spec: simulate.estimate_group_win_rate(k, spec, cfg.n, cfg.reps, cfg.master_seed)

@@ -3,8 +3,10 @@
 Determinism contract: every replication owns a stream keyed by
 (experiment label, replication index), so draws do not depend on how the
 replications are cut into blocks. Results are written into a
-replication-indexed array and reduced with numpy's pairwise mean over
-that fixed-shape array; repeated runs with one seed are bit-identical.
+replication-indexed array and reduced with numpy's pairwise sums over
+that fixed-shape array, to a plain mean or, where a block also returns an
+exact Uniform(0, 1) control, a control-variate mean (``_estimate``);
+repeated runs with one seed are bit-identical.
 
 The runner cuts the replications into blocks and maps them in the calling
 process: a block holds at most ``_BLOCK_KEYS`` replications and
@@ -92,10 +94,32 @@ class PolicyReport:
 
 
 def _estimate(values: np.ndarray, label: str) -> Estimate:
+    """Mean and standard error of a block function's rows: X, or (X, Y).
+
+    Y is an exact Uniform(0, 1) control variate (Lavenberg and Welch 1981;
+    Glasserman 2003, section 4.1). The estimate of E[X] is then the mean of
+    v = 1/2 + (X - Y) - gamma (Y - 1/2), the regression mean X - beta (Y - 1/2)
+    with gamma = beta - 1 the slope of X - Y on Y, by pairwise sums (a BLAS
+    dot's bits may depend on its thread count). Where X is Y bit for bit,
+    every v is 1/2 and the standard error 0. gamma is fitted only when
+    reps >= 3 and Y varies, and the standard error then takes the residual
+    variance over reps - 2; otherwise gamma = 0 and it takes reps - 1.
+    """
     reps = values.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    values, *control = values.reshape(reps, -1).T
+    lost = 1  # degrees of freedom the fit takes from the variance
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is caught below
+        if control:
+            (y,) = control
+            diff, centred = values - y, y - y.mean()
+            spread = (centred * centred).sum()
+            gamma = 0.0
+            if reps >= 3 and spread > 0.0:
+                gamma = ((diff - diff.mean()) * centred).sum() / spread
+                lost = 2
+            values = 0.5 + diff - gamma * (y - 0.5)
         mean = float(values.mean())
-        std_error = float(values.std(ddof=1) / math.sqrt(reps))
+        std_error = float(values.std(ddof=lost) / math.sqrt(reps))
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise NumericError(f"{label}: the mean {mean!r} with standard error {std_error!r} is not finite")
     return Estimate(mean=mean, std_error=std_error, reps=reps)
@@ -128,12 +152,22 @@ def _check_common(reps: int, **sizes: int) -> None:
             raise ValueError(f"{name} must be a positive integer, got {size!r}")
 
 
+def _in_person_control(best: np.ndarray, k: int, m: int) -> np.ndarray:
+    # the survival function of the best of m ball radii at itself
+    return (1.0 - best**k) ** m
+
+
 def _d_ip_block(keys, k: int, m: int) -> np.ndarray:
-    return sampler.sample_ball_radii(k, m, keys).min(axis=1)
+    best = sampler.sample_ball_radii(k, m, keys).min(axis=1)
+    return np.stack([best, _in_person_control(best, k, m)], axis=1)
 
 
 def estimate_d_ip(k: int, m: int, reps: int, master_seed: int) -> Estimate:
-    """Mean of the min-norm over m fresh ball draws per replication."""
+    """Mean of the min-norm M over m fresh ball draws per replication.
+
+    M^k is the least of m uniforms, so the estimate subtracts the exact
+    Uniform(0, 1) control Y = (1 - M^k)^m (see ``_estimate``).
+    """
     _check_common(reps, m=m)
     label = f"d_ip(k={k},m={m})"
     return _estimate(_replicate(_d_ip_block, m, (k, m), label, reps, master_seed), label)
@@ -194,11 +228,9 @@ def estimate_group_win_rate(k: int, group: GroupSpec, n: int, reps: int, master_
     clone comes closer than the rich pool's minimum m: (1 - F_p(m))^n, with
     F_p = ``analytic.clone_distance_cdf`` at nu_p (conditional Monte Carlo).
     Its control variate Y = (1 - F_r(m))^n is the survival function of m at
-    m, so it is Uniform(0, 1) with mean 1/2 exactly. The estimate is the
-    regression control-variate mean X - beta (Y - 1/2), written as the mean
-    of 1/2 + (X - Y) - gamma (Y - 1/2) with gamma = beta - 1 the least-squares
-    slope of X - Y on Y (0 when Y does not vary). At equal variances X is Y
-    bit for bit, so every value is exactly 1/2 and the standard error is 0.
+    m, so it is Uniform(0, 1) with mean 1/2 exactly, and the estimate
+    subtracts it (see ``_estimate``). At equal variances X is Y bit for
+    bit, so every value is exactly 1/2 and the standard error is 0.
     Elsewhere the cut is largest where the variances are close: at k = 5
     and n = 64, about 200-fold against X alone at ratio 4 and 2-fold at 64.
     """
@@ -206,13 +238,7 @@ def estimate_group_win_rate(k: int, group: GroupSpec, n: int, reps: int, master_
     label = f"groups(k={k},n={n})"
     args = (k, n, group.nu_r, group.nu_p)
     width = sampler.clone_row_width(k, n, False)
-    x, y = _replicate(_group_block, width, args, label, reps, master_seed).T
-    # pairwise sums, as in the mean, rather than a BLAS dot, whose bits may
-    # depend on its thread count
-    diff, centred = x - y, y - y.mean()
-    spread = (centred * centred).sum()
-    gamma = ((diff - diff.mean()) * centred).sum() / spread if spread > 0.0 else 0.0
-    return _estimate(0.5 + diff - gamma * (y - 0.5), label)
+    return _estimate(_replicate(_group_block, width, args, label, reps, master_seed), label)
 
 
 def _seq_plan(policy: SeqSearchPolicy) -> tuple[int, float, float]:
@@ -229,12 +255,14 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
     # on the platform the clone distance) and is paid the true norm of the
     # draw it stops on, or of the best observation at the cap.
     # Round j draws block j for the replications still searching; the rows
-    # are (payoff, truncated).
+    # are (truncated, payoff), and in person without a threshold, where the
+    # payoff is the best of cap radii, (truncated, payoff, its control).
     block, threshold, truncated = _seq_plan(policy)
     cap, cost, fee = policy.cap, policy.cost_per_period, policy.fee
     in_person = policy.regime == IN_PERSON
-    values = np.empty((len(keys), 2))
-    values[:, 1] = truncated
+    controlled = in_person and policy.threshold is None
+    values = np.empty((len(keys), 3 if controlled else 2))
+    values[:, 0] = truncated
     best_obs = np.full(len(keys), math.inf)
     best_norm = np.full(len(keys), math.inf)
     searching = np.arange(len(keys))
@@ -253,8 +281,8 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
             if fired.any():
                 first = np.argmax(observed[fired] <= threshold, axis=1)  # the first draw at or below it
                 stopped = searching[fired]
-                values[stopped, 0] = -norms[fired, first] - cost * (seen + first + 1) - fee
-                values[stopped, 1] = 0.0
+                values[stopped, 1] = -norms[fired, first] - cost * (seen + first + 1) - fee
+                values[stopped, 0] = 0.0
             # a stopped search is not read again, so its best may move too
             better = low < best_obs[searching]
             best_obs[searching[better]] = low[better]
@@ -262,7 +290,9 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
             searching = searching[~fired]
             if not searching.size:
                 break
-        values[searching, 0] = -best_norm[searching] - cost * cap - fee
+        values[searching, 1] = -best_norm[searching] - cost * cap - fee
+    if controlled:
+        values[:, 2] = _in_person_control(best_norm, k, cap)
     return values
 
 
@@ -274,7 +304,10 @@ def evaluate_seq_policy(
     The payoff is -(true norm of the draw stopped on) - cost_per_period *
     tau - fee: in person the best radius so far, on the platform the best
     clone match. A threshold that never fires is truncated at the cap and
-    counted in ``truncated_reps``.
+    counted in ``truncated_reps``. In person without a threshold the payoff
+    is -M - cost_per_period * cap - fee with M the best of cap radii, and
+    the estimate subtracts M's control variate (1 - M^k)^cap, as
+    ``estimate_d_ip`` does; every other policy takes the plain mean.
     """
     _check_common(reps)
     # the label is part of every stream address, so this rule text must stay byte for byte
@@ -286,4 +319,4 @@ def evaluate_seq_policy(
     width = first if policy.regime == IN_PERSON else sampler.clone_row_width(k, first, False)
     args = (k, noise_variance_per_clone, policy)
     values = _replicate(_seq_payoff_block, width, args, label, reps, master_seed)
-    return PolicyReport(payoff=_estimate(values[:, 0], label), truncated_reps=int(values[:, 1].sum()))
+    return PolicyReport(payoff=_estimate(values[:, 1:], label), truncated_reps=int(values[:, 0].sum()))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrormatch import analytic, cli, simulate
+from mirrormatch import analytic, cli, sampler, simulate
 from mirrormatch.analytic import GroupSpec
 from mirrormatch.cli import ConfigError, ModelConfig, parse_config
 from oracles import finite_pool_rich_win
@@ -435,16 +435,21 @@ class TestMainEntry:
             # near x = s the incomplete-gamma series of the gamma route needs more
             # than its 2^20 terms once s is far above 1e10
             ("mstar", ["k_grid=100000000000000", "sigma_grid=7.0711e-8"], "k=100000000000000, variance=5.0000455"),
-            # chndtr returns NaN once its arguments reach about 1e10, here through k
+            # chndtr returns NaN once its arguments reach about 1e10, here through k;
+            # the closed-form pass meets it at the cell's typical clone distance
             ("groups", ["k=100000000000", "k_grid=100000000000", "reps=2", "n=2"], "k=100000000000, variance=0.02"),
         ],
         ids=["mstar", "seqsearch", "mstar-series", "groups-chndtr"],
     )
-    def test_numeric_failure_names_the_cell(self, tmp_path, capsys, command, overrides, cell):
+    def test_numeric_failure_names_the_cell(self, tmp_path, capsys, monkeypatch, command, overrides, cell):
+        draws, draw = [], sampler.draw_clone_batch
+        monkeypatch.setattr(sampler, "draw_clone_batch", lambda *args, **kw: draws.append(args) or draw(*args, **kw))
         code = cli.main([command, "--out", str(tmp_path)] + set_args(overrides))
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and cell in err
+        # only the search's payoff overflows after its draws; every other failure comes before any
+        assert bool(draws) == (command == "seqsearch")
 
     @pytest.mark.parametrize(
         "overrides",

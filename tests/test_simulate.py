@@ -46,6 +46,39 @@ class TestEstimateDIp:
         est = simulate.estimate_d_ip(10, 1, 50_000, SEED)
         assert within(est, 10.0 / 11.0)
 
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 5, 1000])
+    def test_control_variate_is_uniform(self, k, m):
+        # the best of m radii M has M^k the least of m uniforms, so its
+        # survival function Y = (1 - M^k)^m is Uniform(0, 1)
+        values = simulate._d_ip_block(rep_keys(20_000), k, m)
+        radii = sampler.sample_ball_radii(k, m, rep_keys(20_000))
+        assert values[:, 0].tobytes() == radii.min(axis=1).tobytes()
+        assert stats.kstest(values[:, 1], "uniform").pvalue > 0.001
+
+    def test_one_draw_in_one_dimension_is_exact(self):
+        # at k = 1, m = 1 the radius M is U and the control 1 - U, so M is
+        # affine in the control and the fit leaves no residual
+        est = simulate.estimate_d_ip(1, 1, 1000, SEED)
+        assert abs(est.mean - 0.5) <= 1e-12 and est.std_error <= 1e-12
+
+    def test_control_cuts_the_error(self):
+        # the control-variate estimate against the plain mean of the same rows
+        values = simulate._replicate(simulate._d_ip_block, 2, (2, 2), "cut", 4000, SEED)
+        plain = simulate._estimate(values[:, 0], "plain")
+        est = simulate._estimate(values, "controlled")
+        assert est.std_error < plain.std_error / 5
+        assert within(est, analytic.d_ip(2, 2)) and within(plain, analytic.d_ip(2, 2))
+
+    def test_two_replications_take_the_plain_difference(self):
+        # no slope is fitted at two replications: the values are 1/2 + M - Y,
+        # and their spread over reps - 1 is the standard error
+        values = simulate._replicate(simulate._d_ip_block, 2, (5, 2), "d_ip(k=5,m=2)", 2, SEED)
+        est = simulate.estimate_d_ip(5, 2, 2, SEED)
+        v = 0.5 + values[:, 0] - values[:, 1]
+        assert est.mean == float(v.mean()) and est.std_error == float(v.std(ddof=1) / math.sqrt(2))
+        assert est.std_error > 0.0
+
     def test_repeatable(self):
         a = simulate.estimate_d_ip(3, 2, 500, SEED)
         b = simulate.estimate_d_ip(3, 2, 500, SEED)
@@ -139,6 +172,12 @@ class TestBlocking:
         ],
         pytest.param(simulate._d_ip_block, 3, (26, 3), id="d_ip"),
         pytest.param(simulate._group_block, sampler.clone_row_width(26, 16, False), (26, 16, 0.01, 0.04), id="groups"),
+        pytest.param(
+            simulate._seq_payoff_block,
+            4,
+            (3, 0.0025, SeqSearchPolicy(simulate.IN_PERSON, 4, cost_per_period=0.005)),
+            id="seq-in-person-control",
+        ),
         # at k = 1 one draw in 800 is at most 0.00125: many searches stop in
         # a later 512-draw block, and some hit the cap
         pytest.param(
@@ -169,14 +208,16 @@ class TestBlocking:
         # the seq case above: payoff = -norm - tau with norm < 1 gives tau
         _, _, args = self.CASES[-2].values
         values = simulate._seq_payoff_block(rep_keys(), *args)
-        taus = np.floor(-values[:, 0]).astype(int)
-        stopped = values[:, 1] == 0.0
+        taus = np.floor(-values[:, 1]).astype(int)
+        stopped = values[:, 0] == 0.0
         assert (taus[stopped] > 512).any() and (taus[stopped] <= 1300).all()
         assert (taus[~stopped] == 1300).all() and (~stopped).any()
 
     def test_memory_per_replication_is_a_few_floats(self):
         # a call derives its keys block by block; holding all of them at once
-        # would take a few hundred bytes a replication for their hash state
+        # would take a few hundred bytes a replication for their hash state.
+        # A row is two floats, (M, its control), and the control-variate fit
+        # holds a few more a replication: about 57 bytes in all
         reps = 50_000
         tracemalloc.start()
         try:
@@ -184,7 +225,7 @@ class TestBlocking:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * reps
+        assert peak <= 64 * reps
 
     def test_zero_subject_noise_draws_a_full_row(self):
         # a norm of exactly 0 takes the fixed-subject layout like any other
@@ -269,6 +310,13 @@ class TestGroupWinRate:
         for spec in (GroupSpec(0.01, 0.04), GroupSpec(0.01, 0.01)):
             est = simulate.estimate_group_win_rate(1, spec, 1, 2, SEED)
             assert est.reps == 2 and 0.0 <= est.mean <= 1.0 and math.isfinite(est.std_error)
+        # two points would fit the slope exactly and leave no residual, so at
+        # reps = 2 no slope is fitted and the se is the spread of X - Y over
+        # reps - 1; the control row stays exactly 1/2
+        for k, n in ((1, 1), (5, 64)):
+            assert simulate.estimate_group_win_rate(k, GroupSpec(0.01, 0.04), n, 2, SEED).std_error > 0.0
+            control = simulate.estimate_group_win_rate(k, GroupSpec(0.01, 0.01), n, 2, SEED)
+            assert control.mean == 0.5 and control.std_error == 0.0
 
     def test_matches_analytic_limit(self):
         # the estimate against the exact win rate at its pool size, and that rate
@@ -299,6 +347,20 @@ class TestSeqPolicies:
         assert report.truncated_reps == 0
         assert within(report.payoff, -analytic.d_ip(4, 2))
 
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    def test_ip_fixed_stop_carries_the_d_ip_control(self, cap):
+        # the block pays the best of its cap radii M and carries (1 - M^k)^cap,
+        # as estimate_d_ip's block does; a threshold search carries none
+        policy = SeqSearchPolicy(simulate.IN_PERSON, cap, cost_per_period=0.005, fee=0.1)
+        keys = rep_keys()
+        values = simulate._seq_payoff_block(keys, 5, 0.0025, policy)
+        best = sampler.sample_ball_radii(5, cap, [key.child("block", 0) for key in keys]).min(axis=1)
+        np.testing.assert_array_equal(values[:, 0], 0.0)
+        assert values[:, 1].tobytes() == (-best - 0.005 * cap - 0.1).tobytes()
+        assert values[:, 2].tobytes() == ((1.0 - best**5) ** cap).tobytes()
+        threshold = SeqSearchPolicy(simulate.IN_PERSON, cap, 0.5)
+        assert simulate._seq_payoff_block(keys, 5, 0.0025, threshold).shape == (len(keys), 2)
+
     def test_ai_fixed_stop_matches_d_ai(self):
         policy = SeqSearchPolicy(simulate.AI_PLATFORM, 200)
         report = simulate.evaluate_seq_policy(3, 0.0025, policy, 3000, SEED)
@@ -328,7 +390,7 @@ class TestSeqPolicies:
                 3, 600, 0.0025 + 0.0025, keys=[key.child("block", 0)]
             )
             winner = -float(norms[int(np.argmin(dists))]) - 0.0 - 0.1
-            assert simulate._seq_payoff_block([key], 3, 0.0025, policy).tolist() == [[winner, 0.0]]
+            assert simulate._seq_payoff_block([key], 3, 0.0025, policy).tolist() == [[0.0, winner]]
 
     def test_in_person_threshold_stops_at_first_hit(self):
         policy = SeqSearchPolicy(simulate.IN_PERSON, 4096, 0.9)
