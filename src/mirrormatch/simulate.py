@@ -104,6 +104,8 @@ def _estimate(values: np.ndarray, label: str) -> Estimate:
     every v is 1/2 and the standard error 0. gamma is fitted only when
     reps >= 3 and Y varies, and the standard error then takes the residual
     variance over reps - 2; otherwise gamma = 0 and it takes reps - 1.
+    The fit overwrites the rows in place, so beside them it holds one more
+    array a replication at most.
     """
     reps = values.shape[0]
     values, *control = values.reshape(reps, -1).T
@@ -111,13 +113,21 @@ def _estimate(values: np.ndarray, label: str) -> Estimate:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is caught below
         if control:
             (y,) = control
-            diff, centred = values - y, y - y.mean()
-            spread = (centred * centred).sum()
+            values -= y  # X - Y
+            ybar = y.mean()
+            y -= ybar  # Y centred
+            spread = (y * y).sum()
             gamma = 0.0
             if reps >= 3 and spread > 0.0:
-                gamma = ((diff - diff.mean()) * centred).sum() / spread
+                residual = values - values.mean()
+                residual *= y
+                gamma = residual.sum() / spread
                 lost = 2
-            values = 0.5 + diff - gamma * (y - 0.5)
+                del residual
+            y += ybar - 0.5
+            y *= gamma
+            values += 0.5
+            values -= y  # 1/2 + (X - Y) - gamma (Y - 1/2)
         mean = float(values.mean())
         std_error = float(values.std(ddof=lost) / math.sqrt(reps))
     if not (math.isfinite(mean) and math.isfinite(std_error)):
@@ -132,16 +142,20 @@ def _replicate(block_fn, width: int, args: tuple, label: str, reps: int, master_
     rows and ``_BLOCK_UNIFORMS`` uniforms, rows of ``width`` each, but one
     row at least, however wide. Replication ``rep`` always draws from the
     key (master_seed, label, "rep", rep), and the blocks' rows are stacked
-    in order. The keys are derived a block at a time: a key holds its hash
-    state (about 0.4 KB in all), so a call never holds all of its keys at
-    once and ``reps`` costs time, not memory.
+    in order into one array. The keys are derived a block at a time: a key
+    holds its hash state (about 0.4 KB in all), so a call never holds all of
+    its keys at once and ``reps`` costs time, not memory.
     """
     step = max(1, min(_BLOCK_KEYS, _BLOCK_UNIFORMS // width))
     base = StreamKey(master_seed).child(label)
-    return np.concatenate([
-        block_fn([base.child("rep", rep) for rep in range(start, min(start + step, reps))], *args)
-        for start in range(0, reps, step)
-    ])
+    rows = None
+    for start in range(0, reps, step):
+        stop = min(start + step, reps)
+        block = block_fn([base.child("rep", rep) for rep in range(start, stop)], *args)
+        if rows is None:
+            rows = np.empty((reps,) + block.shape[1:])
+        rows[start:stop] = block
+    return rows
 
 
 def _check_common(reps: int, **sizes: int) -> None:
@@ -255,14 +269,14 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
     # on the platform the clone distance) and is paid the true norm of the
     # draw it stops on, or of the best observation at the cap.
     # Round j draws block j for the replications still searching; the rows
-    # are (truncated, payoff), and in person without a threshold, where the
-    # payoff is the best of cap radii, (truncated, payoff, its control).
+    # are (payoff, truncated), and in person without a threshold, where the
+    # payoff is the best of cap radii, (payoff, its control, truncated).
     block, threshold, truncated = _seq_plan(policy)
     cap, cost, fee = policy.cap, policy.cost_per_period, policy.fee
     in_person = policy.regime == IN_PERSON
     controlled = in_person and policy.threshold is None
     values = np.empty((len(keys), 3 if controlled else 2))
-    values[:, 0] = truncated
+    values[:, -1] = truncated
     best_obs = np.full(len(keys), math.inf)
     best_norm = np.full(len(keys), math.inf)
     searching = np.arange(len(keys))
@@ -281,8 +295,8 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
             if fired.any():
                 first = np.argmax(observed[fired] <= threshold, axis=1)  # the first draw at or below it
                 stopped = searching[fired]
-                values[stopped, 1] = -norms[fired, first] - cost * (seen + first + 1) - fee
-                values[stopped, 0] = 0.0
+                values[stopped, 0] = -norms[fired, first] - cost * (seen + first + 1) - fee
+                values[stopped, -1] = 0.0
             # a stopped search is not read again, so its best may move too
             better = low < best_obs[searching]
             best_obs[searching[better]] = low[better]
@@ -290,9 +304,9 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
             searching = searching[~fired]
             if not searching.size:
                 break
-        values[searching, 1] = -best_norm[searching] - cost * cap - fee
+        values[searching, 0] = -best_norm[searching] - cost * cap - fee
     if controlled:
-        values[:, 2] = _in_person_control(best_norm, k, cap)
+        values[:, 1] = _in_person_control(best_norm, k, cap)
     return values
 
 
@@ -319,4 +333,4 @@ def evaluate_seq_policy(
     width = first if policy.regime == IN_PERSON else sampler.clone_row_width(k, first, False)
     args = (k, noise_variance_per_clone, policy)
     values = _replicate(_seq_payoff_block, width, args, label, reps, master_seed)
-    return PolicyReport(payoff=_estimate(values[:, 1:], label), truncated_reps=int(values[:, 0].sum()))
+    return PolicyReport(payoff=_estimate(values[:, :-1], label), truncated_reps=int(values[:, -1].sum()))

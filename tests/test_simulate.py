@@ -208,16 +208,14 @@ class TestBlocking:
         # the seq case above: payoff = -norm - tau with norm < 1 gives tau
         _, _, args = self.CASES[-2].values
         values = simulate._seq_payoff_block(rep_keys(), *args)
-        taus = np.floor(-values[:, 1]).astype(int)
-        stopped = values[:, 0] == 0.0
+        taus = np.floor(-values[:, 0]).astype(int)
+        stopped = values[:, 1] == 0.0
         assert (taus[stopped] > 512).any() and (taus[stopped] <= 1300).all()
         assert (taus[~stopped] == 1300).all() and (~stopped).any()
 
     def test_memory_per_replication_is_a_few_floats(self):
         # a call derives its keys block by block; holding all of them at once
-        # would take a few hundred bytes a replication for their hash state.
-        # A row is two floats, (M, its control), and the control-variate fit
-        # holds a few more a replication: about 57 bytes in all
+        # would take a few hundred bytes a replication for their hash state
         reps = 50_000
         tracemalloc.start()
         try:
@@ -225,7 +223,7 @@ class TestBlocking:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * reps
+        assert peak <= 32 * reps
 
     def test_zero_subject_noise_draws_a_full_row(self):
         # a norm of exactly 0 takes the fixed-subject layout like any other
@@ -355,9 +353,9 @@ class TestSeqPolicies:
         keys = rep_keys()
         values = simulate._seq_payoff_block(keys, 5, 0.0025, policy)
         best = sampler.sample_ball_radii(5, cap, [key.child("block", 0) for key in keys]).min(axis=1)
-        np.testing.assert_array_equal(values[:, 0], 0.0)
-        assert values[:, 1].tobytes() == (-best - 0.005 * cap - 0.1).tobytes()
-        assert values[:, 2].tobytes() == ((1.0 - best**5) ** cap).tobytes()
+        assert values[:, 0].tobytes() == (-best - 0.005 * cap - 0.1).tobytes()
+        assert values[:, 1].tobytes() == ((1.0 - best**5) ** cap).tobytes()
+        np.testing.assert_array_equal(values[:, 2], 0.0)
         threshold = SeqSearchPolicy(simulate.IN_PERSON, cap, 0.5)
         assert simulate._seq_payoff_block(keys, 5, 0.0025, threshold).shape == (len(keys), 2)
 
@@ -390,7 +388,7 @@ class TestSeqPolicies:
                 3, 600, 0.0025 + 0.0025, keys=[key.child("block", 0)]
             )
             winner = -float(norms[int(np.argmin(dists))]) - 0.0 - 0.1
-            assert simulate._seq_payoff_block([key], 3, 0.0025, policy).tolist() == [[0.0, winner]]
+            assert simulate._seq_payoff_block([key], 3, 0.0025, policy).tolist() == [[winner, 0.0]]
 
     def test_in_person_threshold_stops_at_first_hit(self):
         policy = SeqSearchPolicy(simulate.IN_PERSON, 4096, 0.9)
