@@ -14,7 +14,9 @@ process: a block holds at most ``_BLOCK_KEYS`` replications and
 Each estimator is one function of one block: it draws the streams of all
 the block's replications in one sampler call (a sequential search in one
 call a round) and reduces them to one value each before the next block,
-so memory stays bounded and a row's bits never depend on the block size."""
+so memory stays bounded and a row's bits never depend on the block size.
+A threshold search pays the mean norm of its stopping round's hits, a sum
+over that round's own row, so it too keeps its bits at any block size."""
 
 from __future__ import annotations
 
@@ -65,7 +67,8 @@ class SeqSearchPolicy:
     With no threshold the search takes all ``cap`` draws in one round and
     is never truncated. With a threshold it stops at the first observation
     at or below it, in rounds of ``_SEQ_BLOCK`` draws, and is truncated at
-    the cap. The payoff is -norm - cost_per_period * tau - fee.
+    the cap. The payoff is -norm - cost_per_period * tau - fee, where a
+    stopped search is paid the mean norm of its stopping round's hits.
     """
 
     regime: str
@@ -266,8 +269,9 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
     # Draws arrive in blocks from the sub-streams ("block", 0), ("block", 1),
     # ...: 512 draws with a threshold, one block of all ``cap`` draws without
     # one. The search observes one value per draw (in person the ball radius,
-    # on the platform the clone distance) and is paid the true norm of the
-    # draw it stops on, or of the best observation at the cap.
+    # on the platform the clone distance) and is paid the mean true norm of
+    # the round's draws at or below the threshold at the first one's tau, or
+    # the norm of the best observation at the cap.
     # Round j draws block j for the replications still searching; the rows
     # are (payoff, truncated), and in person without a threshold, where the
     # payoff is the best of cap radii, (payoff, its control, truncated).
@@ -293,9 +297,11 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
             low = observed[rows, i]
             fired = low <= threshold
             if fired.any():
-                first = np.argmax(observed[fired] <= threshold, axis=1)  # the first draw at or below it
+                hits = observed[fired] <= threshold
+                first = np.argmax(hits, axis=1)  # the first draw at or below it
+                paid = np.where(hits, norms[fired], 0.0).sum(axis=1) / hits.sum(axis=1)  # Rao-Blackwell
                 stopped = searching[fired]
-                values[stopped, 0] = -norms[fired, first] - cost * (seen + first + 1) - fee
+                values[stopped, 0] = -paid - cost * (seen + first + 1) - fee
                 values[stopped, -1] = 0.0
             # a stopped search is not read again, so its best may move too
             better = low < best_obs[searching]
@@ -318,9 +324,14 @@ def evaluate_seq_policy(
     The payoff is -(true norm of the draw stopped on) - cost_per_period *
     tau - fee: in person the best radius so far, on the platform the best
     clone match. A threshold that never fires is truncated at the cap and
-    counted in ``truncated_reps``. In person without a threshold the payoff
-    is -M - cost_per_period * cap - fee with M the best of cap radii, and
-    the estimate subtracts M's control variate (1 - M^k)^cap, as
+    counted in ``truncated_reps``. A threshold that fires at tau pays the
+    mean norm of every draw of that round at or below it: the round's draws
+    are i.i.d., so given which of them hit and their unordered values, the
+    hit at tau is equally likely to be any of them, and that mean is
+    E[norm at tau | hits] (Rao-Blackwell): the same expected payoff from the
+    same draws at a lower variance. In person without a threshold the
+    payoff is -M - cost_per_period * cap - fee with M the best of cap radii,
+    and the estimate subtracts M's control variate (1 - M^k)^cap, as
     ``estimate_d_ip`` does; every other policy takes the plain mean.
     """
     _check_common(reps)

@@ -1,8 +1,9 @@
 """Exact oracles shared by several test modules."""
 
 import numpy as np
+from scipy import integrate, special
 
-from mirrormatch import analytic
+from mirrormatch import analytic, simulate
 
 
 def finite_pool_rich_win(k, spec, n, levels=1000):
@@ -30,3 +31,37 @@ def finite_pool_rich_win(k, spec, n, levels=1000):
     s = np.unique(np.concatenate(nodes + [[0.0, hi]]))
     rich, poor = survival(spec.nu_r, s), survival(spec.nu_p, s)
     return float(np.sum(0.5 * (poor[1:] + poor[:-1]) * (rich[:-1] - rich[1:])))
+
+
+def threshold_stop_payoff(k, variance, policy):
+    """Exact expected payoff of a threshold stop that the cap does not truncate.
+
+    The search stops at its first draw whose observation is at most theta, so
+    tau is geometric in F = P(observation <= theta), cut at the cap, and the
+    norm it is paid has mean G/F with G = E[R; observation <= theta]. In
+    person the observation is the radius R itself, of density k r^(k-1) on
+    [0, 1], so F = theta^k and G/F = theta k/(k + 1). On the platform it is
+    the clone distance S, with S^2/nu ~ ncx2(k, R^2/nu) and nu = 2 variance,
+    so F and G are ``quad`` integrals over r of k r^(k-1) {1, r}
+    chndtr(theta^2/nu, k, r^2/nu), a route apart from ``analytic``'s node
+    rule. A truncated search is paid by another law, so the cap must miss
+    with probability (1 - F)^cap below 1e-12.
+    """
+    theta = policy.threshold
+    if policy.regime == simulate.IN_PERSON:
+        assert theta <= 1.0
+        cdf, mean = theta**k, theta * k / (k + 1.0)
+    else:
+        nu = 2.0 * variance
+
+        def moment(power):
+            def integrand(r):
+                return k * r ** (k - 1 + power) * special.chndtr(theta**2 / nu, k, r**2 / nu)
+
+            return integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+        cdf = moment(0)
+        mean = moment(1) / cdf
+    miss = (1.0 - cdf) ** policy.cap
+    assert miss < 1e-12, miss
+    return -mean - policy.cost_per_period * (1.0 - miss) / cdf - policy.fee

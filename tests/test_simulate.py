@@ -9,7 +9,7 @@ from mirrormatch import analytic, sampler, simulate
 from mirrormatch.analytic import GroupSpec
 from mirrormatch.simulate import Estimate, SeqSearchPolicy
 from mirrormatch.streams import StreamKey
-from oracles import finite_pool_rich_win
+from oracles import finite_pool_rich_win, threshold_stop_payoff
 
 SEED = 20250810
 
@@ -177,6 +177,14 @@ class TestBlocking:
             4,
             (3, 0.0025, SeqSearchPolicy(simulate.IN_PERSON, 4, cost_per_period=0.005)),
             id="seq-in-person-control",
+        ),
+        # F(0.73) is about 0.21 at k = 5: about 100 hits a 512-draw round,
+        # whose norms the stopped search averages
+        pytest.param(
+            simulate._seq_payoff_block,
+            sampler.clone_row_width(5, 512, False),
+            (5, 0.0025, SeqSearchPolicy(simulate.AI_PLATFORM, 1000, 0.73, cost_per_period=0.001)),
+            id="seq-platform-threshold",
         ),
         # at k = 1 one draw in 800 is at most 0.00125: many searches stop in
         # a later 512-draw block, and some hit the cap
@@ -389,6 +397,44 @@ class TestSeqPolicies:
             )
             winner = -float(norms[int(np.argmin(dists))]) - 0.0 - 0.1
             assert simulate._seq_payoff_block([key], 3, 0.0025, policy).tolist() == [[winner, 0.0]]
+
+    @pytest.mark.parametrize(
+        "regime, k, threshold",
+        [
+            (simulate.IN_PERSON, 1, 0.3),
+            (simulate.IN_PERSON, 5, 0.6),
+            (simulate.IN_PERSON, 50, 0.95),
+            (simulate.AI_PLATFORM, 1, 0.3),
+            (simulate.AI_PLATFORM, 5, 0.6),
+            (simulate.AI_PLATFORM, 50, 1.0),
+        ],
+    )
+    def test_threshold_stop_matches_exact_payoff(self, regime, k, threshold):
+        # F(theta) is about 0.08 to 0.3 in these cells, so the cap all but never binds
+        policy = SeqSearchPolicy(regime, 2000, threshold, cost_per_period=0.001, fee=0.1)
+        report = simulate.evaluate_seq_policy(k, 0.0025, policy, 400, SEED)
+        assert report.truncated_reps == 0
+        assert within(report.payoff, threshold_stop_payoff(k, 0.0025, policy), factor=4.0)
+
+    @pytest.mark.parametrize("regime", [simulate.IN_PERSON, simulate.AI_PLATFORM])
+    def test_a_round_pays_the_mean_norm_of_its_hits(self, regime):
+        # a threshold at a round's j-th least observation gives it j hits: the
+        # search pays their mean norm at the first hit's tau, and with one hit
+        # that draw's norm bit for bit, as the first hit's alone would be
+        for rep in range(4):
+            key = StreamKey(SEED).child("hits", rep)
+            if regime == simulate.IN_PERSON:
+                (norms,) = observed = sampler.sample_ball_radii(5, 512, [key.child("block", 0)])
+            else:
+                (norms,), observed = sampler.draw_clone_batch(5, 512, 0.005, keys=[key.child("block", 0)])
+            order = np.argsort(observed[0])
+            for hits in (1, 3):
+                threshold = float(observed[0, order[hits - 1]])
+                policy = SeqSearchPolicy(regime, 512, threshold, cost_per_period=0.001, fee=0.1)
+                ((payoff, truncated),) = simulate._seq_payoff_block([key], 5, 0.0025, policy).tolist()
+                paid = -float(norms[order[:hits]].mean()) - 0.001 * (int(order[:hits].min()) + 1) - 0.1
+                assert truncated == 0.0
+                assert payoff == (paid if hits == 1 else pytest.approx(paid, rel=1e-14, abs=0.0))
 
     def test_in_person_threshold_stops_at_first_hit(self):
         policy = SeqSearchPolicy(simulate.IN_PERSON, 4096, 0.9)
