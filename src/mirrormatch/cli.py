@@ -205,8 +205,6 @@ class ExperimentResult:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)

@@ -33,6 +33,7 @@ from . import analytic, specfun
 from .quadrature import DEFAULT_ABS_TOL, integrate
 
 _R_MIN = 1e-12  # floor of the peak search's left end, clear of log(0)
+_MLRP_TOL = 1e-9  # cross differences down to -_MLRP_TOL count as rounding, not violations
 
 _log_bessel_vec = specfun.log_bessel_i_scaled
 
@@ -45,10 +46,8 @@ class JointDensityParams:
     nu: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"dimension k must be a positive integer, got {self.k!r}")
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
+        analytic._check_dim(self.k)
+        analytic._check_variance(self.nu)
 
 
 def _log_kernel(params: JointDensityParams, r, s) -> np.ndarray:
@@ -112,25 +111,18 @@ class MlrpReport:
     witness: tuple[float, float, float, float] | None
 
 
-def mlrp_grid_check(
-    params: JointDensityParams,
-    r_grid,
-    s_grid,
-    *,
-    log_density=None,
-    tol: float = 1e-9,
-) -> MlrpReport:
+def mlrp_grid_check(params: JointDensityParams, r_grid, s_grid, *, log_density=None) -> MlrpReport:
     """Check log-supermodularity of the joint density on all ordered quadruples.
 
-    For every r > r' and s > s' the log-form inequality
-    f(r,s) + f(r',s') >= f(r,s') + f(r',s) must hold up to ``tol``. The
-    worst quadruple is reported as ``witness`` when it does not. The
-    joint log density is the kernel plus terms that depend on s alone,
-    and those cancel in every such cross difference, so by default the
-    check evaluates the kernel. It is evaluated once over the grid, as
-    ``log_density(params, r[:, None], s[None, :])``; a replacement taking
-    arrays that way may be supplied, e.g. a deliberately corrupted kernel
-    as a negative control.
+    For every ordered pair r > r' of the r grid and s > s' of the s grid
+    the log-form inequality f(r,s) + f(r',s') >= f(r,s') + f(r',s) must
+    hold up to a fixed tolerance of 1e-9. The worst quadruple is reported
+    as ``witness`` when it does not. The joint log density is the kernel
+    plus terms that depend on s alone, and those cancel in every such
+    cross difference, so by default the check evaluates the kernel. It is
+    evaluated once over the grid, as ``log_density(params, r[:, None],
+    s[None, :])``; a replacement taking arrays that way may be supplied,
+    e.g. a deliberately corrupted kernel as a negative control.
     """
     r = np.asarray(r_grid, dtype=np.float64)
     s = np.asarray(s_grid, dtype=np.float64)
@@ -149,16 +141,13 @@ def mlrp_grid_check(
     if not np.isfinite(m).all():
         raise ValueError("log density is not finite on the grid")
 
-    cross = m[:, None, :, None] + m[None, :, None, :] - m[:, None, None, :] - m[None, :, :, None]
-    nr, ns = m.shape
-    ordered = (np.arange(nr)[:, None, None, None] > np.arange(nr)[None, :, None, None]) & (
-        np.arange(ns)[None, None, :, None] > np.arange(ns)[None, None, None, :]
-    )
-    cross = np.where(ordered, cross, np.inf)
-    worst = float(cross.min())
-    violation = max(0.0, -worst)
+    # each grid's ordered pairs, hi > lo and up > down, in lexicographic order
+    hi, lo = np.tril_indices(r.size, -1)
+    up, down = np.tril_indices(s.size, -1)
+    cross = m[hi][:, up] + m[lo][:, down] - m[hi][:, down] - m[lo][:, up]
+    a, b = np.unravel_index(int(np.argmin(cross)), cross.shape)
+    violation = max(0.0, -float(cross[a, b]))
     witness = None
-    if violation > tol:
-        i, i2, j, j2 = np.unravel_index(int(np.argmin(cross)), cross.shape)
-        witness = (float(r[i]), float(s[j]), float(r[i2]), float(s[j2]))
+    if violation > _MLRP_TOL:
+        witness = (float(r[hi[a]]), float(s[up[b]]), float(r[lo[a]]), float(s[down[b]]))
     return MlrpReport(max_violation=violation, witness=witness)

@@ -33,6 +33,26 @@ def finite_pool_rich_win(k, spec, n, levels=1000):
     return float(np.sum(0.5 * (poor[1:] + poor[:-1]) * (rich[:-1] - rich[1:])))
 
 
+def clone_moments(k, nu, theta):
+    """F = P(S <= theta) and G = E[R; S <= theta] for the clone distance S.
+
+    With nu the combined per-coordinate noise variance, S^2/nu ~
+    ncx2(k, R^2/nu) given R, and R has density k r^(k-1) on [0, 1], so F
+    and G are ``quad`` integrals over r of k r^(k-1) {1, r}
+    chndtr(theta^2/nu, k, r^2/nu), a route apart from ``analytic``'s node
+    rule. (G(b) - G(a)) / (F(b) - F(a)) is the exact mean of R over
+    a < S <= b.
+    """
+
+    def moment(power):
+        def integrand(r):
+            return k * r ** (k - 1 + power) * special.chndtr(theta**2 / nu, k, r**2 / nu)
+
+        return integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+    return moment(0), moment(1)
+
+
 def threshold_stop_payoff(k, variance, policy):
     """Exact expected payoff of a threshold stop that the cap does not truncate.
 
@@ -41,27 +61,17 @@ def threshold_stop_payoff(k, variance, policy):
     norm it is paid has mean G/F with G = E[R; observation <= theta]. In
     person the observation is the radius R itself, of density k r^(k-1) on
     [0, 1], so F = theta^k and G/F = theta k/(k + 1). On the platform it is
-    the clone distance S, with S^2/nu ~ ncx2(k, R^2/nu) and nu = 2 variance,
-    so F and G are ``quad`` integrals over r of k r^(k-1) {1, r}
-    chndtr(theta^2/nu, k, r^2/nu), a route apart from ``analytic``'s node
-    rule. A truncated search is paid by another law, so the cap must miss
-    with probability (1 - F)^cap below 1e-12.
+    the clone distance S at nu = 2 variance, whose F and G are
+    ``clone_moments``. A truncated search is paid by another law, so the cap
+    must miss with probability (1 - F)^cap below 1e-12.
     """
     theta = policy.threshold
     if policy.regime == simulate.IN_PERSON:
         assert theta <= 1.0
         cdf, mean = theta**k, theta * k / (k + 1.0)
     else:
-        nu = 2.0 * variance
-
-        def moment(power):
-            def integrand(r):
-                return k * r ** (k - 1 + power) * special.chndtr(theta**2 / nu, k, r**2 / nu)
-
-            return integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)[0]
-
-        cdf = moment(0)
-        mean = moment(1) / cdf
+        cdf, weighted = clone_moments(k, 2.0 * variance, theta)
+        mean = weighted / cdf
     miss = (1.0 - cdf) ** policy.cap
     assert miss < 1e-12, miss
     return -mean - policy.cost_per_period * (1.0 - miss) / cdf - policy.fee

@@ -17,7 +17,7 @@ from mirrormatch.cli import parse_config
 from mirrormatch.density import JointDensityParams
 from mirrormatch.simulate import SeqSearchPolicy
 from mirrormatch.streams import StreamKey
-from oracles import finite_pool_rich_win
+from oracles import clone_moments, finite_pool_rich_win
 from test_simulate import coupled_winner_means
 
 DENSITY_MATRIX = [(k, nu) for k in (1, 2, 5, 50, 150) for nu in (0.0025, 0.005, 0.05, 0.1)]
@@ -143,20 +143,24 @@ def test_criterion_08_conditional_mean_consistency():
     # binned empirical conditional means at (k, nu) = (5, 0.01), 1e5 draws;
     # bins are equal-probability over the central 90% and each bin center is
     # the within-bin mean clone distance (midpoints of wide tail bins do not
-    # represent a curved posterior mean)
+    # represent a curved posterior mean). Each bin's mean R is also held to
+    # its exact value (G(b) - G(a)) / (F(b) - F(a)), which needs no center.
     k, nu, draws = 5, 0.01, 100_000
     norms, dists = sampler.draw_clone_batch(
         k, draws, nu, keys=[StreamKey(808).child("acceptance-bins")]
     )
     params = JointDensityParams(k, nu)
     edges = np.quantile(dists, np.linspace(0.05, 0.95, 11))
+    F, G = np.array([clone_moments(k, nu, float(edge)) for edge in edges]).T
     for i in range(10):
         mask = (dists > edges[i]) & (dists <= edges[i + 1])
         count = int(mask.sum())
         predicted = density.conditional_mean_r_given_s(params, float(dists[mask].mean()))
+        exact = (G[i + 1] - G[i]) / (F[i + 1] - F[i])
         observed = float(norms[mask].mean())
         se = float(norms[mask].std(ddof=1) / math.sqrt(count))
         assert abs(observed - predicted) <= 3 * se, i
+        assert abs(observed - exact) <= 3 * se, i
     ok(8, "posterior mean matches the saturated bound and the binned simulator means")
 
 

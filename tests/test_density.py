@@ -11,6 +11,7 @@ from mirrormatch import analytic, density, sampler
 from mirrormatch.density import JointDensityParams, conditional_mean_r_given_s, mlrp_grid_check
 from mirrormatch.quadrature import integrate
 from mirrormatch.streams import StreamKey
+from oracles import clone_moments
 
 # dimensions x combined noise variances exercised by the structural checks
 TEST_MATRIX = [(k, nu) for k in (1, 2, 5, 50, 150) for nu in (0.0025, 0.005, 0.05, 0.1)]
@@ -255,7 +256,8 @@ class TestConditionalMean:
         # over the central 90% of S at (k, nu) = (5, 0.01). Each bin center is
         # the within-bin mean clone distance, which keeps the binning bias
         # first-order exact; midpoints of wide tail bins would not be
-        # representative of a curved m(s).
+        # representative of a curved m(s). The exact mean R over the bin,
+        # (G(b) - G(a)) / (F(b) - F(a)), carries no such bias.
         k, nu, draws = 5, 0.01, 100_000
         key = StreamKey(4242).child("binned")
         norms, dists = sampler.draw_clone_batch(
@@ -263,15 +265,18 @@ class TestConditionalMean:
         )
         params = JointDensityParams(k, nu)
         edges = np.quantile(dists, np.linspace(0.05, 0.95, 11))
+        F, G = np.array([clone_moments(k, nu, float(edge)) for edge in edges]).T
         for i in range(10):
             mask = (dists > edges[i]) & (dists <= edges[i + 1])
             count = int(mask.sum())
             assert count > 1000
             center = float(dists[mask].mean())
             predicted = conditional_mean_r_given_s(params, center)
+            exact = (G[i + 1] - G[i]) / (F[i + 1] - F[i])
             observed = float(norms[mask].mean())
             se = float(norms[mask].std(ddof=1) / math.sqrt(count))
             assert abs(observed - predicted) <= 3 * se, i
+            assert abs(observed - exact) <= 3 * se, i
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -321,26 +326,59 @@ class TestMlrpGridCheck:
             cross = m[1:, 1:] + m[:-1, :-1] - m[1:, :-1] - m[:-1, 1:]
             assert cross.min() >= -1e-9, (k, nu)
 
-    def test_corrupted_density_fails(self):
-        # negative control: at k = 1 the coupling order is -1/2, the edge of
-        # the log-convex family; shifting it down by one leaves that family
-        # and the check must report a violation with a witness. The corrupted
-        # kernel itself is the oracle, via the half-integer closed form
+    @staticmethod
+    def corrupted(p, r, s):
+        # at k = 1 the coupling order is -1/2, the edge of the log-convex
+        # family; shifted down by one it leaves that family. The corrupted
+        # kernel is its own oracle, via the half-integer closed form
         # I_{-3/2}(z) = sqrt(2/(pi z)) (sinh z - cosh z / z).
+        z = r * s / p.nu
+        bessel = np.sqrt(2.0 / (np.pi * z)) * np.abs(np.sinh(z) - np.cosh(z) / z)
+        return 0.5 * np.log(r) - 0.5 * np.log(s) - (r * r + s * s) / (2.0 * p.nu) + np.log(bessel)
+
+    def test_corrupted_density_fails(self):
+        # negative control: the check must report a violation with a witness
         params = JointDensityParams(1, 0.5)
-
-        def corrupted(p, r, s):
-            z = r * s / p.nu
-            bessel = np.sqrt(2.0 / (np.pi * z)) * np.abs(np.sinh(z) - np.cosh(z) / z)
-            return 0.5 * np.log(r) - 0.5 * np.log(s) - (r * r + s * s) / (2.0 * p.nu) + np.log(bessel)
-
         r_grid = np.linspace(0.3, 1.0, 8)
         s_grid = np.linspace(0.3, 1.6, 8)
-        report = mlrp_grid_check(params, r_grid, s_grid, log_density=corrupted)
+        report = mlrp_grid_check(params, r_grid, s_grid, log_density=self.corrupted)
         assert report.max_violation > 1e-9
         assert report.witness is not None
         r_hi, s_hi, r_lo, s_lo = report.witness
         assert r_hi > r_lo and s_hi > s_lo
+
+    def test_matches_quadruple_loop_exactly(self):
+        # oracle: a plain loop over every ordered quadruple r > r', s > s',
+        # keeping the first worst cross difference in (r, r', s, s') order
+        def worst_quadruple(params, r, s, log_density):
+            m = log_density(params, r[:, None], s[None, :]).tolist()
+            r, s = r.tolist(), s.tolist()
+            worst, where = math.inf, None
+            for i in range(len(r)):
+                for i2 in range(i):
+                    for j in range(len(s)):
+                        for j2 in range(j):
+                            cross = m[i][j] + m[i2][j2] - m[i][j2] - m[i2][j]
+                            if cross < worst:
+                                worst, where = cross, (r[i], s[j], r[i2], s[j2])
+            violation = max(0.0, -worst)
+            return violation, where if violation > density._MLRP_TOL else None
+
+        cases = []
+        for k, nu in ((1, 0.0025), (5, 0.05), (150, 0.005)):
+            params = JointDensityParams(k, nu)
+            cases.append((params, *self.grids(params, points=8, log_spaced=k >= 50), density._log_kernel))
+        corrupted_grids = np.linspace(0.3, 1.0, 8), np.linspace(0.3, 1.6, 8)
+        cases.append((JointDensityParams(1, 0.5), *corrupted_grids, self.corrupted))
+
+        def whole_numbers(p, r, s):  # ties nine worst quadruples; the first is kept
+            return np.round(np.sin(9.0 * r * s))
+
+        cases.append((JointDensityParams(1, 0.5), *corrupted_grids, whole_numbers))
+        for params, r, s, log_density in cases:
+            report = mlrp_grid_check(params, r, s, log_density=log_density)
+            assert (report.max_violation, report.witness) == worst_quadruple(params, r, s, log_density), params
+            assert (report.witness is None) == (log_density is density._log_kernel), params
 
     def test_degenerate_grids_rejected(self):
         params = JointDensityParams(2, 0.1)
