@@ -12,7 +12,7 @@ disagreement raises rather than returning a number.
 Both routes hold at any k. The gamma route takes the ratio from the two
 incomplete-gamma series sums wherever ln P is large; the quadrature
 route integrates r^(k-1) exp(-r^2/(4 sigma2)) divided by its peak value,
-over panels bracketing the peak (``_knots``, shared with ``density``).
+over panels bracketing the peak (``quadrature._knots``).
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ import numpy as np
 from scipy.special import chndtr, poch
 
 from . import specfun
-from .quadrature import integrate
+from .quadrature import _knots, integrate
 
 _REL_AGREEMENT = 1e-8  # required match between the two d_ai_infinity routes
 _TIE_EPS = 1e-12  # boundary rule for the AI-equivalent sample size
 _SEARCH_LIMIT = 10**15  # exact-integer search range for the sample size
-_KNOT_WIDTHS = (1.0, 8.0, 64.0)  # panel knots, in Laplace widths from the peak
 
 
 def _cdf_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,9 +76,13 @@ class GroupSpec:
         return self.sigma_r2 + self.sigma_p2
 
 
+def _check_positive_int(name: str, value: int) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _check_dim(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"dimension k must be a positive integer, got {k!r}")
+    _check_positive_int("dimension k", k)
 
 
 def _check_variance(variance: float) -> None:
@@ -96,8 +99,7 @@ def benchmark_single_draw(k: int) -> float:
 def d_ip(k: int, m: int) -> float:
     """Expected distance to the best of m in-person draws: B(1/k, m+1)/k."""
     _check_dim(k)
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"sample size m must be a positive integer, got {m!r}")
+    _check_positive_int("sample size m", m)
     inv = 1.0 / k
     return math.exp(math.lgamma(inv) + math.lgamma(m + 1.0) - math.lgamma(inv + m + 1.0)) / k
 
@@ -123,15 +125,6 @@ def _d_ai_infinity_gamma(k: int, variance: float) -> float:
         log_p = specfun.log_reg_lower_inc_gamma(a, x) - specfun.log_reg_lower_inc_gamma(b, x)
         log_ratio = log_p + math.log(poch(b, 0.5))
     return 2.0 * math.sqrt(variance) * math.exp(log_ratio)
-
-
-def _knots(peak: float, width: float) -> list[float]:
-    # panel ends in u = (r - peak) / width over r in (0, 1]: the peak's panel
-    # spans one width either side, and the geometric spacing keeps every tail
-    # panel's nearest node within reach of the tail's mass
-    lo, hi = -peak / width, (1.0 - peak) / width
-    inner = {sign * d for d in _KNOT_WIDTHS for sign in (-1.0, 1.0)}
-    return sorted({lo, hi} | {u for u in inner if lo < u < hi})
 
 
 def _d_ai_infinity_quadrature(k: int, variance: float) -> float:
@@ -245,8 +238,6 @@ def rich_win_probability(k: int, group: GroupSpec) -> float:
     group only through (nu_r, nu_p).
     """
     _check_dim(k)
-    _check_variance(group.nu_r)
-    _check_variance(group.nu_p)
     try:
         log_p_rich, log_p_poor = (
             specfun.log_reg_lower_inc_gamma(0.5 * k, 0.5 / nu) for nu in (group.nu_r, group.nu_p)

@@ -17,7 +17,7 @@ needs them, so the module evaluates the kernel only. The posterior mean
 m(s) = E[R : S = s], for any s >= 0, is a ratio of two integrals over r
 in (0, 1] of that kernel, taken in one adaptive pass in
 u = (r - peak) / width with the kernel divided by its peak value, over
-``analytic._knots``'s panels (1, 8 and 64 Laplace widths from the peak),
+``quadrature._knots``'s panels (1, 8 and 64 Laplace widths from the peak),
 so the same rule holds at any k, including k in the millions where the
 mass sits within ~1/k of r = 1.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, specfun
-from .quadrature import DEFAULT_ABS_TOL, integrate
+from .quadrature import DEFAULT_ABS_TOL, _knots, integrate
 
 _R_MIN = 1e-12  # floor of the peak search's left end, clear of log(0)
 _MLRP_TOL = 1e-9  # cross differences down to -_MLRP_TOL count as rounding, not violations
@@ -98,7 +98,7 @@ def conditional_mean_r_given_s(params: JointDensityParams, s: float) -> float:
     noise = np.finfo(float).eps * (params.k + s / params.nu)
     tol = max(DEFAULT_ABS_TOL, 8.0 * noise)
     # peak + width * int u w / int w, both rows in one adaptive pass per panel
-    knots = analytic._knots(peak, width)
+    knots = _knots(peak, width)
     total, weighted = sum(integrate(rows, a, b, abs_tol=tol) for a, b in zip(knots, knots[1:]))
     return peak + width * float(weighted / total)
 

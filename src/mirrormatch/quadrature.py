@@ -16,12 +16,22 @@ import numpy as np
 
 DEFAULT_ABS_TOL = 1e-12
 _MAX_DEPTH = 20
+_KNOT_WIDTHS = (1.0, 8.0, 64.0)  # panel knots, in Laplace widths from the peak
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 # one call of the integrand on a panel's nodes and on both halves' nodes
 # (in units of the half-width about the midpoint) gives the three estimates
 _SPLIT_NODES = np.concatenate((_NODES, 0.5 * (_NODES - 1.0), 0.5 * (_NODES + 1.0)))
 _SPLIT_WEIGHTS = np.kron(np.eye(3), _WEIGHTS[:, None]) * (1.0, 0.5, 0.5)
+
+
+def _knots(peak: float, width: float) -> list[float]:
+    # panel ends in u = (r - peak) / width over r in (0, 1]: the peak's panel
+    # spans one width either side, and the geometric spacing keeps every tail
+    # panel's nearest node within reach of the tail's mass
+    lo, hi = -peak / width, (1.0 - peak) / width
+    inner = {sign * d for d in _KNOT_WIDTHS for sign in (-1.0, 1.0)}
+    return sorted({lo, hi} | {u for u in inner if lo < u < hi})
 
 
 class QuadratureError(RuntimeError):

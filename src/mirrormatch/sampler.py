@@ -63,25 +63,11 @@ from collections.abc import Sequence
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
+from .analytic import _check_dim, _check_positive_int, _check_variance
 from .streams import StreamKey, uniform_rows
 
 _MIN_UNIFORM = 2.0**-54  # ndtri(0) is -inf; clamp the (prob 2**-53) exact zero
 _CHI2_WIDTH = 3  # uniforms a chi-square draw takes at df >= 1
-
-
-def _check_dim(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"dimension k must be a positive integer, got {k!r}")
-
-
-def _check_count(count: int) -> None:
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-
-
-def _check_variance(variance: float) -> None:
-    if not (variance > 0 and math.isfinite(variance)):
-        raise ValueError(f"noise variance must be positive and finite, got {variance!r}")
 
 
 def clone_row_width(k: int, count: int, subject_noise: bool) -> int:
@@ -143,7 +129,7 @@ def _clone_batch(
 def sample_ball_radii(k: int, count: int, keys: Sequence[StreamKey]) -> np.ndarray:
     """Norms of ``count`` points uniform in the k-dimensional unit ball, one row per key."""
     _check_dim(k)
-    _check_count(count)
+    _check_positive_int("count", count)
     return uniform_rows(keys, count) ** (1.0 / k)
 
 
@@ -176,7 +162,7 @@ def draw_clone_batch(
     alone. Time and memory are O(count) per key in any dimension k.
     """
     _check_dim(k)
-    _check_count(count)
+    _check_positive_int("count", count)
     _check_variance(variance)
     if subject_noise_norm is None:
         uniforms = uniform_rows(keys, clone_row_width(k, count, False))

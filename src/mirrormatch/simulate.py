@@ -64,11 +64,11 @@ class Estimate:
 class SeqSearchPolicy:
     """One regime's stopping policy with its search cost and entry fee.
 
-    With no threshold the search takes all ``cap`` draws in one round and
-    is never truncated. With a threshold it stops at the first observation
-    at or below it, in rounds of ``_SEQ_BLOCK`` draws, and is truncated at
-    the cap. The payoff is -norm - cost_per_period * tau - fee, where a
-    stopped search is paid the mean norm of its stopping round's hits.
+    The search draws rounds of ``_SEQ_BLOCK`` draws up to ``cap``. With no
+    threshold it takes all ``cap`` draws and is never truncated. With a
+    threshold it stops at the first observation at or below it, and is
+    truncated at the cap. The payoff is -norm - cost_per_period * tau - fee,
+    where a stopped search is paid the mean norm of its stopping round's hits.
     """
 
     regime: str
@@ -80,8 +80,7 @@ class SeqSearchPolicy:
     def __post_init__(self) -> None:
         if self.regime not in (IN_PERSON, AI_PLATFORM):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if not isinstance(self.cap, int) or self.cap < 1:
-            raise ValueError(f"cap must be a positive integer, got {self.cap!r}")
+        analytic._check_positive_int("cap", self.cap)
         for name in ("threshold", "cost_per_period", "fee"):
             value = getattr(self, name)
             if value is not None and not value >= 0.0:
@@ -165,8 +164,7 @@ def _check_common(reps: int, **sizes: int) -> None:
     if not isinstance(reps, int) or reps < 2:
         raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
     for name, size in sizes.items():
-        if not isinstance(size, int) or size < 1:
-            raise ValueError(f"{name} must be a positive integer, got {size!r}")
+        analytic._check_positive_int(name, size)
 
 
 def _in_person_control(best: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -258,36 +256,29 @@ def estimate_group_win_rate(k: int, group: GroupSpec, n: int, reps: int, master_
     return _estimate(_replicate(_group_block, width, args, label, reps, master_seed), label)
 
 
-def _seq_plan(policy: SeqSearchPolicy) -> tuple[int, float, float]:
-    """A policy's (draws a round, stopping threshold, truncated flag at the cap)."""
-    if policy.threshold is None:
-        return policy.cap, -math.inf, 0.0
-    return _SEQ_BLOCK, policy.threshold, 1.0
-
-
 def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) -> np.ndarray:
-    # Draws arrive in blocks from the sub-streams ("block", 0), ("block", 1),
-    # ...: 512 draws with a threshold, one block of all ``cap`` draws without
-    # one. The search observes one value per draw (in person the ball radius,
-    # on the platform the clone distance) and is paid the mean true norm of
-    # the round's draws at or below the threshold at the first one's tau, or
-    # the norm of the best observation at the cap.
-    # Round j draws block j for the replications still searching; the rows
-    # are (payoff, truncated), and in person without a threshold, where the
-    # payoff is the best of cap radii, (payoff, its control, truncated).
-    block, threshold, truncated = _seq_plan(policy)
+    # Round j draws up to ``_SEQ_BLOCK`` draws from the sub-stream ("block", j)
+    # of each replication still searching, which observes one value per draw
+    # (in person the ball radius, on the platform the clone distance). It is
+    # paid the mean true norm of the round's draws at or below the threshold at
+    # the first one's tau, or the norm of the best observation at the cap; with
+    # no threshold it searches at -inf and is never truncated. The rows are
+    # (payoff, truncated), and in person without a threshold, where the payoff
+    # is the best of cap radii, (payoff, its control, truncated).
+    fixed = policy.threshold is None
+    threshold = -math.inf if fixed else policy.threshold
     cap, cost, fee = policy.cap, policy.cost_per_period, policy.fee
     in_person = policy.regime == IN_PERSON
-    controlled = in_person and policy.threshold is None
+    controlled = in_person and fixed
     values = np.empty((len(keys), 3 if controlled else 2))
-    values[:, -1] = truncated
+    values[:, -1] = not fixed
     best_obs = np.full(len(keys), math.inf)
     best_norm = np.full(len(keys), math.inf)
     searching = np.arange(len(keys))
     with np.errstate(over="ignore"):  # a huge per-period cost is caught as a non-finite mean
-        for seen in range(0, cap, block):
-            count = min(block, cap - seen)
-            streams = [keys[i].child("block", seen // block) for i in searching]
+        for seen in range(0, cap, _SEQ_BLOCK):
+            count = min(_SEQ_BLOCK, cap - seen)
+            streams = [keys[i].child("block", seen // _SEQ_BLOCK) for i in searching]
             if in_person:
                 norms = observed = sampler.sample_ball_radii(k, count, streams)
             else:
@@ -323,7 +314,9 @@ def evaluate_seq_policy(
 
     The payoff is -(true norm of the draw stopped on) - cost_per_period *
     tau - fee: in person the best radius so far, on the platform the best
-    clone match. A threshold that never fires is truncated at the cap and
+    clone match. Every search draws rounds of ``_SEQ_BLOCK`` draws, so its
+    memory does not grow with the cap; with no threshold it takes all cap
+    draws. A threshold that never fires is truncated at the cap and
     counted in ``truncated_reps``. A threshold that fires at tau pays the
     mean norm of every draw of that round at or below it: the round's draws
     are i.i.d., so given which of them hit and their unordered values, the
@@ -335,12 +328,13 @@ def evaluate_seq_policy(
     ``estimate_d_ip`` does; every other policy takes the plain mean.
     """
     _check_common(reps)
+    analytic._check_variance(noise_variance_per_clone)
     # the label is part of every stream address, so this rule text must stay byte for byte
     rule = (f"StopAtFixedT(t={policy.cap!r})" if policy.threshold is None
             else f"StopWhenBestBelow(threshold={policy.threshold!r}, cap={policy.cap!r})")
     label = f"seq(k={k},regime={policy.regime},rule={rule})"
     # the first round draws the most, so its width bounds every round
-    first = min(_seq_plan(policy)[0], policy.cap)
+    first = min(_SEQ_BLOCK, policy.cap)
     width = first if policy.regime == IN_PERSON else sampler.clone_row_width(k, first, False)
     args = (k, noise_variance_per_clone, policy)
     values = _replicate(_seq_payoff_block, width, args, label, reps, master_seed)

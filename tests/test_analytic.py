@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,7 +12,7 @@ from scipy import integrate as sci_integrate
 from scipy import stats
 from scipy.special import erf, erfc, gammainc, gammaln, ndtr
 
-from mirrormatch import analytic, sampler
+from mirrormatch import analytic, density, sampler, simulate
 from mirrormatch.analytic import GroupSpec, NumericError
 from mirrormatch.streams import StreamKey
 
@@ -452,3 +453,35 @@ class TestRichWinProbability:
         with pytest.raises(NumericError, match="did not converge at k=100000000000000, nu_r=1.000002e-14"):
             analytic.rich_win_probability(10**14, GroupSpec(5.00001e-15, 5.00002e-15))
 
+
+
+KEYS = [StreamKey(1).child("argument-rules")]
+POSITIVE_INT = "must be a positive integer, got"
+VARIANCE = "noise variance must be positive and finite, got"
+# (id, call, its error message): each rule is written once, in analytic
+ARGUMENT_RULES = [
+    ("d_ip-m", lambda: analytic.d_ip(3, 0), f"sample size m {POSITIVE_INT} 0"),
+    ("estimate_d_ip-m", lambda: simulate.estimate_d_ip(3, 0, 10, 1), f"m {POSITIVE_INT} 0"),
+    ("estimate_d_ai-n", lambda: simulate.estimate_d_ai(3, 0, 0.0025, 10), f"n {POSITIVE_INT} 0"),
+    ("cap-0", lambda: simulate.SeqSearchPolicy(simulate.IN_PERSON, 0), f"cap {POSITIVE_INT} 0"),
+    ("cap-1.5", lambda: simulate.SeqSearchPolicy(simulate.IN_PERSON, 1.5), f"cap {POSITIVE_INT} 1.5"),
+    ("sampler-count", lambda: sampler.sample_ball_radii(3, 0, KEYS), f"count {POSITIVE_INT} 0"),
+    ("sampler-k", lambda: sampler.sample_ball_radii(1.5, 2, KEYS), f"dimension k {POSITIVE_INT} 1.5"),
+    ("analytic-k", lambda: analytic.d_ai_infinity(1.5, 0.0025), f"dimension k {POSITIVE_INT} 1.5"),
+    ("density-k", lambda: density.JointDensityParams(1.5, 0.005), f"dimension k {POSITIVE_INT} 1.5"),
+    ("sampler-variance", lambda: sampler.draw_clone_batch(3, 2, 0.0, keys=KEYS), f"{VARIANCE} 0.0"),
+    ("analytic-variance", lambda: analytic.d_ai_infinity(3, 0.0), f"{VARIANCE} 0.0"),
+    ("density-variance", lambda: density.JointDensityParams(3, 0.0), f"{VARIANCE} 0.0"),
+    # an in-person search draws no noise, yet a variance it cannot mean is still an error
+    (
+        "in-person-search-variance",
+        lambda: simulate.evaluate_seq_policy(3, 0.0, simulate.SeqSearchPolicy(simulate.IN_PERSON, 2), 10, 1),
+        f"{VARIANCE} 0.0",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(call, text, id=id_) for id_, call, text in ARGUMENT_RULES])
+def test_argument_rule_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

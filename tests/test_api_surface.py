@@ -7,10 +7,17 @@ own definition. A name counts where it is read as a variable, an
 attribute or an import in Python code, or appears as a word in
 ``pyproject.toml``. The match is by name alone, so a name shared with an
 unrelated attribute counts as used.
+
+The benchmark's traced pass also reads private names and module
+attributes (``analytic.integrate``, ``density._log_bessel_vec``,
+``StreamKey.generator``, ...); a subprocess installs its tracer to check
+that every name it wraps still exists.
 """
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +66,24 @@ def test_every_public_name_is_used_outside_the_tests():
         if not any(where != path or not first <= line <= last for where, line in used.get(name, ()))
     ]
     assert not unused, "public names that only the tests use:\n" + "\n".join(unused)
+
+
+INSTALL_TRACER = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import spans
+from mirrormatch import analytic, cli, density, quadrature, sampler, simulate, specfun, streams
+modules = dict(cli=cli, simulate=simulate, sampler=sampler, streams=streams, analytic=analytic,
+               density=density, quadrature=quadrature, specfun=specfun)
+names = {name: set(vars(module)) for name, module in modules.items()}
+spans.install(spans.Tracer(), modules)
+added = {name: sorted(set(vars(module)) - names[name]) for name, module in modules.items()}
+assert not any(added.values()), f"the tracer wraps names the package no longer has: {added}"
+"""
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # a wrapped name that is gone raises in the tracer, or is added to its module afresh
+    args = [sys.executable, "-c", INSTALL_TRACER, str(ROOT / "perfbench"), str(ROOT / "src")]
+    out = subprocess.run(args, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

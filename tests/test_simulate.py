@@ -233,6 +233,19 @@ class TestBlocking:
             tracemalloc.stop()
         assert peak <= 32 * reps
 
+    @pytest.mark.parametrize("regime", [simulate.IN_PERSON, simulate.AI_PLATFORM])
+    def test_fixed_stop_memory_does_not_grow_with_the_cap(self, regime):
+        # a search of 10**6 draws holds one 512-draw round at a time; one
+        # block of all its draws would take 16 MB in person, 104 MB on the platform
+        tracemalloc.start()
+        try:
+            report = simulate.evaluate_seq_policy(5, 0.0025, SeqSearchPolicy(regime, 10**6), 2, SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+        assert report.truncated_reps == 0
+
     def test_zero_subject_noise_draws_a_full_row(self):
         # a norm of exactly 0 takes the fixed-subject layout like any other
         # norm: its row is finite and the same beside other rows as alone
@@ -386,17 +399,25 @@ class TestSeqPolicies:
         spread = 3 * math.hypot(report.payoff.std_error, reference.std_error)
         assert abs(report.payoff.mean - expected) <= spread
 
-    def test_fixed_stop_is_one_block(self):
-        # with no threshold the search draws one cap-draw ("block", 0) batch,
-        # also past the 512-draw block of a threshold, and pays its argmin winner
-        policy = SeqSearchPolicy(simulate.AI_PLATFORM, 600, fee=0.1)
+    @pytest.mark.parametrize("regime", [simulate.IN_PERSON, simulate.AI_PLATFORM])
+    def test_fixed_stop_draws_in_rounds(self, regime):
+        # with no threshold the search draws rounds too: 512 draws from
+        # ("block", 0), the last 88 from ("block", 1), and it pays the winner
+        # over all 600 (the lowest index on a tie) and is never truncated
+        policy = SeqSearchPolicy(regime, 600, fee=0.1)
         for rep in range(3):
-            key = StreamKey(SEED).child("one-block", rep)
-            (norms,), (dists,) = sampler.draw_clone_batch(
-                3, 600, 0.0025 + 0.0025, keys=[key.child("block", 0)]
-            )
-            winner = -float(norms[int(np.argmin(dists))]) - 0.0 - 0.1
-            assert simulate._seq_payoff_block([key], 3, 0.0025, policy).tolist() == [[winner, 0.0]]
+            key = StreamKey(SEED).child("rounds", rep)
+            rounds = [(512, [key.child("block", 0)]), (88, [key.child("block", 1)])]
+            if regime == simulate.IN_PERSON:
+                norms = observed = np.hstack([sampler.sample_ball_radii(5, n, keys) for n, keys in rounds])[0]
+            else:
+                draws = [sampler.draw_clone_batch(5, n, 0.005, keys=keys) for n, keys in rounds]
+                norms, observed = (np.hstack(column)[0] for column in zip(*draws))
+            best = norms[[np.argmin(observed)]]  # as an array, so the power takes numpy's array loop
+            expected = [float(-best[0] - 0.0 * 600 - 0.1)]
+            if regime == simulate.IN_PERSON:
+                expected.append(float(((1.0 - best**5) ** 600)[0]))
+            assert simulate._seq_payoff_block([key], 5, 0.0025, policy).tolist() == [expected + [0.0]]
 
     @pytest.mark.parametrize(
         "regime, k, threshold",
