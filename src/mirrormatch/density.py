@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, specfun
-from .quadrature import DEFAULT_ABS_TOL, _knots, integrate
+from .quadrature import _KNOT_EDGES, DEFAULT_ABS_TOL, _knots, integrate
 
 _R_MIN = 1e-12  # floor of the peak search's left end, clear of log(0)
 _MLRP_TOL = 1e-9  # cross differences down to -_MLRP_TOL count as rounding, not violations
@@ -76,6 +76,37 @@ def _laplace_peak(log_kernel, lo: float) -> tuple[float, float, float]:
         lo, hi = r[max(i - 1, 0)], r[min(i + 1, last)]
 
 
+def _laplace_peaks(log_kernel, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # zoom a grid on [lo, 1] onto the maximum of each row's unimodal log kernel g
+    # until the grid resolves it; returns each row's peak, Laplace width
+    # 1/sqrt(-g'') (or 1/g' against r = 1, at most 1) and g at the peak.
+    # log_kernel(rows, r) evaluates the rows listed at r, one grid a row
+    last = 16  # 17 grid points per zoom level
+    lo, hi = lo.copy(), np.ones_like(lo)
+    steps = np.arange(last + 1.0)
+    peak, width, shift = np.empty_like(lo), np.empty_like(lo), np.empty_like(lo)
+    todo = np.arange(lo.size)
+    while todo.size:
+        r = steps * ((hi[todo] - lo[todo]) / last)[:, None] + lo[todo, None]  # np.linspace's rule
+        r[:, last] = hi[todo]
+        g = log_kernel(todo, r)
+        at = np.arange(todo.size)
+        i = np.argmax(g, axis=1)
+        left, right = np.maximum(i - 1, 0), np.minimum(i + 1, last)
+        top, h = g[at, i], r[:, 1] - r[:, 0]
+        done = (top - np.minimum(g[at, left], g[at, right]) <= 2.0) | (h <= 4.0 * np.spacing(r[at, i]))
+        gd, hd = g[done], h[done]
+        ad, j = np.arange(gd.shape[0]), np.clip(i[done], 1, last - 1)
+        curvature = (2.0 * gd[ad, j] - gd[ad, j - 1] - gd[ad, j + 1]) / (hd * hd)
+        slope = np.where(i[done] == last, (gd[:, last] - gd[:, last - 1]) / hd, 0.0)
+        rows = todo[done]
+        peak[rows], shift[rows] = r[at, i][done], top[done]
+        width[rows] = 1.0 / np.sqrt(np.maximum(np.maximum(curvature, slope * slope), 1.0))
+        lo[todo], hi[todo] = r[at, left], r[at, right]
+        todo = todo[~done]
+    return peak, width, shift
+
+
 def conditional_mean_r_given_s(params: JointDensityParams, s: float) -> float:
     """Posterior mean of the true norm given the observed clone distance.
 
@@ -101,6 +132,62 @@ def conditional_mean_r_given_s(params: JointDensityParams, s: float) -> float:
     knots = _knots(peak, width)
     total, weighted = sum(integrate(rows, a, b, abs_tol=tol) for a, b in zip(knots, knots[1:]))
     return peak + width * float(weighted / total)
+
+
+def _conditional_means(params: JointDensityParams, s: np.ndarray) -> np.ndarray:
+    """``conditional_mean_r_given_s`` at every entry of a 1-D array s >= 0.
+
+    One pass for all entries: the peak search zooms every entry's grid at
+    once, and each panel is one adaptive pass over the entries it holds,
+    each entry refined on its own, so the Bessel calls take many entries
+    each. An entry's last bits may depend on the others beside it. A tail
+    panel past 8 widths is left out where a bound puts it within the
+    tolerance (below), so a value may differ from the scalar rule's by up
+    to about that tolerance.
+    """
+    flat = s
+    # the lower end of every entry's peak search, as in the scalar rule
+    lo = min(max(math.sqrt((params.k - 1) * params.nu), _R_MIN), 0.5)
+    peak, width, shift = _laplace_peaks(
+        lambda rows, r: _log_kernel(params, r, flat[rows, None]), np.full(flat.size, lo)
+    )
+    # each entry's tolerance, as in the scalar rule
+    tol = np.maximum(DEFAULT_ABS_TOL, 8.0 * np.finfo(float).eps * (params.k + flat / params.nu))
+
+    def kernel(rows, u: np.ndarray) -> np.ndarray:  # w at u, the kernel over its peak value
+        r = np.maximum(peak[rows, None] + width[rows, None] * u, 0.0)  # rounding may dip below 0
+        return np.exp(_log_kernel(params, r, flat[rows, None]) - shift[rows, None])
+
+    # peak + width * int u w / int w, both rows in one adaptive pass per panel,
+    # each entry refined on its own; each panel [a, b] of u is mapped onto
+    # [0, 1] and an entry's rows are scaled by 1/tol, so that it meets its own
+    # tolerance. The kernel is unimodal with its mode within a grid step (two
+    # widths) of the peak, so on a tail panel past 8 widths w is at most its
+    # value at the inner end: a tail panel whose length times that value is
+    # within tol is left out. The panel ends are ``_knots``'s, clipped to
+    # [lo, hi], where a panel outside it is empty
+    lo_u, hi_u = -peak / width, (1.0 - peak) / width
+    knots = [lo_u] + [np.minimum(np.maximum(u, lo_u), hi_u) for u in _KNOT_EDGES] + [hi_u]
+    ends = [np.where(knots[i] == edge, edge, 0.0) for i, edge in zip((1, 2, 5, 6), (-64.0, -8.0, 8.0, 64.0))]
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 at k = 1 gives a NaN bound, kept below
+        inner = kernel(slice(None), np.stack(ends, axis=1))
+    bounds = [inner[:, 0], inner[:, 1], None, None, None, inner[:, 2], inner[:, 3]]
+    sums = np.zeros((2, flat.size))
+    for a, b, bound in zip(knots, knots[1:], bounds):
+        used = b > a if bound is None else (b > a) & ~((b - a) * bound <= tol)
+        rows = np.flatnonzero(used)
+        if not rows.size:
+            continue
+        start, length = a[rows, None], (b - a)[rows, None]
+        scale = length / tol[rows, None]
+
+        def panel(v: np.ndarray, which: np.ndarray) -> np.ndarray:
+            u = start[which] + length[which] * v
+            w = kernel(rows[which], u) * scale[which]
+            return np.stack((w, u * w))
+
+        sums[:, rows] += integrate(panel, 0.0, 1.0, abs_tol=1.0, entries=rows.size)
+    return peak + width * (sums[1] / sums[0])
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,14 @@ the block's replications in one sampler call (a sequential search in one
 call a round) and reduces them to one value each before the next block,
 so memory stays bounded and a row's bits never depend on the block size.
 A threshold search pays the mean norm of its stopping round's hits, a sum
-over that round's own row, so it too keeps its bits at any block size."""
+over that round's own row, so it too keeps its bits at any block size. A
+platform winner among per-interaction clones is paid its posterior mean
+m(S_(1)) with the control (1 - F(S_(1)))^n, read off a table that depends
+on (k, nu, n) alone and is evaluated elementwise (``_winner_table``)."""
 
 from __future__ import annotations
 
+import functools
 import math
 # unused: perfbench/spans.py::count_pool_starts replaces it; goes with the next benchmark change (ROADMAP item 1)
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
@@ -27,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, sampler
+from . import analytic, chebyshev, density, sampler
 from .analytic import GroupSpec, NumericError
+from .quadrature import QuadratureError
 from .streams import StreamKey
 
 IN_PERSON = "in_person"
@@ -43,6 +48,13 @@ _SEQ_BLOCK = 512  # sequential-search draws per indexed sub-stream block
 # mostly hash state) barely move the peak RSS
 _BLOCK_UNIFORMS = 2**14
 _BLOCK_KEYS = 2**8
+# the platform winner's table spans the least of n clone distances but with
+# probability about _TABLE_CUT at either end, and each of its series holds
+# its function to about _TABLE_TAIL
+_TABLE_CUT = 1e-17
+_TABLE_TAIL = 1e-13
+_TABLE_DEGREES = (16, 256)  # a series' first and last degree
+_CHNDTR_RANGE = 1e10  # chndtr's arguments past which it gives NaN
 
 
 @dataclass(frozen=True)
@@ -188,15 +200,129 @@ def estimate_d_ip(k: int, m: int, reps: int, master_seed: int) -> Estimate:
     return _estimate(_replicate(_d_ip_block, m, (k, m), label, reps, master_seed), label)
 
 
+@dataclass(frozen=True)
+class _WinnerTable:
+    """m(s) = E[R | S = s] and F(s) = P(S <= s) of one clone distance, on the
+    support [lo, hi] of the least of n; see ``_winner_table``."""
+
+    params: density.JointDensityParams
+    n: int
+    lo: float
+    hi: float
+    pieces: np.ndarray | None  # m's pieces, then F's when the control is formed
+    controlled: bool
+
+    def columns(self, low: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+        """(X,) or (X, (1 - F(s))^n) a row, at the least clone distances s = ``low``.
+
+        X is m(s), or the winner's ``drawn`` norm where m is not to be had.
+        """
+        if self.pieces is None:
+            return drawn[:, None]
+        x = (2.0 * low - (self.lo + self.hi)) / (self.hi - self.lo)
+        values = chebyshev.evaluate(self.pieces, x).T
+        k, nu = self.params.k, self.params.nu
+        for i in np.flatnonzero(~(np.abs(x) <= 1.0)):  # off the table: m and F themselves
+            try:
+                values[i, 0] = density.conditional_mean_r_given_s(self.params, float(low[i]))
+            except QuadratureError:
+                values[i, 0] = drawn[i]
+            if self.controlled:
+                values[i, 1] = analytic.clone_distance_cdf(k, nu, float(low[i]))
+        if self.controlled:
+            with np.errstate(divide="ignore"):  # F = 1 gives log1p(-1) = -inf and a control of 0
+                values[:, 1] = np.exp(self.n * np.log1p(-np.clip(values[:, 1], 0.0, 1.0)))
+        return values
+
+
+def _winner_support(k: int, nu: float, n: int, s_max: float) -> tuple[float, float, bool]:
+    # [lo, hi] in [0, s_max] with n F(lo) and (1 - F(hi))^n at most
+    # _TABLE_CUT, from F on a 17-point grid and then on 9 points across each
+    # end's cell, and whether F was finite there; chndtr gives NaN, after a
+    # long series, once s^2/nu reaches _CHNDTR_RANGE, so F is not tried
+    # where s_max^2/nu does
+    if not s_max * s_max < _CHNDTR_RANGE * nu:
+        return 0.0, s_max, False
+
+    def ends(below: np.ndarray, above: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cdf = analytic.clone_distance_cdf(k, nu, np.concatenate([below, above]))
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf
+            low = n * cdf[: below.size] <= _TABLE_CUT  # F rises, so these lead the grid
+            high = n * np.log1p(-cdf[below.size :]) <= math.log(_TABLE_CUT)  # and these close it
+        i, j = low.sum() - 1, min(above.size - high.sum(), above.size - 1)
+        return below[i : i + 2], above[max(j - 1, 0) : j + 1]
+
+    try:
+        grid = np.linspace(0.0, s_max, 17)
+        below, above = ends(grid, grid)
+        below, above = ends(np.linspace(below[0], below[-1], 9), np.linspace(above[0], above[-1], 9))
+    except NumericError:  # chndtr gives NaN: the support is the bound's
+        return 0.0, s_max, False
+    return float(below[0]), float(above[-1]), True
+
+
+@functools.cache
+def _winner_table(k: int, nu: float, n: int) -> _WinnerTable:
+    """The table of the platform winner among n per-interaction clones at combined variance nu.
+
+    m is ``density.conditional_mean_r_given_s``, evaluated at the nodes in
+    one batch (``density._conditional_means``), and F is
+    ``analytic.clone_distance_cdf``, each a Chebyshev series on S_(1)'s
+    support of degree 16 doubled up to 256 (``chebyshev.fit``), read off
+    its pieces; a value off the support takes m and F themselves. The table
+    depends on (k, nu, n) alone and is built once a process. F enters only
+    where its series converges, which takes F finite at every node. Where
+    m's series cannot converge (vanishing noise: m(s) bends on a scale of
+    sqrt(nu), below the finest node spacing) or does not, or m fails at a
+    node or at a value off the table, the replication keeps its drawn norm:
+    the choice depends on S_(1) alone and E[R | S_(1)] = m(S_(1)), so the
+    mean stays exact.
+    """
+    params = density.JointDensityParams(k, nu)
+    # by the chi-square bound of Laurent and Massart (2000) the noise norm
+    # exceeds sqrt(nu (k + 2 sqrt(40 k) + 80)) with probability below e^-40,
+    # and S exceeds s_max with probability below that
+    s_max = 1.0 + math.sqrt(nu * (k + 2.0 * math.sqrt(40.0 * k) + 80.0))
+    # no series of the last degree resolves a bend narrower than its finest node spacing
+    if not math.sqrt(nu) > s_max * 0.5 * (1.0 - math.cos(math.pi / _TABLE_DEGREES[1])):
+        return _WinnerTable(params, n, 0.0, s_max, None, False)
+    lo, hi, finite = _winner_support(k, nu, n, s_max)
+    try:
+        mean = chebyshev.fit(
+            lambda s: density._conditional_means(params, s), lo, hi, _TABLE_TAIL, _TABLE_DEGREES
+        )
+    except QuadratureError:
+        mean = None
+    if mean is None:
+        return _WinnerTable(params, n, lo, hi, None, False)
+    series = [mean]
+    if finite:
+        try:
+            cdf = chebyshev.fit(lambda s: analytic.clone_distance_cdf(k, nu, s), lo, hi, _TABLE_TAIL, _TABLE_DEGREES)
+        except NumericError:  # chndtr gives NaN at a node
+            cdf = None
+        if cdf is not None:
+            series.append(np.pad(cdf, (0, max(0, mean.size - cdf.size))))
+            series[0] = np.pad(mean, (0, max(0, cdf.size - mean.size)))
+    return _WinnerTable(params, n, lo, hi, chebyshev.pieces(np.stack(series)), len(series) == 2)
+
+
 def _d_ai_block(keys, k: int, n: int, variance: float, clone_mode: str) -> np.ndarray:
+    """A row a key: with a fixed subject the winner's drawn norm; per
+    interaction the columns of ``_WinnerTable.columns``, (m(S_(1)),
+    (1 - F(S_(1)))^n) where the table forms the control, else (m(S_(1)),)."""
     pools = [key.child("pool") for key in keys]
     if clone_mode == FIXED_SUBJECT_CLONE:
         rho = sampler.sample_noise_norm(k, variance, [key.child("subject-clone") for key in keys])
         norms, dists = sampler.draw_clone_batch(k, n, variance, rho, keys=pools)
-    else:  # both clones' noise is fresh per interaction
-        norms, dists = sampler.draw_clone_batch(k, n, 2.0 * variance, keys=pools)
-    # each row's true norm at its clone-distance argmin (the lowest index on ties)
-    return norms[np.arange(len(keys)), np.argmin(dists, axis=1)]
+        # each row's true norm at its clone-distance argmin (the lowest index on ties)
+        return norms[np.arange(len(keys)), np.argmin(dists, axis=1)]
+    # both clones' noise is fresh per interaction: the winner's posterior mean
+    # m(S_(1)), and the control (1 - F(S_(1)))^n where the table forms it
+    norms, dists = sampler.draw_clone_batch(k, n, 2.0 * variance, keys=pools)
+    i = np.argmin(dists, axis=1)
+    rows = np.arange(len(keys))
+    return _winner_table(k, 2.0 * variance, n).columns(dists[rows, i], norms[rows, i])
 
 
 def estimate_d_ai(
@@ -205,14 +331,26 @@ def estimate_d_ai(
 ) -> Estimate:
     """True distance to the candidate whose clone distance is minimal among n.
 
-    Per replication: draw n clone interactions, select the argmin of the
-    clone distance, record the winner's true norm; average over
-    replications. In fixed-subject-clone mode each replication first
-    draws the norm of one shared subject noise vector
-    (``sampler.sample_noise_norm``), so a replication costs O(n) in any
+    Per replication: draw n clone interactions and select the argmin of the
+    clone distance. In per-interaction mode the n candidates' (R, S) are
+    i.i.d. and the winner is picked by S alone, so its true norm has mean
+    m(S_(1)) = E[R | S = S_(1)] given the least clone distance S_(1)
+    (conditional Monte Carlo; Asmussen and Glynn 2007, ch. V): a
+    replication pays m(S_(1)), with m ``density.conditional_mean_r_given_s``
+    at nu = 2 sigma^2, and carries the exact Uniform(0, 1) control
+    (1 - F(S_(1)))^n, F = ``analytic.clone_distance_cdf`` (see ``_estimate``).
+    Both are read off one table per (k, nu, n) (``_winner_table``). Where
+    F's series does not converge on the table's nodes (chndtr gives NaN
+    under vanishing noise, or at n = 1, where F is not resolved to the
+    table's tolerance) the replication pays m(S_(1)) alone. In
+    fixed-subject-clone mode the candidates share the subject noise, so a
+    replication records the winner's drawn norm and the estimate is the
+    plain mean; each replication first draws the norm of that shared noise
+    vector (``sampler.sample_noise_norm``). A replication costs O(n) in any
     dimension k in either mode.
     """
     _check_common(reps, n=n)
+    analytic._check_variance(noise_variance_per_clone)
     if clone_mode not in (PER_INTERACTION, FIXED_SUBJECT_CLONE):
         raise ValueError(f"unknown clone mode {clone_mode!r}")
     label = f"d_ai(k={k},n={n},mode={clone_mode})"
@@ -261,15 +399,17 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
     # of each replication still searching, which observes one value per draw
     # (in person the ball radius, on the platform the clone distance). It is
     # paid the mean true norm of the round's draws at or below the threshold at
-    # the first one's tau, or the norm of the best observation at the cap; with
-    # no threshold it searches at -inf and is never truncated. The rows are
-    # (payoff, truncated), and in person without a threshold, where the payoff
-    # is the best of cap radii, (payoff, its control, truncated).
+    # the first one's tau; at the cap, in person the best radius and on the
+    # platform the posterior mean m of the best clone distance; with no
+    # threshold it searches at -inf and is never truncated. The rows are
+    # (payoff, truncated), and where no draw can stop the search (threshold
+    # None or 0) and a control is formed, (payoff, its control, truncated).
     fixed = policy.threshold is None
     threshold = -math.inf if fixed else policy.threshold
     cap, cost, fee = policy.cap, policy.cost_per_period, policy.fee
     in_person = policy.regime == IN_PERSON
-    controlled = in_person and fixed
+    # a search no draw can stop (threshold None or 0) carries a control
+    controlled = not policy.threshold and (in_person or _winner_table(k, 2.0 * variance, cap).controlled)
     values = np.empty((len(keys), 3 if controlled else 2))
     values[:, -1] = not fixed
     best_obs = np.full(len(keys), math.inf)
@@ -301,9 +441,15 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
             searching = searching[~fired]
             if not searching.size:
                 break
-        values[searching, 0] = -best_norm[searching] - cost * cap - fee
+        # at the cap the best observation is the least of cap draws: in person
+        # its radius is paid, on the platform m at its clone distance
+        paid = best_norm
+        if not in_person and (controlled or searching.size):
+            columns = _winner_table(k, 2.0 * variance, cap).columns(best_obs, best_norm)
+            paid = columns[:, 0]
+        values[searching, 0] = -paid[searching] - cost * cap - fee
     if controlled:
-        values[:, 1] = _in_person_control(best_norm, k, cap)
+        values[:, 1] = _in_person_control(best_norm, k, cap) if in_person else columns[:, 1]
     return values
 
 
@@ -317,15 +463,22 @@ def evaluate_seq_policy(
     clone match. Every search draws rounds of ``_SEQ_BLOCK`` draws, so its
     memory does not grow with the cap; with no threshold it takes all cap
     draws. A threshold that never fires is truncated at the cap and
-    counted in ``truncated_reps``. A threshold that fires at tau pays the
+    counted in ``truncated_reps``. A platform search that reaches its cap
+    is paid the posterior mean m of its best clone distance, the least of
+    cap i.i.d. distances, as ``estimate_d_ai`` pays its winner (conditional
+    Monte Carlo; where m is not to be had, the best clone match's drawn
+    norm). A threshold that fires at tau pays the
     mean norm of every draw of that round at or below it: the round's draws
     are i.i.d., so given which of them hit and their unordered values, the
     hit at tau is equally likely to be any of them, and that mean is
     E[norm at tau | hits] (Rao-Blackwell): the same expected payoff from the
     same draws at a lower variance. In person without a threshold the
-    payoff is -M - cost_per_period * cap - fee with M the best of cap radii,
-    and the estimate subtracts M's control variate (1 - M^k)^cap, as
-    ``estimate_d_ip`` does; every other policy takes the plain mean.
+    payoff is -M - cost_per_period * cap - fee with M the best of cap radii.
+    A search no draw can stop (threshold None or 0) carries the exact
+    Uniform(0, 1) control of its best observation, which the estimate
+    subtracts (see ``_estimate``): in person (1 - M^k)^cap, as
+    ``estimate_d_ip`` does, on the platform (1 - F(S_(1)))^cap where the
+    winner's table forms it. Every other policy takes the plain mean.
     """
     _check_common(reps)
     analytic._check_variance(noise_variance_per_clone)

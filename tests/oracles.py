@@ -75,3 +75,40 @@ def threshold_stop_payoff(k, variance, policy):
     miss = (1.0 - cdf) ** policy.cap
     assert miss < 1e-12, miss
     return -mean - policy.cost_per_period * (1.0 - miss) / cdf - policy.fee
+
+
+def finite_pool_d_ai(k, n, nu, cells=200):
+    """Exact expected true norm of the platform winner, the least of n clone distances.
+
+    With F(s) = P(S <= s), G(s) = E[R; S <= s] from ``clone_moments`` at the
+    combined variance nu and q(s) = 1 - (1 - F(s))^n the law of the least
+    distance, d_ai = int (dG/dF) dq, summed as (ΔG/ΔF) Δq over ``cells``
+    cells uniform in t = ln(-n ln(1 - F)) on [-20, 3.6] (q from 2e-9 to
+    1 - 1e-16), plus one cell below and one above. The cell sum's error
+    falls fourfold a halving of the cells, so the value is the Richardson
+    extrapolation (4 S(cells) - S(cells/2)) / 3 on the same ends. The ends
+    are placed by F on a geometric grid; neither ``analytic``'s node rule
+    nor ``density``'s m enters.
+    """
+    def moments(points):
+        return np.array([clone_moments(k, nu, float(s)) for s in points]).T
+
+    s_max = 1.0 + np.sqrt(nu * (k + 2.0 * np.sqrt(40.0 * k) + 80.0))
+    grid = np.geomspace(1e-6 * s_max, s_max, 400)
+    cdf, _ = moments(grid)
+    inside = (cdf > 0.0) & (cdf < 1.0)
+    t = np.log(-n * np.log1p(-cdf[inside]))
+    ends = np.interp(np.linspace(-20.0, 3.6, cells + 1), t, grid[inside])
+    cdf, weighted = moments(ends)
+    mean_r = k / (k + 1.0)  # G at s = infinity
+
+    def cell_sum(cdf, weighted):
+        f = np.concatenate([[0.0], cdf, [1.0]])
+        g = np.concatenate([[0.0], weighted, [mean_r]])
+        q = -np.expm1(n * np.log1p(-f[:-1]))
+        q = np.append(q, 1.0)
+        df, keep = np.diff(f), np.diff(f) > 0.0
+        return float(np.sum((np.diff(g)[keep] / df[keep]) * np.diff(q)[keep]))
+
+    fine, coarse = cell_sum(cdf, weighted), cell_sum(cdf[::2], weighted[::2])
+    return (4.0 * fine - coarse) / 3.0

@@ -463,6 +463,8 @@ ARGUMENT_RULES = [
     ("d_ip-m", lambda: analytic.d_ip(3, 0), f"sample size m {POSITIVE_INT} 0"),
     ("estimate_d_ip-m", lambda: simulate.estimate_d_ip(3, 0, 10, 1), f"m {POSITIVE_INT} 0"),
     ("estimate_d_ai-n", lambda: simulate.estimate_d_ai(3, 0, 0.0025, 10), f"n {POSITIVE_INT} 0"),
+    # checked up front: the per-interaction sampler would see twice it, -2.0
+    ("estimate_d_ai-variance", lambda: simulate.estimate_d_ai(3, 4, -1.0, 10), f"{VARIANCE} -1.0"),
     ("cap-0", lambda: simulate.SeqSearchPolicy(simulate.IN_PERSON, 0), f"cap {POSITIVE_INT} 0"),
     ("cap-1.5", lambda: simulate.SeqSearchPolicy(simulate.IN_PERSON, 1.5), f"cap {POSITIVE_INT} 1.5"),
     ("sampler-count", lambda: sampler.sample_ball_radii(3, 0, KEYS), f"count {POSITIVE_INT} 0"),

@@ -451,6 +451,13 @@ class TestMainEntry:
         # only the search's payoff overflows after its draws; every other failure comes before any
         assert bool(draws) == (command == "seqsearch")
 
+    def test_vanishing_noise_exits_zero(self, tmp_path, capsys):
+        # nu = 2e-14: chndtr gives no F and no table of m resolves its bend, so
+        # each platform winner keeps its drawn norm, as it did before the table
+        overrides = ["noise_param=1e-7", "k_grid=1,5,150", "reps=40", "n=200"]
+        assert cli.main(["table1", "--out", str(tmp_path)] + set_args(overrides)) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "overrides",
         [["k_grid=14693", "sigma_grid=0.05"], ["k_grid=1000000", "sigma_grid=0.05"]],

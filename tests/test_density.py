@@ -278,6 +278,15 @@ class TestConditionalMean:
             assert abs(observed - predicted) <= 3 * se, i
             assert abs(observed - exact) <= 3 * se, i
 
+    @pytest.mark.parametrize("k, nu", [(1, 0.005), (5, 0.005), (100, 0.005), (1000, 0.05), (3, 1e-6)])
+    def test_batched_means_match_the_scalar_rule(self, k, nu):
+        # one pass over many s, each entry refined on its own and a negligible
+        # tail panel left out, against one call a value
+        params = JointDensityParams(k, nu)
+        s = np.linspace(0.0, math.sqrt(k * nu) + 1.0, 33)
+        expected = [conditional_mean_r_given_s(params, float(v)) for v in s]
+        np.testing.assert_allclose(density._conditional_means(params, s), expected, rtol=0.0, atol=1e-13)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             conditional_mean_r_given_s(JointDensityParams(3, 0.1), -0.5)

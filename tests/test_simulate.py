@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mirrormatch import analytic, sampler, simulate
+from mirrormatch import analytic, chebyshev, density, sampler, simulate
 from mirrormatch.analytic import GroupSpec
 from mirrormatch.simulate import Estimate, SeqSearchPolicy
 from mirrormatch.streams import StreamKey
-from oracles import finite_pool_rich_win, threshold_stop_payoff
+from oracles import finite_pool_d_ai, finite_pool_rich_win, threshold_stop_payoff
 
 SEED = 20250810
 
@@ -145,6 +145,70 @@ class TestEstimateDAi:
             tracemalloc.stop()
         assert peak <= 1 << 20
         assert 0.0 < est.mean <= 1.0
+
+
+class TestPlatformWinner:
+    # per interaction the winner is paid m(S_(1)) with the control (1 - F(S_(1)))^n
+    # read off one table per (k, nu, n)
+
+    def test_oracle_matches_baseline_cells(self):
+        # the Delta G / Delta F cell sums at nu = 0.005, n = 1000, to the 7 digits recorded
+        assert abs(finite_pool_d_ai(1, 1000, 0.005) - 0.0564302) <= 1e-7
+        assert abs(finite_pool_d_ai(5, 1000, 0.005) - 0.2737680) <= 1e-7
+
+    @pytest.mark.parametrize("n", [64, 1000])
+    @pytest.mark.parametrize("k", [1, 2, 5, 50])
+    def test_estimate_matches_exact_finite_pool(self, k, n):
+        est = simulate.estimate_d_ai(k, n, 0.0025, 1000, master_seed=SEED)
+        assert within(est, finite_pool_d_ai(k, n, 0.005), factor=4.0), (est, finite_pool_d_ai(k, n, 0.005))
+
+    @pytest.mark.parametrize("k, n", [(1, 64), (5, 64), (5, 1000), (100, 25)])
+    def test_plain_and_posterior_means_agree_on_the_same_draws(self, k, n):
+        keys = [StreamKey(SEED).child("same-draws").child("rep", rep) for rep in range(2000)]
+        paid = simulate._d_ai_block(keys, k, n, 0.0025, simulate.PER_INTERACTION)
+        norms, dists = sampler.draw_clone_batch(k, n, 0.005, keys=[key.child("pool") for key in keys])
+        plain = simulate._estimate(norms[np.arange(len(keys)), np.argmin(dists, axis=1)], "plain")
+        rb = simulate._estimate(paid.copy(), "rb")  # the fit works in place
+        assert abs(rb.mean - plain.mean) <= 4.0 * plain.std_error, (rb, plain)
+        assert rb.std_error < plain.std_error / 2.0
+        assert paid.shape == (len(keys), 2)  # the control is formed
+        assert stats.kstest(paid[:, 1], "uniform").pvalue > 0.001
+
+    @pytest.mark.parametrize("k", [1, 5, 100, 1000])
+    def test_table_holds_m_and_f(self, k):
+        nu, n = 0.005, 64 if k <= 5 else 25
+        table = simulate._winner_table(k, nu, n)
+        s = np.random.default_rng(k).uniform(table.lo, table.hi, 100)
+        mean, cdf = chebyshev.evaluate(table.pieces, (2.0 * s - table.lo - table.hi) / (table.hi - table.lo))
+        exact = np.array([density.conditional_mean_r_given_s(table.params, float(v)) for v in s])
+        np.testing.assert_allclose(mean, exact, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(cdf, analytic.clone_distance_cdf(k, nu, s), rtol=0.0, atol=1e-12)
+        # off the support a value takes m and F themselves
+        off = np.array([table.hi + 0.1])
+        (paid, control), = table.columns(off, np.array([-1.0]))
+        assert paid == density.conditional_mean_r_given_s(table.params, float(off[0]))
+        assert control == pytest.approx((1.0 - analytic.clone_distance_cdf(k, nu, off[0])) ** n, abs=1e-15)
+
+    def test_truncated_threshold_search_pays_m_at_its_best(self):
+        # F(1e-6) is far below 1e-20 at k = 5: no draw fires and the cap truncates
+        # every search, which is paid m at its least clone distance over 600 draws
+        policy = SeqSearchPolicy(simulate.AI_PLATFORM, 600, 1e-6, cost_per_period=0.001, fee=0.1)
+        for rep in range(3):
+            key = StreamKey(SEED).child("truncated", rep)
+            draws = [sampler.draw_clone_batch(5, n, 0.005, keys=[key.child("block", j)])[1] for j, n in ((0, 512), (1, 88))]
+            mean = density.conditional_mean_r_given_s(density.JointDensityParams(5, 0.005), float(np.hstack(draws).min()))
+            ((payoff, truncated),) = simulate._seq_payoff_block([key], 5, 0.0025, policy).tolist()
+            assert truncated == 1.0
+            assert payoff == pytest.approx(-mean - 0.001 * 600 - 0.1, rel=0.0, abs=1e-12)
+
+    def test_vanishing_noise_pays_the_drawn_norm(self):
+        # sqrt(nu) = 1.4e-7 is below every node spacing of a degree-256 series on
+        # [0, s_max], so no table is built and the winner keeps its drawn norm
+        keys = rep_keys(8)
+        assert simulate._winner_table(1, 2e-14, 64).pieces is None
+        norms, dists = sampler.draw_clone_batch(1, 64, 2e-14, keys=[key.child("pool") for key in keys])
+        paid = simulate._d_ai_block(keys, 1, 64, 1e-14, simulate.PER_INTERACTION)
+        assert paid[:, 0].tobytes() == norms[np.arange(8), np.argmin(dists, axis=1)].tobytes()
 
 
 def rep_keys(reps=40):
@@ -403,21 +467,26 @@ class TestSeqPolicies:
     def test_fixed_stop_draws_in_rounds(self, regime):
         # with no threshold the search draws rounds too: 512 draws from
         # ("block", 0), the last 88 from ("block", 1), and it pays the winner
-        # over all 600 (the lowest index on a tie) and is never truncated
+        # over all 600 and is never truncated: in person the best radius M
+        # with its control (1 - M^5)^600, on the platform the posterior mean
+        # m(S_(1)) of the least clone distance with its control (1 - F(S_(1)))^600
         policy = SeqSearchPolicy(regime, 600, fee=0.1)
         for rep in range(3):
             key = StreamKey(SEED).child("rounds", rep)
             rounds = [(512, [key.child("block", 0)]), (88, [key.child("block", 1)])]
+            ((payoff, control, truncated),) = simulate._seq_payoff_block([key], 5, 0.0025, policy).tolist()
+            assert truncated == 0.0
             if regime == simulate.IN_PERSON:
-                norms = observed = np.hstack([sampler.sample_ball_radii(5, n, keys) for n, keys in rounds])[0]
+                observed = np.hstack([sampler.sample_ball_radii(5, n, keys) for n, keys in rounds])[0]
+                best = observed[[np.argmin(observed)]]  # as an array, so the power takes numpy's array loop
+                assert [payoff, control] == [float(-best[0] - 0.0 * 600 - 0.1), float(((1.0 - best**5) ** 600)[0])]
             else:
-                draws = [sampler.draw_clone_batch(5, n, 0.005, keys=keys) for n, keys in rounds]
-                norms, observed = (np.hstack(column)[0] for column in zip(*draws))
-            best = norms[[np.argmin(observed)]]  # as an array, so the power takes numpy's array loop
-            expected = [float(-best[0] - 0.0 * 600 - 0.1)]
-            if regime == simulate.IN_PERSON:
-                expected.append(float(((1.0 - best**5) ** 600)[0]))
-            assert simulate._seq_payoff_block([key], 5, 0.0025, policy).tolist() == [expected + [0.0]]
+                draws = [sampler.draw_clone_batch(5, n, 0.005, keys=keys)[1] for n, keys in rounds]
+                low = float(np.hstack(draws).min())
+                mean = density.conditional_mean_r_given_s(density.JointDensityParams(5, 0.005), low)
+                survival = (1.0 - float(analytic.clone_distance_cdf(5, 0.005, low))) ** 600
+                assert payoff == pytest.approx(-mean - 0.1, rel=0.0, abs=1e-12)
+                assert control == pytest.approx(survival, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize(
         "regime, k, threshold",
