@@ -5,8 +5,11 @@ Determinism contract: every replication owns a stream keyed by
 replications are cut into blocks. Results are written into a
 replication-indexed array and reduced with numpy's pairwise sums over
 that fixed-shape array, to a plain mean or, where a block also returns an
-exact Uniform(0, 1) control, a control-variate mean (``_estimate``);
-repeated runs with one seed are bit-identical.
+exact Uniform(0, 1) control Y, a control-variate mean (``_estimate``): a
+least-squares fit on the shifted Legendre polynomials P_1..P_3(2Y - 1),
+whose small normal equations are solved by hand in a fixed order, or with
+fewer than six replications or an ill-posed fit one slope on Y. Repeated
+runs with one seed are bit-identical, at any BLAS thread count.
 
 The runner cuts the replications into blocks and maps them in the calling
 process: a block holds at most ``_BLOCK_KEYS`` replications and
@@ -55,6 +58,16 @@ _TABLE_CUT = 1e-17
 _TABLE_TAIL = 1e-13
 _TABLE_DEGREES = (16, 256)  # a series' first and last degree
 _CHNDTR_RANGE = 1e10  # chndtr's arguments past which it gives NaN
+# the shifted Legendre polynomials P_j(2y - 1), j = 0..3, by their
+# coefficients in y, highest power first, each padded to four
+_LEGENDRE = (
+    np.array([0.0, 0.0, 0.0, 1.0]),
+    np.array([0.0, 0.0, 2.0, -1.0]),
+    np.array([0.0, 6.0, -6.0, 1.0]),
+    np.array([20.0, -30.0, 12.0, -1.0]),
+)
+_POWERS_PLUS_ONE = np.array([4.0, 3.0, 2.0, 1.0])  # y^3, y^2, y and 1 have means 1/4, 1/3, 1/2 and 1
+_FIT_TOLERANCE = 1e-6  # see _cubic_fit
 
 
 @dataclass(frozen=True)
@@ -110,24 +123,31 @@ class PolicyReport:
 def _estimate(values: np.ndarray, label: str) -> Estimate:
     """Mean and standard error of a block function's rows: X, or (X, Y).
 
-    Y is an exact Uniform(0, 1) control variate (Lavenberg and Welch 1981;
-    Glasserman 2003, section 4.1). The estimate of E[X] is then the mean of
-    v = 1/2 + (X - Y) - gamma (Y - 1/2), the regression mean X - beta (Y - 1/2)
-    with gamma = beta - 1 the slope of X - Y on Y, by pairwise sums (a BLAS
-    dot's bits may depend on its thread count). Where X is Y bit for bit,
-    every v is 1/2 and the standard error 0. gamma is fitted only when
-    reps >= 3 and Y varies, and the standard error then takes the residual
-    variance over reps - 2; otherwise gamma = 0 and it takes reps - 1.
-    The fit overwrites the rows in place, so beside them it holds one more
-    array a replication at most.
+    Y is an exact Uniform(0, 1) control variate, and every shifted Legendre
+    polynomial P_j(2Y - 1), j >= 1, has mean exactly 0, so each is an exact
+    control too (Lavenberg and Welch 1981; Glasserman 2003, section 4.1.2).
+    With reps >= 6, X - Y is fitted by least squares on P_0..P_3(2Y - 1)
+    where that fit is well posed (``_cubic_fit``): the estimate of E[X] is
+    1/2 plus the fit's intercept, with that intercept's HC3 standard error.
+    Otherwise the estimate is the mean of v = 1/2 + (X - Y) - gamma (Y - 1/2),
+    the regression mean X - beta (Y - 1/2) with gamma = beta - 1 the slope
+    of X - Y on Y; gamma is fitted only when reps >= 3 and Y varies, and the
+    standard error then takes the residual variance over reps - 2;
+    otherwise gamma = 0 and it takes reps - 1. Where X is Y bit for bit,
+    either rule gives exactly 1/2 and a standard error of 0. Every sum is
+    numpy's pairwise sum over the replication array (a BLAS dot's bits may
+    depend on its thread count). The fit overwrites the rows in place, so
+    beside them it holds one more array a replication at most.
     """
     reps = values.shape[0]
     values, *control = values.reshape(reps, -1).T
-    lost = 1  # degrees of freedom the fit takes from the variance
+    lost, fit = 1, None  # lost: the degrees of freedom a fitted slope takes from the variance
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is caught below
         if control:
             (y,) = control
             values -= y  # X - Y
+            fit = _cubic_fit(values, y) if reps >= 6 else None
+        if control and fit is None:
             ybar = y.mean()
             y -= ybar  # Y centred
             spread = (y * y).sum()
@@ -142,11 +162,86 @@ def _estimate(values: np.ndarray, label: str) -> Estimate:
             y *= gamma
             values += 0.5
             values -= y  # 1/2 + (X - Y) - gamma (Y - 1/2)
-        mean = float(values.mean())
-        std_error = float(values.std(ddof=lost) / math.sqrt(reps))
+        mean, std_error = fit or (float(values.mean()), float(values.std(ddof=lost) / math.sqrt(reps)))
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise NumericError(f"{label}: the mean {mean!r} with standard error {std_error!r} is not finite")
     return Estimate(mean=mean, std_error=std_error, reps=reps)
+
+
+def _horner(coefficients: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # the polynomial with these coefficients (highest power first) at y, into out
+    out.fill(coefficients[0])
+    for c in coefficients[1:]:
+        out *= y
+        out += c
+    return out
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the product of two polynomials by their coefficients, in a fixed order
+    # (np.convolve takes BLAS dots)
+    out = np.zeros(a.size + b.size - 1)
+    for i, c in enumerate(a):
+        out[i : i + b.size] += c * b
+    return out
+
+
+def _cubic_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
+    """1/2 plus the intercept of the least-squares fit of x = X - Y on
+    P_0..P_3(2Y - 1), and its HC3 standard error, or None with x untouched.
+
+    Each entry of the Gram matrix G_ij = sum P_i P_j is one polynomial in Y,
+    evaluated by Horner's rule into one buffer and summed, and G = L L^T is
+    factored by hand in a fixed order, so no bit depends on a BLAS thread
+    count. The polynomials Q = L^-1 P are orthonormal over the
+    replications, so the fit is f = sum_i c_i Q_i with c_i = sum Q_i x, and
+    the leverage h = sum_i Q_i^2 is one polynomial of degree 6. Only P_0 = 1
+    has a nonzero mean over Uniform(0, 1), so a polynomial's coefficient on
+    P_0 is its mean there: the intercept is f's mean, sum w x with
+    w = sum_i (mean of Q_i) Q_i. None is returned where some P_j is all but
+    a combination of those before it (1 - R^2 below ``_FIT_TOLERANCE``, as
+    where Y takes three distinct values or fewer) or some replication's
+    1 - h is below it. The standard error is HC3 (MacKinnon and White 1985),
+    sqrt(sum (w e / (1 - h))^2) with e = x - f, because X - Y has its
+    largest residuals where Y is near 0 or 1, where h is largest: over
+    1,000 seeds of the benchmark's gated cells (``tests/sweep.py``) it kept
+    every |z| below 4.7, where the residual variance over reps - 4 reached
+    4.99.
+    """
+    buffer = np.empty_like(x)
+    lower = [[0.0] * len(_LEGENDRE) for _ in _LEGENDRE]
+    for i, p in enumerate(_LEGENDRE):  # Cholesky, an entry of G at a time
+        for j in range(i + 1):
+            gram = s = float(_horner(_times(p, _LEGENDRE[j]), y, buffer).sum())
+            for m in range(j):
+                s -= lower[i][m] * lower[j][m]
+            if j < i:
+                lower[i][j] = s / lower[j][j]
+            elif s > _FIT_TOLERANCE * gram:
+                lower[i][i] = math.sqrt(s)
+            else:
+                return None
+    orthonormal = []
+    for i, p in enumerate(_LEGENDRE):  # forward substitution
+        for m, q in enumerate(orthonormal):
+            p = p - lower[i][m] * q
+        orthonormal.append(p / lower[i][i])
+    leverage = sum(_times(q, q) for q in orthonormal)
+    if not _horner(leverage, y, buffer).max() < 1.0 - _FIT_TOLERANCE:
+        return None
+    fitted = weight = intercept = 0.0
+    for q in orthonormal:
+        _horner(q, y, buffer)
+        buffer *= x
+        c, mean = float(buffer.sum()), float((q / _POWERS_PLUS_ONE).sum())
+        fitted, weight, intercept = fitted + c * q, weight + mean * q, intercept + c * mean
+    x -= _horner(fitted, y, buffer)  # the residuals e
+    _horner(leverage, y, buffer)
+    buffer -= 1.0  # h - 1: its sign goes with the square
+    x /= buffer
+    x *= _horner(weight, y, buffer)
+    x *= x
+    return 0.5 + intercept, math.sqrt(float(x.sum()))
 
 
 def _replicate(block_fn, width: int, args: tuple, label: str, reps: int, master_seed: int) -> np.ndarray:
@@ -244,18 +339,21 @@ def _winner_support(k: int, nu: float, n: int, s_max: float) -> tuple[float, flo
     if not s_max * s_max < _CHNDTR_RANGE * nu:
         return 0.0, s_max, False
 
-    def ends(below: np.ndarray, above: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cdf = analytic.clone_distance_cdf(k, nu, np.concatenate([below, above]))
+    def ends(below, f_below, above, f_above) -> tuple[np.ndarray, np.ndarray]:
+        # the cells of below and above that hold lo and hi, from F there
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf
-            low = n * cdf[: below.size] <= _TABLE_CUT  # F rises, so these lead the grid
-            high = n * np.log1p(-cdf[below.size :]) <= math.log(_TABLE_CUT)  # and these close it
+            low = n * f_below <= _TABLE_CUT  # F rises, so these lead the grid
+            high = n * np.log1p(-f_above) <= math.log(_TABLE_CUT)  # and these close it
         i, j = low.sum() - 1, min(above.size - high.sum(), above.size - 1)
         return below[i : i + 2], above[max(j - 1, 0) : j + 1]
 
     try:
         grid = np.linspace(0.0, s_max, 17)
-        below, above = ends(grid, grid)
-        below, above = ends(np.linspace(below[0], below[-1], 9), np.linspace(above[0], above[-1], 9))
+        cdf = analytic.clone_distance_cdf(k, nu, grid)  # once: both ends read the one grid
+        below, above = ends(grid, cdf, grid, cdf)
+        below, above = np.linspace(below[0], below[-1], 9), np.linspace(above[0], above[-1], 9)
+        cdf = analytic.clone_distance_cdf(k, nu, np.concatenate([below, above]))
+        below, above = ends(below, cdf[:9], above, cdf[9:])
     except NumericError:  # chndtr gives NaN: the support is the bound's
         return 0.0, s_max, False
     return float(below[0]), float(above[-1]), True

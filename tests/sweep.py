@@ -5,12 +5,13 @@
 Every cell pairs an estimator call at one master seed with an exact value
 from ``analytic`` or ``tests/oracles.py``. For each seed of the half-open
 range the cell's z = (estimate - exact) / se is taken, and the sweep prints
-each cell's mean z, z SD and max |z| and how many |z| exceed 3 and 4, then
-the same over every z of every cell. The default seeds are used by no pinned
-test. The file has no ``test_`` prefix, so the test suite does not collect
-it; a change that moves a Monte Carlo column runs it on the parent and on the
-change with the same seeds. It decides nothing by itself: a cell whose z SD
-is far from 1 is to be investigated, never re-seeded away.
+each cell's mean z, z SD and max |z| and how many |z| exceed 3, 4 and 5 (the
+benchmark's gate width), then the same over every z of every cell. The
+default seeds are used by no pinned test. The file has no ``test_`` prefix,
+so the test suite does not collect it; a change that moves a Monte Carlo
+column runs it on the parent and on the change with the same seeds. It
+decides nothing by itself: a cell whose z SD is far from 1 is to be
+investigated, never re-seeded away.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from mirrormatch.analytic import GroupSpec  # noqa: E402
 from mirrormatch.simulate import AI_PLATFORM, IN_PERSON, SeqSearchPolicy  # noqa: E402
 
 # the small-pools benchmark's cells: sigma = 0.05, n = 64, and the sequential
-# search at k = 5 with a cap of 1000
+# search at k = 5 with a cap of 1000; platform-highdim's d_ip2 cells take
+# 800 replications at k = 100, 300 and 1000
 VARIANCE = 0.0025
 N, K_SEQ, CAP, COST_IP, KAPPA = 64, 5, 1000, 0.005, 0.02
-REPS, SEQ_REPS = 3000, 400
+REPS, SEQ_REPS, HIGHDIM_REPS = 3000, 400, 800
 S_TYP = math.sqrt(K_SEQ / (K_SEQ + 2.0) + 2.0 * K_SEQ * VARIANCE)
 
 
@@ -51,6 +53,11 @@ def _cells() -> dict:
         cells[f"d_ai(k={k},n={N})"] = (
             lambda seed, k=k: simulate.estimate_d_ai(k, N, VARIANCE, REPS, master_seed=seed),
             lambda k=k: finite_pool_d_ai(k, N, 2.0 * VARIANCE),
+        )
+    for k in (100, 300, 1000):
+        cells[f"d_ip2(k={k},reps={HIGHDIM_REPS})"] = (
+            lambda seed, k=k: simulate.estimate_d_ip(k, 2, HIGHDIM_REPS, seed),
+            lambda k=k: analytic.d_ip(k, 2),
         )
     for t in (1, 2, 4):
         cells[f"ip_stop{t}"] = (
@@ -74,9 +81,9 @@ def _cells() -> dict:
 
 def _summary(zs: list[float]) -> str:
     spread = statistics.stdev(zs) if len(zs) > 1 else float("nan")
-    beyond = [sum(abs(z) > c for z in zs) for c in (3.0, 4.0)]
+    beyond = [sum(abs(z) > c for z in zs) for c in (3.0, 4.0, 5.0)]
     return (f"mean z {statistics.fmean(zs):+.3f}  z SD {spread:.3f}  max |z| {max(map(abs, zs)):.2f}"
-            f"  >3se {beyond[0]}  >4se {beyond[1]}")
+            f"  >3se {beyond[0]}  >4se {beyond[1]}  >5se {beyond[2]}")
 
 
 def main(argv=None) -> int:

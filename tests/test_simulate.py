@@ -562,3 +562,77 @@ class TestEstimateType:
         est = simulate._estimate(values, "x")
         assert est.mean == float(values.mean())
         assert est.reps == 1000
+
+
+def linear_rule(values):
+    """The one-slope control rule, step for step: the rule below six replications."""
+    x, y = values[:, 0] - values[:, 1], values[:, 1].copy()
+    reps, lost = len(x), 1
+    ybar = y.mean()
+    y -= ybar
+    spread = (y * y).sum()
+    gamma = 0.0
+    if reps >= 3 and spread > 0.0:
+        residual = x - x.mean()
+        residual *= y
+        gamma = residual.sum() / spread
+        lost = 2
+    y += ybar - 0.5
+    y *= gamma
+    x += 0.5
+    x -= y
+    return float(x.mean()), float(x.std(ddof=lost) / math.sqrt(reps))
+
+
+def hc3_oracle(values):
+    """1/2 plus the intercept of X - Y on P_0..P_3(2Y - 1), and its HC3 standard error, by lstsq."""
+    x, t = values[:, 0] - values[:, 1], 2.0 * values[:, 1] - 1.0
+    design = np.stack([np.ones_like(t), t, (3.0 * t * t - 1.0) / 2.0, (5.0 * t**3 - 3.0 * t) / 2.0], axis=1)
+    coef, *_ = np.linalg.lstsq(design, x, rcond=None)
+    residual = x - design @ coef
+    inverse = np.linalg.inv(design.T @ design)
+    leverage = np.einsum("ij,jk,ik->i", design, inverse, design)
+    weight = design @ inverse[0]
+    return 0.5 + coef[0], math.sqrt(np.sum((weight * residual / (1.0 - leverage)) ** 2))
+
+
+class TestCubicControls:
+    def test_a_cubic_in_the_control_is_removed_exactly(self):
+        # X = Y + 0.3 - 0.2 P1 + 0.7 P2 - 0.4 P3 has mean 1/2 + 0.3, and the
+        # fit leaves only rounding behind
+        y = StreamKey(5).child("cubic").generator().random(1000)
+        t = 2.0 * y - 1.0
+        x = y + 0.3 - 0.2 * t + 0.7 * (3.0 * t * t - 1.0) / 2.0 - 0.4 * (5.0 * t**3 - 3.0 * t) / 2.0
+        est = simulate._estimate(np.stack([x, y], axis=1), "cubic")
+        assert abs(est.mean - 0.8) <= 1e-14 and est.std_error <= 1e-15
+
+    @pytest.mark.parametrize("k, reps", [(1, 3000), (5, 400), (1000, 800)])
+    def test_matches_least_squares_with_hc3(self, k, reps):
+        values = simulate._replicate(simulate._d_ip_block, 2, (k, 2), "hc3", reps, SEED)
+        mean, se = hc3_oracle(values)
+        est = simulate._estimate(values.copy(), "hc3")
+        assert abs(est.mean - mean) <= 1e-12 and abs(est.std_error / se - 1.0) <= 1e-9
+        assert est.std_error < linear_rule(values)[1]
+
+    @pytest.mark.parametrize("reps", [2, 3, 4, 5])
+    def test_few_replications_take_the_one_slope_rule(self, reps):
+        values = simulate._replicate(simulate._d_ip_block, 2, (5, 2), "few", reps, SEED)
+        est = simulate._estimate(values.copy(), "few")
+        assert (est.mean, est.std_error) == linear_rule(values)
+
+    @pytest.mark.parametrize("y", [
+        [0.2, 0.7] * 500,  # two distinct values: P2 and P3 are combinations of 1 and P1
+        [0.1, 0.1, 0.2, 0.2, 0.5, 0.9],  # the cubic passes through 0.5 and 0.9: leverage 1
+        list(0.5 + 0.01 * StreamKey(7).child("narrow").generator().random(1000)),  # 1 - R^2 of P2 about 4e-8
+    ])
+    def test_an_ill_posed_fit_takes_the_one_slope_rule(self, y):
+        y = np.array(y)
+        noise = StreamKey(6).child("noise").generator().random(y.size)
+        values = np.stack([np.sqrt(y) + 0.01 * noise, y], axis=1)
+        est = simulate._estimate(values.copy(), "ill-posed")
+        assert (est.mean, est.std_error) == linear_rule(values)
+
+    @pytest.mark.parametrize("reps", [2, 5, 6, 400])
+    def test_equal_variance_control_row_stays_one_half(self, reps):
+        est = simulate.estimate_group_win_rate(5, GroupSpec(0.02, 0.02), 64, reps, SEED)
+        assert est.mean == 0.5 and est.std_error == 0.0
