@@ -24,6 +24,7 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 # (in units of the half-width about the midpoint) gives the three estimates
 _SPLIT_NODES = np.concatenate((_NODES, 0.5 * (_NODES - 1.0), 0.5 * (_NODES + 1.0)))
 _SPLIT_WEIGHTS = np.kron(np.eye(3), _WEIGHTS[:, None]) * (1.0, 0.5, 0.5)
+_SPLIT_ROWS = np.outer((1.0, 0.5, 0.5), _WEIGHTS)  # the same weights, one row of nodes an estimate
 
 
 def _knots(peak: float, width: float) -> list[float]:
@@ -55,10 +56,13 @@ def _refine(f, a: float, b: float, tol: float, depth: int):
 
 def _refine_entries(f, a: float, b: float, tol: float, depth: int, entries: np.ndarray) -> np.ndarray:
     # _refine with f(x, entries) giving rows (..., entries, nodes): an entry
-    # whose rows all meet tol is done, and only the others are bisected
+    # whose rows all meet tol is done, and only the others are bisected. Each
+    # weighted sum runs over one entry's own nodes (a matrix product's bits may
+    # depend on its shape), so an entry's bits do not depend on the others
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    estimates = half * (f(mid + half * _SPLIT_NODES, entries) @ _SPLIT_WEIGHTS)
+    values = f(mid + half * _SPLIT_NODES, entries)
+    estimates = half * (values.reshape(values.shape[:-1] + _SPLIT_ROWS.shape) * _SPLIT_ROWS).sum(axis=-1)
     whole, total = estimates[..., 0], estimates[..., 1] + estimates[..., 2]
     residual = abs(total - whole).reshape(-1, entries.size).max(axis=0)
     failed = residual > tol
@@ -88,7 +92,9 @@ def integrate(
     With ``entries``, ``f(x, which)`` returns rows (..., len(which), nodes)
     for the entries listed in the index array ``which``, and each entry is
     refined on its own until all its rows meet the tolerance: an entry that
-    converges is not evaluated again. The result is (..., entries).
+    converges is not evaluated again. Each entry's sums run over its own
+    nodes, so where ``f`` evaluates an entry alike beside any others, the
+    entry's bits do not depend on them. The result is (..., entries).
     """
     if not b > a:
         raise ValueError(f"integration bounds must satisfy b > a, got [{a!r}, {b!r}]")

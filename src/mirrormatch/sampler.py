@@ -23,10 +23,10 @@ transform of the uniforms:
 * ball radii: ``U**(1/k)``, one uniform per point.
 
 Clone draws cost O(1) in k, in time and in uniforms. Only the candidate's
-norm R and the clone distance S are returned, and both depend on the
-vectors only through rotation-invariant quantities. With rho the norm of
-the fixed subject noise (0 in per-interaction mode) and v the
-per-coordinate variance of the noise drawn fresh per interaction (both
+norm R, the clone distance S and the offset W are returned, and all three
+depend on the vectors only through rotation-invariant quantities. With
+rho the norm of the fixed subject noise (0 in per-interaction mode) and v
+the per-coordinate variance of the noise drawn fresh per interaction (both
 clones' noise per interaction, the other clone's alone with a fixed
 subject), rotating the subject-noise axis and then the noiseless clone
 difference onto the first coordinate gives::
@@ -107,7 +107,7 @@ def _chi_square(uniforms: np.ndarray, df: int, count: int) -> np.ndarray:
 
 def _clone_batch(
     uniforms: np.ndarray, k: int, count: int, rho: np.ndarray | None, variance: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # rho: None, or a column of nonnegative subject-noise norms, one per row
     chi = 0 if k == 1 else _CHI2_WIDTH * count
     widths = [count] + ([count, chi] if rho is not None else []) + [count, chi]
@@ -123,7 +123,7 @@ def _clone_batch(
     else:
         offset = radii
     along = offset + math.sqrt(variance) * _standard_normals(next(blocks))
-    return radii, np.sqrt(along * along + variance * _chi_square(next(blocks), k - 1, count))
+    return radii, np.sqrt(along * along + variance * _chi_square(next(blocks), k - 1, count)), offset
 
 
 def sample_ball_radii(k: int, count: int, keys: Sequence[StreamKey]) -> np.ndarray:
@@ -148,8 +148,9 @@ def draw_clone_batch(
     subject_noise_norm: float | Sequence[float] | None = None,
     *,
     keys: Sequence[StreamKey],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` clone interactions per key; returns (true_norms, clone_dists), one row per key.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``count`` clone interactions per key; returns (true_norms,
+    clone_dists, offsets), one row per key.
 
     ``variance`` is the per-coordinate variance of the noise drawn fresh
     for every interaction. With ``subject_noise_norm`` None (per-interaction)
@@ -159,7 +160,11 @@ def draw_clone_batch(
     each row's subject-noise norm (a float serves every row): that row
     reuses one subject noise vector of this norm across its interactions
     (fixed subject clone), and ``variance`` is the other clone's noise
-    alone. Time and memory are O(count) per key in any dimension k.
+    alone. A draw's offset W is the distance from its true point to the
+    fixed subject noise; per interaction it is the distance to the origin,
+    so W is R (the same array). The clone distance depends on the true
+    point only through W. Time and memory are O(count) per key in any
+    dimension k.
     """
     _check_dim(k)
     _check_positive_int("count", count)

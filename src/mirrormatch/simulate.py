@@ -22,7 +22,12 @@ A threshold search pays the mean norm of its stopping round's hits, a sum
 over that round's own row, so it too keeps its bits at any block size. A
 platform winner among per-interaction clones is paid its posterior mean
 m(S_(1)) with the control (1 - F(S_(1)))^n, read off a table that depends
-on (k, nu, n) alone and is evaluated elementwise (``_winner_table``)."""
+on (k, nu, n) alone and is evaluated elementwise (``_winner_table``). With
+a fixed subject clone the winner is paid its mean norm given the subject
+noise's norm and its own offset from that noise
+(``density.mean_norm_given_offset``), one quadrature entry a replication,
+refined and summed on its own, so it too keeps its bits at any block
+size."""
 
 from __future__ import annotations
 
@@ -406,20 +411,21 @@ def _winner_table(k: int, nu: float, n: int) -> _WinnerTable:
 
 
 def _d_ai_block(keys, k: int, n: int, variance: float, clone_mode: str) -> np.ndarray:
-    """A row a key: with a fixed subject the winner's drawn norm; per
-    interaction the columns of ``_WinnerTable.columns``, (m(S_(1)),
-    (1 - F(S_(1)))^n) where the table forms the control, else (m(S_(1)),)."""
+    """A row a key: with a fixed subject the winner's mean norm given its
+    offset, E[R | rho, W]; per interaction the columns of
+    ``_WinnerTable.columns``, (m(S_(1)), (1 - F(S_(1)))^n) where the table
+    forms the control, else (m(S_(1)),)."""
     pools = [key.child("pool") for key in keys]
+    rows = np.arange(len(keys))
     if clone_mode == FIXED_SUBJECT_CLONE:
         rho = sampler.sample_noise_norm(k, variance, [key.child("subject-clone") for key in keys])
-        norms, dists = sampler.draw_clone_batch(k, n, variance, rho, keys=pools)
-        # each row's true norm at its clone-distance argmin (the lowest index on ties)
-        return norms[np.arange(len(keys)), np.argmin(dists, axis=1)]
+        _, dists, offsets = sampler.draw_clone_batch(k, n, variance, rho, keys=pools)
+        # the winner is each row's clone-distance argmin (the lowest index on ties)
+        return density.mean_norm_given_offset(k, rho, offsets[rows, np.argmin(dists, axis=1)])
     # both clones' noise is fresh per interaction: the winner's posterior mean
     # m(S_(1)), and the control (1 - F(S_(1)))^n where the table forms it
-    norms, dists = sampler.draw_clone_batch(k, n, 2.0 * variance, keys=pools)
+    norms, dists, _ = sampler.draw_clone_batch(k, n, 2.0 * variance, keys=pools)
     i = np.argmin(dists, axis=1)
-    rows = np.arange(len(keys))
     return _winner_table(k, 2.0 * variance, n).columns(dists[rows, i], norms[rows, i])
 
 
@@ -441,11 +447,18 @@ def estimate_d_ai(
     F's series does not converge on the table's nodes (chndtr gives NaN
     under vanishing noise, or at n = 1, where F is not resolved to the
     table's tolerance) the replication pays m(S_(1)) alone. In
-    fixed-subject-clone mode the candidates share the subject noise, so a
-    replication records the winner's drawn norm and the estimate is the
-    plain mean; each replication first draws the norm of that shared noise
-    vector (``sampler.sample_noise_norm``). A replication costs O(n) in any
-    dimension k in either mode.
+    fixed-subject-clone mode the candidates share the subject noise e, so
+    they are i.i.d. only given it: each replication first draws its norm
+    rho (``sampler.sample_noise_norm``). A candidate's clone distance then
+    depends on its true point X only through its offset W = ||X - e||, and
+    the winner is picked by the clone distances alone, so its true norm has
+    mean E[R | rho, W] at its own offset, the mean norm over the sphere of
+    radius W about e inside the ball (``density.mean_norm_given_offset``):
+    a replication pays that (conditional Monte Carlo again), and the
+    estimate is its plain mean. At n = 25 and sigma^2 = 0.0025 that cuts
+    the variance of the winner's drawn norm about 27-fold at k = 100,
+    300-fold at k = 300 and 3,000-fold at k = 1000. A replication costs
+    O(n) in any dimension k in either mode.
     """
     _check_common(reps, n=n)
     analytic._check_variance(noise_variance_per_clone)
@@ -459,7 +472,7 @@ def estimate_d_ai(
 
 
 def _group_block(keys, k: int, n: int, nu_r: float, nu_p: float) -> np.ndarray:
-    _, dists = sampler.draw_clone_batch(k, n, nu_r, keys=[key.child("pool-rich") for key in keys])
+    _, dists, _ = sampler.draw_clone_batch(k, n, nu_r, keys=[key.child("pool-rich") for key in keys])
     # columns (X, Y): the probability that all n data-poor clone distances
     # exceed the rich pool's minimum m (the rich pool wins ties, which have
     # probability 0), and that n more data-rich ones would, (1 - F_r(m))^n
@@ -520,7 +533,7 @@ def _seq_payoff_block(keys, k: int, variance: float, policy: SeqSearchPolicy) ->
             if in_person:
                 norms = observed = sampler.sample_ball_radii(k, count, streams)
             else:
-                norms, observed = sampler.draw_clone_batch(k, count, 2.0 * variance, keys=streams)
+                norms, observed, _ = sampler.draw_clone_batch(k, count, 2.0 * variance, keys=streams)
             rows = np.arange(searching.size)
             i = np.argmin(observed, axis=1)
             low = observed[rows, i]

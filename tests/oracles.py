@@ -1,5 +1,6 @@
 """Exact oracles shared by several test modules."""
 
+import mpmath
 import numpy as np
 from scipy import integrate, special
 
@@ -112,3 +113,47 @@ def finite_pool_d_ai(k, n, nu, cells=200):
 
     fine, coarse = cell_sum(cdf, weighted), cell_sum(cdf[::2], weighted[::2])
     return (4.0 * fine - coarse) / 3.0
+
+
+def offset_conditional_mean(k, rho, w, dps=30):
+    """E[||X|| : ||X - e|| = w] for X uniform in the k-ball and ||e|| = rho, by mpmath.
+
+    The r-form, apart from the library's integral over the angle: the ball's
+    volume element r^(k-1) (1 - theta^2)^((k-3)/2) dr dtheta, theta the
+    cosine of X to e, taken at fixed r from theta to w through w^2 = r^2 +
+    rho^2 - 2 r rho theta, gives R the density r^(k-2) (1 - theta^2)^((k-3)/2)
+    on [|rho - w|, min(rho + w, 1)] with theta = (r^2 + rho^2 - w^2) / (2 r
+    rho). tanh-sinh takes the endpoint singularities at k = 2 (a node that
+    rounds onto an end is given weight 0, which moves nothing at the
+    working precision), and the interval is split about the mode, found on
+    a grid, so a sharp peak at large k is not missed. At k = 1 the law is
+    the two points |rho - w| and rho + w, of which those in the ball are
+    equally likely; at rho = 0 it is the one norm w.
+    """
+    if k == 1:
+        points = [v for v in (abs(rho - w), rho + w) if v <= 1.0]
+        return sum(points) / len(points)
+    if rho == 0.0:
+        return w
+    with mpmath.workdps(dps):
+        rho, w = mpmath.mpf(rho), mpmath.mpf(w)
+        a, b = abs(rho - w), min(rho + w, mpmath.mpf(1))
+
+        def log_density(r):
+            # 1 - theta^2 as a product of four factors, each nonnegative on [a, b],
+            # with no cancellation at either end
+            sine2 = (w - r + rho) * (w + r - rho) * (r + rho - w) * (r + rho + w) / (2 * r * rho) ** 2
+            if not sine2 > 0:  # a node that rounds onto an end, where the density may be infinite
+                return -mpmath.inf
+            return (k - 2) * mpmath.log(r) + mpmath.mpf(k - 3) / 2 * mpmath.log(sine2)
+
+        grid = [a + (b - a) * i / 2000 for i in range(1, 2000)]
+        mode = max(grid, key=log_density)
+        top = log_density(mode)
+        splits = sorted({a, b, mode} | {mode + sign * (b - a) * d for d in (1e-3, 1e-2, 0.1) for sign in (-1, 1)
+                                          if a < mode + sign * (b - a) * d < b})
+
+        def moment(power):
+            return mpmath.quad(lambda r: r**power * mpmath.exp(log_density(r) - top), splits)
+
+        return float(moment(1) / moment(0))

@@ -32,7 +32,8 @@ from mirrormatch.simulate import AI_PLATFORM, IN_PERSON, SeqSearchPolicy  # noqa
 
 # the small-pools benchmark's cells: sigma = 0.05, n = 64, and the sequential
 # search at k = 5 with a cap of 1000; platform-highdim's d_ip2 cells take
-# 800 replications at k = 100, 300 and 1000
+# 800 replications at k = 100, 300 and 1000; a fixed-subject platform with
+# one candidate pays a uniform point of the ball, of mean k/(k + 1)
 VARIANCE = 0.0025
 N, K_SEQ, CAP, COST_IP, KAPPA = 64, 5, 1000, 0.005, 0.02
 REPS, SEQ_REPS, HIGHDIM_REPS = 3000, 400, 800
@@ -58,6 +59,11 @@ def _cells() -> dict:
         cells[f"d_ip2(k={k},reps={HIGHDIM_REPS})"] = (
             lambda seed, k=k: simulate.estimate_d_ip(k, 2, HIGHDIM_REPS, seed),
             lambda k=k: analytic.d_ip(k, 2),
+        )
+    for k in (2, 30, 300):
+        cells[f"d_ai_fixed(k={k},n=1)"] = (
+            lambda seed, k=k: simulate.estimate_d_ai(k, 1, VARIANCE, REPS, simulate.FIXED_SUBJECT_CLONE, seed),
+            lambda k=k: k / (k + 1.0),
         )
     for t in (1, 2, 4):
         cells[f"ip_stop{t}"] = (

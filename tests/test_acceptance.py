@@ -146,7 +146,7 @@ def test_criterion_08_conditional_mean_consistency():
     # represent a curved posterior mean). Each bin's mean R is also held to
     # its exact value (G(b) - G(a)) / (F(b) - F(a)), which needs no center.
     k, nu, draws = 5, 0.01, 100_000
-    norms, dists = sampler.draw_clone_batch(
+    norms, dists, _ = sampler.draw_clone_batch(
         k, draws, nu, keys=[StreamKey(808).child("acceptance-bins")]
     )
     params = JointDensityParams(k, nu)

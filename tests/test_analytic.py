@@ -132,7 +132,7 @@ class TestCloneDistanceCdf:
     @pytest.mark.parametrize("k, nu", [(1, 0.02), (5, 0.05), (80, 0.02), (300, 0.65)])
     def test_law_of_the_sampled_clone_distances(self, k, nu):
         # the clone draw is the law's one definition
-        _, (dists,) = sampler.draw_clone_batch(k, 20_000, nu, keys=[StreamKey(31).child("cdf-ks", k)])
+        _, (dists,), _ = sampler.draw_clone_batch(k, 20_000, nu, keys=[StreamKey(31).child("cdf-ks", k)])
         result = stats.kstest(dists, lambda s: analytic.clone_distance_cdf(k, nu, s))
         assert result.pvalue > 1e-3, result
 

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mirrormatch import analytic, density, sampler
+from mirrormatch import analytic, density, sampler, simulate
 from mirrormatch.density import JointDensityParams, conditional_mean_r_given_s, mlrp_grid_check
 from mirrormatch.quadrature import integrate
 from mirrormatch.streams import StreamKey
-from oracles import clone_moments
+from oracles import clone_moments, offset_conditional_mean
 
 # dimensions x combined noise variances exercised by the structural checks
 TEST_MATRIX = [(k, nu) for k in (1, 2, 5, 50, 150) for nu in (0.0025, 0.005, 0.05, 0.1)]
@@ -260,7 +260,7 @@ class TestConditionalMean:
         # (G(b) - G(a)) / (F(b) - F(a)), carries no such bias.
         k, nu, draws = 5, 0.01, 100_000
         key = StreamKey(4242).child("binned")
-        norms, dists = sampler.draw_clone_batch(
+        norms, dists, _ = sampler.draw_clone_batch(
             k, draws, nu, keys=[key]
         )
         params = JointDensityParams(k, nu)
@@ -287,6 +287,23 @@ class TestConditionalMean:
         expected = [conditional_mean_r_given_s(params, float(v)) for v in s]
         np.testing.assert_allclose(density._conditional_means(params, s), expected, rtol=0.0, atol=1e-13)
 
+    def test_batched_entries_keep_their_bits_beside_any_others(self):
+        # each entry is refined on its own and every sum runs over its own nodes
+        params = JointDensityParams(5, 0.005)
+        s = np.random.default_rng(5).uniform(0.0, 1.5, 300)
+        chunks = np.concatenate([density._conditional_means(params, s[i : i + 7]) for i in range(0, s.size, 7)])
+        assert chunks.tobytes() == density._conditional_means(params, s).tobytes()
+
+    def test_narrow_peak_inside_the_first_grid_cell(self):
+        # at k = 1 and nu = 2e-6 the kernel's peak, sqrt(nu) wide at r = s, lies
+        # between the first two points of the peak search's first grid, whose
+        # values differ by 1; their bend against the third point shows it
+        params, s = JointDensityParams(1, 2e-6), 0.031240424396551197
+        exact = one_dim_posterior_mean(params.nu, s)
+        assert conditional_mean_r_given_s(params, s) == pytest.approx(exact, rel=0.0, abs=1e-12)
+        assert density._conditional_means(params, np.array([s]))[0] == pytest.approx(exact, rel=0.0, abs=1e-12)
+        assert simulate._winner_table(1, 2e-6, 64).pieces is not None
+
     def test_domain(self):
         with pytest.raises(ValueError):
             conditional_mean_r_given_s(JointDensityParams(3, 0.1), -0.5)
@@ -295,6 +312,39 @@ class TestConditionalMean:
     def test_rejects_infinite_and_nan_s(self, s):
         with pytest.raises(ValueError, match="nonnegative and finite"):
             conditional_mean_r_given_s(JointDensityParams(5, 0.01), s)
+
+
+def one_dim_posterior_mean(nu, s):
+    """m(s) at k = 1 in closed form: R is uniform on [0, 1] and S = |R + Z|,
+    Z ~ N(0, nu), so S has density (phi((s - r)/sd) + phi((s + r)/sd)) / sd given R = r."""
+    sd, law = math.sqrt(nu), stats.norm
+    mass = sd * (law.cdf((1.0 - s) / sd) - law.cdf(-s / sd)), sd * (law.cdf((1.0 + s) / sd) - law.cdf(s / sd))
+    first = (s * mass[0] + nu * (law.pdf(s / sd) - law.pdf((1.0 - s) / sd)),
+             -s * mass[1] + nu * (law.pdf(s / sd) - law.pdf((1.0 + s) / sd)))
+    return sum(first) / sum(mass)
+
+
+class TestOffsetMean:
+    # (rho, w): a sphere wholly inside the ball, one the ball truncates, one
+    # about a centre outside the ball, and one about the origin
+    CASES = [(0.3, 0.5), (0.6, 0.7), (1.5, 0.9), (0.0, 0.4)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 30, 1000])
+    def test_matches_the_r_form(self, k):
+        rho, w = np.array(self.CASES).T
+        for value, case in zip(density.mean_norm_given_offset(k, rho, w), self.CASES):
+            assert abs(value - offset_conditional_mean(k, *case)) <= 1e-10, case
+
+    @pytest.mark.parametrize("k", [2, 30, 1000, 10**6])
+    def test_entries_keep_their_bits_beside_any_others(self, k):
+        rng = np.random.default_rng(k)
+        rho = rng.uniform(0.0, 2.0, 300)
+        w = np.abs(rho - rng.uniform(0.0, 1.0, 300)) + rng.uniform(0.0, 1.0, 300)
+        w = np.minimum(w, rho + 1.0)
+        one = density.mean_norm_given_offset(k, rho, w)
+        chunks = [density.mean_norm_given_offset(k, rho[i : i + 7], w[i : i + 7]) for i in range(0, 300, 7)]
+        assert np.concatenate(chunks).tobytes() == one.tobytes()
+        assert np.all((one >= np.abs(rho - w)) & (one <= np.minimum(rho + w, 1.0)))
 
 
 class TestMlrpGridCheck:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
+from scipy import stats
 
 from mirrormatch.quadrature import QuadratureError, integrate
 
@@ -43,6 +44,22 @@ def test_stacked_rows_equal_scalar_integrals():
     assert both[1] == pytest.approx(integrate(spike, 0.0, 1.0), abs=1e-12)
     assert both[0] == pytest.approx(math.cos(7) / 49 + math.sin(7) / 7 - 1 / 49, abs=1e-13)
     assert both[1] == pytest.approx(math.sqrt(2 * math.pi) * 1e-3, rel=1e-10)
+
+
+def test_entries_keep_their_bits_beside_any_others():
+    # bumps of many widths, so the entries take refinement trees of many depths;
+    # each entry's sums run over its own nodes, so a chunk of 7 gives the bits of one batch
+    centre = np.random.default_rng(3).uniform(0.1, 0.9, 300)
+    width = np.geomspace(1e-2, 1.0, 300)
+
+    def rows(which):
+        return lambda x, i: np.stack([np.exp(-0.5 * ((x - centre[which][i, None]) / width[which][i, None]) ** 2)] * 2)
+
+    one = integrate(rows(slice(None)), 0.0, 1.0, entries=300)
+    chunks = [integrate(rows(slice(i, i + 7)), 0.0, 1.0, entries=min(7, 300 - i)) for i in range(0, 300, 7)]
+    assert np.concatenate(chunks, axis=-1).tobytes() == one.tobytes()
+    exact = np.sqrt(2.0 * np.pi) * width * (stats.norm.cdf((1.0 - centre) / width) - stats.norm.cdf(-centre / width))
+    np.testing.assert_allclose(one[0], exact, rtol=0.0, atol=1e-11)
 
 
 def test_invalid_bounds():

@@ -26,7 +26,7 @@ def noise_norms(k, variance, label, count):
 
 def clone_row(*args, stream, **kwargs):
     """(true_norms, clone_dists) of one key's row of ``draw_clone_batch``."""
-    (norms,), (dists,) = sampler.draw_clone_batch(*args, keys=[stream], **kwargs)
+    (norms,), (dists,), _ = sampler.draw_clone_batch(*args, keys=[stream], **kwargs)
     return norms, dists
 
 
@@ -309,7 +309,7 @@ class TestCloneDraws:
         assert np.abs(dists - norms).max() <= 1e-4
 
     def test_scalar_draw(self):
-        norms, dists = sampler.draw_clone_batch(3, 1, 0.01 + 0.01, keys=[key("scalar")])
+        norms, dists, _ = sampler.draw_clone_batch(3, 1, 0.01 + 0.01, keys=[key("scalar")])
         assert norms.shape == dists.shape == (1, 1)
         assert norms[0, 0] <= 1.0
         assert dists[0, 0] >= 0.0
@@ -359,6 +359,22 @@ class TestCloneDraws:
         for ours, ref in ((norms, ref_norms), (dists, ref_dists), (dists - norms, ref_dists - ref_norms)):
             assert stats.ks_2samp(ours, ref).pvalue > 0.001
 
+    @pytest.mark.parametrize("k", [1, 4, 30])
+    def test_offsets_are_the_distance_to_the_subject_noise(self, k):
+        # per interaction W is R itself; with a fixed subject noise e of norm rho,
+        # |R - rho| <= W <= R + rho draw by draw, and W has the law of ||X - e||
+        # built from full k-vectors with an independent generator
+        norms, _, offsets = sampler.draw_clone_batch(k, 50, 0.02, keys=[key("offsets-per-interaction")])
+        assert offsets is norms
+        count, rho = 20_000, 0.3
+        (norms,), _, (offsets,) = sampler.draw_clone_batch(k, count, 0.02, rho, keys=[key("offsets")])
+        assert np.all((offsets >= np.abs(norms - rho) - 1e-12) & (offsets <= norms + rho + 1e-12))
+        rng = np.random.default_rng([11, k])
+        points = rng.standard_normal((count, k))
+        points *= rng.random((count, 1)) ** (1.0 / k) / np.linalg.norm(points, axis=1, keepdims=True)
+        points[:, 0] -= rho
+        assert stats.ks_2samp(offsets, np.linalg.norm(points, axis=1)).pvalue > 0.001
+
     def test_fixed_mode_second_moments(self):
         # E S^2 = k/(k+2) + rho^2 + k s_o2 and E[S^2 | R] = R^2 + rho^2 + k s_o2:
         # the mean, and an OLS fit of S^2 on R^2 (slope 1, that intercept)
@@ -405,7 +421,7 @@ class TestCloneDraws:
         rho, variance = (0.1, 0.01) if mode == simulate.FIXED_SUBJECT_CLONE else (None, 0.01 + 0.01)
         tracemalloc.start()
         try:
-            norms, dists = sampler.draw_clone_batch(k, count, variance, rho, keys=[key("mem")])
+            norms, dists, _ = sampler.draw_clone_batch(k, count, variance, rho, keys=[key("mem")])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -27,7 +27,7 @@ def coupled_winner_means(k, variance, n_max, reps, seed):
     """
     base = StreamKey(seed).child(f"coupled(k={k},n_max={n_max})")
     keys = [base.child("rep", rep).child("pool") for rep in range(reps)]
-    norms, dists = sampler.draw_clone_batch(k, n_max, 2.0 * variance, keys=keys)
+    norms, dists, _ = sampler.draw_clone_batch(k, n_max, 2.0 * variance, keys=keys)
     sizes, rows = [2**j for j in range(n_max.bit_length())], np.arange(reps)
     return {n: simulate._estimate(norms[rows, np.argmin(dists[:, :n], axis=1)], "coupled") for n in sizes}
 
@@ -166,7 +166,7 @@ class TestPlatformWinner:
     def test_plain_and_posterior_means_agree_on_the_same_draws(self, k, n):
         keys = [StreamKey(SEED).child("same-draws").child("rep", rep) for rep in range(2000)]
         paid = simulate._d_ai_block(keys, k, n, 0.0025, simulate.PER_INTERACTION)
-        norms, dists = sampler.draw_clone_batch(k, n, 0.005, keys=[key.child("pool") for key in keys])
+        norms, dists, _ = sampler.draw_clone_batch(k, n, 0.005, keys=[key.child("pool") for key in keys])
         plain = simulate._estimate(norms[np.arange(len(keys)), np.argmin(dists, axis=1)], "plain")
         rb = simulate._estimate(paid.copy(), "rb")  # the fit works in place
         assert abs(rb.mean - plain.mean) <= 4.0 * plain.std_error, (rb, plain)
@@ -206,9 +206,32 @@ class TestPlatformWinner:
         # [0, s_max], so no table is built and the winner keeps its drawn norm
         keys = rep_keys(8)
         assert simulate._winner_table(1, 2e-14, 64).pieces is None
-        norms, dists = sampler.draw_clone_batch(1, 64, 2e-14, keys=[key.child("pool") for key in keys])
+        norms, dists, _ = sampler.draw_clone_batch(1, 64, 2e-14, keys=[key.child("pool") for key in keys])
         paid = simulate._d_ai_block(keys, 1, 64, 1e-14, simulate.PER_INTERACTION)
         assert paid[:, 0].tobytes() == norms[np.arange(8), np.argmin(dists, axis=1)].tobytes()
+
+
+class TestFixedSubjectWinner:
+    # with a fixed subject the winner is paid E[R | rho, W] at its offset W
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 100])
+    def test_single_candidate_mean(self, k):
+        # with one candidate the winner is a uniform point of the ball: E[R] = k/(k + 1)
+        est = simulate.estimate_d_ai(k, 1, 0.0025, 4000, simulate.FIXED_SUBJECT_CLONE, SEED)
+        assert within(est, k / (k + 1.0), factor=4.0), est
+
+    @pytest.mark.parametrize("k", [1, 5, 100, 300])
+    def test_drawn_and_conditional_norms_agree_on_the_same_draws(self, k):
+        # the plain mean is the winner's drawn norm, read off the sampler itself
+        keys = [StreamKey(SEED).child("fixed-same-draws").child("rep", rep) for rep in range(2000)]
+        paid = simulate._d_ai_block(keys, k, 25, 0.0025, simulate.FIXED_SUBJECT_CLONE)
+        rho = sampler.sample_noise_norm(k, 0.0025, [key.child("subject-clone") for key in keys])
+        norms, dists, _ = sampler.draw_clone_batch(k, 25, 0.0025, rho, keys=[key.child("pool") for key in keys])
+        drawn = norms[np.arange(len(keys)), np.argmin(dists, axis=1)]
+        difference = simulate._estimate(paid - drawn, "difference")
+        assert abs(difference.mean) <= 4.0 * difference.std_error, difference
+        if k >= 100:
+            assert paid.std(ddof=1) <= 0.3 * drawn.std(ddof=1)
 
 
 def rep_keys(reps=40):
@@ -316,12 +339,12 @@ class TestBlocking:
         keys = [StreamKey(SEED).child("zero-norm", i) for i in range(3)]
         rhos = [0.3, 0.0, 0.5]
         for k in (1, 5, 30):
-            norms, dists = sampler.draw_clone_batch(k, 9, 0.02, rhos, keys=keys)
-            assert np.isfinite(norms).all() and np.isfinite(dists).all()
+            rows = sampler.draw_clone_batch(k, 9, 0.02, rhos, keys=keys)
+            assert all(np.isfinite(row).all() for row in rows)
             for i, rho in enumerate(rhos):
-                (alone_norms,), (alone_dists,) = sampler.draw_clone_batch(k, 9, 0.02, rho, keys=[keys[i]])
-                assert norms[i].tobytes() == alone_norms.tobytes()
-                assert dists[i].tobytes() == alone_dists.tobytes()
+                alone = sampler.draw_clone_batch(k, 9, 0.02, rho, keys=[keys[i]])
+                for row, (alone_row,) in zip(rows, alone):  # norms, distances and offsets
+                    assert row[i].tobytes() == alone_row.tobytes()
 
 
 class TestCoupledMonotonicity:
@@ -342,7 +365,7 @@ class TestCoupledMonotonicity:
         # improves the clone distance
         for rep in range(100):
             key = StreamKey(SEED).child("prefix", rep)
-            _, (dists,) = sampler.draw_clone_batch(3, 16, 0.01 + 0.01, keys=[key])
+            _, (dists,), _ = sampler.draw_clone_batch(3, 16, 0.01 + 0.01, keys=[key])
             for n in range(1, 16):
                 before = int(np.argmin(dists[:n]))
                 after = int(np.argmin(dists[: n + 1]))
@@ -369,7 +392,7 @@ class TestGroupWinRate:
         for k, nu_r, nu_p in ((1, 0.02, 0.05), (5, 0.02, 0.65), (300, 0.02, 0.05)):
             keys = rep_keys(50)
             values = simulate._group_block(keys, k, 1, nu_r, nu_p)
-            _, dists = sampler.draw_clone_batch(k, 1, nu_r, keys=[key.child("pool-rich") for key in keys])
+            _, dists, _ = sampler.draw_clone_batch(k, 1, nu_r, keys=[key.child("pool-rich") for key in keys])
             for column, nu in enumerate((nu_p, nu_r)):
                 expected = 1.0 - analytic.clone_distance_cdf(k, nu, dists[:, 0])
                 np.testing.assert_allclose(values[:, column], expected, rtol=1e-14, atol=1e-16)
@@ -516,7 +539,7 @@ class TestSeqPolicies:
             if regime == simulate.IN_PERSON:
                 (norms,) = observed = sampler.sample_ball_radii(5, 512, [key.child("block", 0)])
             else:
-                (norms,), observed = sampler.draw_clone_batch(5, 512, 0.005, keys=[key.child("block", 0)])
+                (norms,), observed, _ = sampler.draw_clone_batch(5, 512, 0.005, keys=[key.child("block", 0)])
             order = np.argsort(observed[0])
             for hits in (1, 3):
                 threshold = float(observed[0, order[hits - 1]])
